@@ -49,7 +49,7 @@ mod ubig;
 mod word;
 
 pub use error::ParseUBigError;
-pub use ubig::UBig;
+pub use ubig::{HexLimbs, UBig};
 
 /// Maximum bit width supported by [`UBig`].
 pub const MAX_WIDTH: usize = 4096;

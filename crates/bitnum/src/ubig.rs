@@ -559,8 +559,29 @@ impl fmt::Display for UBig {
 
 impl fmt::LowerHex for UBig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::LowerHex::fmt(&HexLimbs(&self.limbs), f)
+    }
+}
+
+/// Lower-case hex of a little-endian `u64` limb run, digit for digit as
+/// [`UBig`]'s `{:x}` prints the same limbs: no leading zeros, `0` for
+/// zero. Lets a caller that holds raw limbs — a slab lane gathered with
+/// [`WideSlab::write_lane_limbs`](crate::batch::WideSlab::write_lane_limbs)
+/// — print them without building a [`UBig`].
+///
+/// ```
+/// use bitnum::{HexLimbs, UBig};
+/// let v = UBig::from_u128((0xab << 64) | 0xc, 72);
+/// assert_eq!(format!("{:x}", HexLimbs(v.limbs())), format!("{v:x}"));
+/// assert_eq!(format!("{:x}", HexLimbs(&[0, 0])), "0");
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct HexLimbs<'a>(pub &'a [u64]);
+
+impl fmt::LowerHex for HexLimbs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut started = false;
-        for (i, &l) in self.limbs.iter().enumerate().rev() {
+        for (i, &l) in self.0.iter().enumerate().rev() {
             if started {
                 write!(f, "{l:016x}")?;
             } else if l != 0 || i == 0 {

@@ -425,6 +425,14 @@ impl Router {
         *self.slo_micros.lock().expect("router slo lock") = micros;
     }
 
+    /// The router's clock, in microseconds: the time base of its sample
+    /// expiry. A caller that times the latency it passes to
+    /// [`Router::record`] on this clock stays deterministic under an
+    /// injected [`ManualClock`].
+    pub fn now_micros(&self) -> u64 {
+        self.clock.now_micros()
+    }
+
     /// Feeds one completed batch's statistics into the `(engine, width)`
     /// estimate: `lanes`/`stalls` as a [`BatchOutcome`](crate::batch::BatchOutcome)
     /// counts them, `micros` the batch's observed service latency.

@@ -221,13 +221,19 @@ fn code_from_byte(byte: u8) -> Option<ErrorCode> {
     })
 }
 
+/// Appends the header of an `opcode` frame whose body is `body_len`
+/// bytes.
+fn push_header(out: &mut Vec<u8>, opcode: u8, body_len: usize) {
+    out.push(PROTOCOL_VERSION);
+    out.push(opcode);
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+}
+
 /// Frames `body` under `(version, opcode)` — header plus body in one
 /// buffer, so transports issue a single write per frame.
 fn frame(opcode: u8, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.push(PROTOCOL_VERSION);
-    out.push(opcode);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    push_header(&mut out, opcode, body.len());
     out.extend_from_slice(body);
     out
 }
@@ -636,12 +642,20 @@ pub fn encode_slo_request(action: SloAction) -> Vec<u8> {
 /// Encodes an `OK` response frame straight from limbs — no hex, no
 /// [`UBig`] formatting on the reply path.
 pub fn encode_ok(seq: u64, cout: bool, cycles: u8, sum_limbs: &[u64]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(10 + sum_limbs.len() * 8);
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.push(u8::from(cout));
-    body.push(cycles);
-    push_limbs(&mut body, sum_limbs);
-    frame(resp::OK, &body)
+    let mut out = Vec::with_capacity(HEADER_LEN + 10 + sum_limbs.len() * 8);
+    push_ok(&mut out, seq, cout, cycles, sum_limbs);
+    out
+}
+
+/// Appends the `OK` frame [`encode_ok`] builds to `out` — the form a
+/// transport uses to encode many answers back to back into one reused
+/// buffer and write them at once.
+pub fn push_ok(out: &mut Vec<u8>, seq: u64, cout: bool, cycles: u8, sum_limbs: &[u64]) {
+    push_header(out, resp::OK, 10 + sum_limbs.len() * 8);
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.push(u8::from(cout));
+    out.push(cycles);
+    push_limbs(out, sum_limbs);
 }
 
 /// Encodes an `ERR` response frame.

@@ -149,8 +149,7 @@ impl Client {
     /// `ERR 0 bad-request …` instead of the echo).
     pub fn connect_binary(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let mut client = Self::connect(addr)?;
-        client.writer.write_all(HELLO_LINE.as_bytes())?;
-        client.writer.write_all(b"\n")?;
+        client.write_line(HELLO_LINE.to_string())?;
         let ack = client.read_line()?;
         if ack.trim_end_matches(['\r', '\n']) != HELLO_LINE {
             return Err(ClientError::Protocol(format!(
@@ -193,6 +192,14 @@ impl Client {
         }
     }
 
+    /// Writes one text line and its newline with a single write: under
+    /// `TCP_NODELAY` every write is its own segment, and a split line
+    /// wakes the server's reader twice.
+    fn write_line(&mut self, mut line: String) -> std::io::Result<()> {
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())
+    }
+
     fn read_line(&mut self) -> Result<String, ClientError> {
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
@@ -225,9 +232,7 @@ impl Client {
         self.next_seq += 1;
         match &self.wire {
             Wire::Text => {
-                let line = format_add(seq, engine, a, b);
-                self.writer.write_all(line.as_bytes())?;
-                self.writer.write_all(b"\n")?;
+                self.write_line(format_add(seq, engine, a, b))?;
             }
             Wire::Binary { ids } => {
                 let id = engine_id(ids, engine)?;
@@ -267,9 +272,7 @@ impl Client {
         self.next_seq += 1;
         match &self.wire {
             Wire::Text => {
-                let line = format_sum(seq, engine, operands);
-                self.writer.write_all(line.as_bytes())?;
-                self.writer.write_all(b"\n")?;
+                self.write_line(format_sum(seq, engine, operands))?;
             }
             Wire::Binary { ids } => {
                 let id = engine_id(ids, engine)?;
@@ -335,9 +338,7 @@ impl Client {
         self.next_seq += 1;
         match &self.wire {
             Wire::Text => {
-                let line = format_program(seq, engine, program, inputs);
-                self.writer.write_all(line.as_bytes())?;
-                self.writer.write_all(b"\n")?;
+                self.write_line(format_program(seq, engine, program, inputs))?;
             }
             Wire::Binary { ids } => {
                 let id = engine_id(ids, engine)?;

@@ -92,6 +92,6 @@ pub use protocol::{
 };
 pub use server::Server;
 pub use service::{AddResult, RegistryCache, ServeConfig, Service, SubmitError};
-pub use session::{ByteSession, FeedOutcome, FrameSink, ResponseSink};
+pub use session::{ByteSession, FeedOutcome, FrameSink, OkBatch, ResponseSink};
 pub use vlcsa::program::Program;
 pub use vlcsa::route::{RouteStat, Router, AUTO_ENGINE};

@@ -77,7 +77,7 @@
 //! }
 //! ```
 
-use bitnum::UBig;
+use bitnum::{HexLimbs, UBig};
 use vlcsa::program::{Program, MAX_PROGRAM_INPUTS};
 use vlcsa::route::RouteStat;
 
@@ -619,6 +619,44 @@ pub enum Response {
     Slo(Option<u64>),
 }
 
+/// The `OK` line's fields over raw sum limbs — the one place its format
+/// is spelled, shared by [`format_response`] and [`push_ok_line`].
+struct OkLine<'a> {
+    seq: u64,
+    sum: &'a [u64],
+    cout: bool,
+    cycles: u8,
+}
+
+impl std::fmt::Display for OkLine<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "OK {} {:x} {} {}",
+            self.seq,
+            HexLimbs(self.sum),
+            u8::from(self.cout),
+            self.cycles
+        )
+    }
+}
+
+/// Appends the `OK` line answering `seq`, newline included, to `out` —
+/// byte for byte [`format_response`] of the same [`Response::Ok`] plus
+/// `\n`, but from the sum's raw little-endian limbs, so a transport can
+/// encode many answers back to back into one reused buffer with no
+/// [`UBig`] per answer.
+pub fn push_ok_line(out: &mut Vec<u8>, seq: u64, cout: bool, cycles: u8, sum_limbs: &[u64]) {
+    use std::io::Write as _;
+    let line = OkLine {
+        seq,
+        sum: sum_limbs,
+        cout,
+        cycles,
+    };
+    writeln!(out, "{line}").expect("writing to a Vec cannot fail");
+}
+
 /// Formats a response line (no trailing newline). `Ok` needs no width on
 /// the wire: the client parses the sum at the width it asked for.
 pub fn format_response(response: &Response) -> String {
@@ -628,7 +666,13 @@ pub fn format_response(response: &Response) -> String {
             sum,
             cout,
             cycles,
-        } => format!("OK {seq} {sum:x} {} {cycles}", u8::from(*cout)),
+        } => OkLine {
+            seq: *seq,
+            sum: sum.limbs(),
+            cout: *cout,
+            cycles: *cycles,
+        }
+        .to_string(),
         Response::Err(e) => format!("ERR {} {} {}", e.seq, e.code, e.message),
         Response::Engines(names) => {
             let mut line = String::from("ENGINES");

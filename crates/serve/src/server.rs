@@ -8,19 +8,24 @@
 //! framing of [`crate::binary`] instead — the server echoes the line and
 //! both directions speak frames from then on; every other connection is
 //! text forever. The
-//! write half of the socket is wrapped in an `Arc<Mutex<TcpStream>>`; each
-//! `ADD`'s reply callback captures that handle plus the request's sequence
-//! number, so worker threads write `OK` lines (or `OK` frames) directly to
-//! the right
-//! client whenever their issue group completes — out of submission order
-//! when the batching window split a connection's requests across groups.
+//! write half of the socket is wrapped in an `Arc<Mutex<TcpStream>>`, the
+//! connection's sink; each `ADD`/`SUM`/`PROG` is submitted with that sink
+//! plus its sequence number as its reply address. When an issue group
+//! completes, its worker gives each connection one chunk: every `OK` line
+//! (or `OK` frame) the group owes that connection, encoded back to back
+//! from the outcome's slab into the worker's reused buffer and written
+//! with one `write_all` under one lock acquisition — out of submission
+//! order when the batching window split a connection's requests across
+//! groups. Every other response (an `ERR` line, a listing, a frame) is
+//! one write too.
 //! Validation and protocol errors are answered inline by the reader as
 //! `ERR` lines; nothing short of a socket error drops a connection.
 //! Because workers write to client sockets directly, a client that stops
 //! reading could otherwise pin a worker on its full send buffer and
 //! head-of-line-block every other connection — so each accepted socket
-//! carries [`Server::WRITE_TIMEOUT`], after which that client's response
-//! is dropped (its connection is already broken) and the worker moves on.
+//! carries [`Server::WRITE_TIMEOUT`], after which the write fails, the
+//! socket is shut down (that client loses the chunk and its connection,
+//! which was already broken) and the worker moves on.
 //!
 //! [`Server::shutdown`] is clean and bounded: stop accepting, shut the
 //! sockets down (unblocking the readers), answer everything already
@@ -69,37 +74,49 @@ use crate::protocol::{ErrorCode, RequestError};
 use crate::service::{ServeConfig, Service};
 #[cfg(not(feature = "reactor"))]
 use crate::session;
-use crate::session::{FrameSink, ResponseSink};
+use crate::session::{FrameSink, OkBatch, ResponseSink};
 
-/// The text sink over a shared socket: writes one response line,
-/// swallowing write errors — a worker answering after the client hung up
-/// (or after shutdown) has nobody left to tell. A failed (or timed-out)
-/// write may have sent a partial line, so the socket is shut down: a
-/// desynced stream is unrecoverable and killing it also unblocks the
-/// connection's reader.
+/// Writes `bytes` — a line, a frame, or a whole chunk of answers — to a
+/// shared socket with one `write_all` under one lock acquisition, and
+/// reports whether it all went out. Write errors are swallowed: a worker
+/// answering after the client hung up (or after shutdown) has nobody left
+/// to tell. A failed (or timed-out) write may have sent part of `bytes`,
+/// so the socket is shut down: a desynced stream is unrecoverable and
+/// killing it also unblocks the connection's reader.
+fn write_chunk(stream: &Mutex<TcpStream>, bytes: &[u8]) -> bool {
+    let mut stream = stream.lock().expect("connection write lock");
+    let written = stream.write_all(bytes).is_ok();
+    if !written {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    written
+}
+
+/// The text sink over a shared socket: each response line with its
+/// newline is one write, and one issue group's `OK` lines are one write.
 impl ResponseSink for Mutex<TcpStream> {
     fn send(&self, response: &Response) {
-        let line = crate::protocol::format_response(response);
-        let mut stream = self.lock().expect("connection write lock");
-        if stream
-            .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .is_err()
-        {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        let mut line = crate::protocol::format_response(response);
+        line.push('\n');
+        write_chunk(self, line.as_bytes());
+    }
+
+    fn send_oks(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
+        oks.encode_lines(buf);
+        write_chunk(self, buf);
     }
 }
 
-/// The frame sink over a shared socket, with the same swallow-and-shutdown
-/// failure policy as the text sink — a partial frame desyncs the stream
-/// just as a partial line does.
+/// The frame sink over a shared socket: each frame is one write, and one
+/// issue group's `OK` frames are one write.
 impl FrameSink for Mutex<TcpStream> {
     fn send_frame(&self, frame: &[u8]) {
-        let mut stream = self.lock().expect("connection write lock");
-        if stream.write_all(frame).is_err() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        write_chunk(self, frame);
+    }
+
+    fn send_ok_frames(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
+        oks.encode_frames(buf);
+        write_chunk(self, buf);
     }
 }
 
@@ -134,16 +151,8 @@ fn serve_connection(stream: TcpStream, service: &Service) {
             // The ack is the upgrade line itself, echoed; it is the last
             // text this connection ever sees. The upgrade exchange counts
             // as neither protocol's traffic.
-            {
-                let mut stream = writer.lock().expect("connection write lock");
-                if stream
-                    .write_all(HELLO_LINE.as_bytes())
-                    .and_then(|()| stream.write_all(b"\n"))
-                    .is_err()
-                {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
+            if !write_chunk(&writer, format!("{HELLO_LINE}\n").as_bytes()) {
+                return;
             }
             serve_binary(reader, &writer, service);
             return;
@@ -253,9 +262,10 @@ pub struct Server {
 
 impl Server {
     /// How long a worker will wait on one client's full send buffer
-    /// before abandoning that response. A client that stops reading gets
-    /// its replies dropped after this bound instead of wedging the shared
-    /// worker pool (head-of-line blocking across connections).
+    /// before abandoning the write. The socket is then shut down: a client
+    /// that stops reading loses the chunk (its share of one issue group's
+    /// answers) and its connection after this bound, instead of wedging
+    /// its lane's workers (head-of-line blocking across connections).
     pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
     /// Binds `addr` (use port 0 for an OS-assigned port), starts the

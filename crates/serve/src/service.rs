@@ -21,8 +21,12 @@
 //!    touches no executor.
 //! 3. **The lane's workers** pop issue groups, run them through
 //!    [`Executor::run`], and deliver each lane's sum, carry-out and cycle
-//!    count to the request's reply callback — the lane→request mapping is
-//!    the group's `tags` vector.
+//!    count to the request's reply — the lane→request mapping is the
+//!    group's `tags` vector. An in-process caller's reply is a closure,
+//!    called per lane. A wire request's reply is an address, its
+//!    connection's sink plus its `seq`: the worker groups the group's
+//!    lanes by connection and hands each sink one [`OkBatch`], which the
+//!    TCP server writes with one syscall.
 //!
 //! Because every lane owns its queues and threads end to end, a stalling
 //! or slow engine head-of-line-blocks only its own traffic: other lanes'
@@ -59,13 +63,14 @@ use std::time::{Duration, Instant};
 use bitnum::batch::{DefaultWord, Word};
 use bitnum::UBig;
 use vlcsa::engine::{EngineLookupError, Registry};
-use vlcsa::exec::Executor;
+use vlcsa::exec::{Executor, WideOutcome};
 use vlcsa::group::{IssueGroup, LaneBuilder};
 use vlcsa::program::Program;
 use vlcsa::route::{RouteConfig, Router, AUTO_ENGINE};
 
 use crate::protocol::{EngineStats, LaneStats, StatsReport, OPERAND_RANGE, WIDTH_RANGE};
 use crate::queue::{PopResult, Queue, ShardedQueue};
+use crate::session::{FrameSink, OkBatch, ResponseSink};
 
 /// Stripes of every lane's ingress queue — enough that a handful of
 /// connection readers funnelling into one hot lane spread across distinct
@@ -182,33 +187,232 @@ impl std::error::Error for SubmitError {}
 /// exactly once, from a worker thread, with the lane's result.
 pub type Reply = Box<dyn FnOnce(AddResult) + Send>;
 
-/// The operand form a job carries: parsed values (the text protocol) or
-/// raw little-endian limb runs (the binary protocol), which the batcher
-/// scatters straight into the slab layout via
+/// Where a job's answer goes.
+pub(crate) enum ReplyTo {
+    /// An in-process caller's closure, called once with the lane's result.
+    Call(Reply),
+    /// A wire request's address: its connection plus its `seq`. The lane
+    /// worker hands each connection all of its answers from one issue
+    /// group at once.
+    Wire {
+        /// The connection the answer is written to.
+        conn: Conn,
+        /// The request's sequence number, echoed in the answer.
+        seq: u64,
+    },
+}
+
+/// A wire connection's reply side, in the framing it speaks.
+pub(crate) enum Conn {
+    /// Answers are text `OK` lines.
+    Text(Arc<dyn ResponseSink>),
+    /// Answers are `OK` frames.
+    Frame(Arc<dyn FrameSink>),
+}
+
+impl Conn {
+    /// Identifies the connection: its sink's address plus its framing.
+    fn key(&self) -> (usize, bool) {
+        match self {
+            Conn::Text(sink) => (Arc::as_ptr(sink).cast::<()>() as usize, false),
+            Conn::Frame(sink) => (Arc::as_ptr(sink).cast::<()>() as usize, true),
+        }
+    }
+
+    /// Hands the connection its answers from one issue group.
+    fn send(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
+        buf.clear();
+        match self {
+            Conn::Text(sink) => sink.send_oks(oks, buf),
+            Conn::Frame(sink) => sink.send_ok_frames(oks, buf),
+        }
+    }
+}
+
+/// A lane worker's reply state, reused from group to group: the group's
+/// wire answers sorted into per-connection runs, and the buffer a run is
+/// encoded into before its one write.
+#[derive(Default)]
+struct Delivery {
+    /// `(connection, seq, lane)` of each wire answer of the group.
+    wire: Vec<(Conn, u64, usize)>,
+    /// Each connection's run of `wire` as `(first lane, start, end)`.
+    runs: Vec<(usize, usize, usize)>,
+    /// One connection's `(seq, lane)` pairs, in lane order.
+    run: Vec<(u64, usize)>,
+    /// The encode buffer.
+    buf: Vec<u8>,
+}
+
+impl Delivery {
+    /// Answers every lane of one issue group: closures one by one, wire
+    /// answers as one [`OkBatch`] per connection, in lane order. The
+    /// connections are answered in the order of their first lane in the
+    /// group, so which one goes first follows the traffic, not where the
+    /// sinks happen to sit in memory.
+    fn deliver(&mut self, out: &WideOutcome, tags: Vec<ReplyTo>) {
+        let Self {
+            wire,
+            runs,
+            run,
+            buf,
+        } = self;
+        for (lane, reply) in tags.into_iter().enumerate() {
+            match reply {
+                ReplyTo::Call(reply) => reply(AddResult {
+                    sum: out.sum.lane(lane),
+                    cout: out.cout(lane),
+                    cycles: out.cycles(lane),
+                }),
+                ReplyTo::Wire { conn, seq } => wire.push((conn, seq, lane)),
+            }
+        }
+        // Lanes are unique, so this order is total: connection, then lane.
+        wire.sort_unstable_by_key(|(conn, _, lane)| (conn.key(), *lane));
+        let mut start = 0;
+        for answers in wire.chunk_by(|x, y| x.0.key() == y.0.key()) {
+            runs.push((answers[0].2, start, start + answers.len()));
+            start += answers.len();
+        }
+        runs.sort_unstable();
+        for &(_, start, end) in runs.iter() {
+            run.clear();
+            run.extend(wire[start..end].iter().map(|&(_, seq, lane)| (seq, lane)));
+            wire[start].0.send(&OkBatch::new(out, run), buf);
+        }
+        runs.clear();
+        // Releases the group's connection handles.
+        wire.clear();
+    }
+}
+
+/// A validated request body: parsed values (the text protocol, and every
+/// reduction once lowered) or raw little-endian limb runs (the binary
+/// `ADD`), which the batcher scatters straight into the slab layout via
 /// [`LaneBuilder::push_limbs`] — no intermediate [`UBig`] anywhere on
-/// the limb path.
-enum Operands {
+/// the limb path. The constructors are the validation every submit path
+/// shares.
+pub(crate) enum Operands {
     /// Two parsed operands of equal width.
     Values { a: UBig, b: UBig },
     /// Two validated limb runs of `width.div_ceil(64)` limbs each.
-    Limbs { a: Vec<u64>, b: Vec<u64> },
+    Limbs {
+        width: usize,
+        a: Vec<u64>,
+        b: Vec<u64>,
+    },
+}
+
+impl Operands {
+    /// One addition of parsed operands.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::WidthMismatch`] or [`SubmitError::BadWidth`].
+    pub(crate) fn add(a: UBig, b: UBig) -> Result<Self, SubmitError> {
+        if a.width() != b.width() {
+            return Err(SubmitError::WidthMismatch(a.width(), b.width()));
+        }
+        if !WIDTH_RANGE.contains(&a.width()) {
+            return Err(SubmitError::BadWidth(a.width()));
+        }
+        Ok(Self::Values { a, b })
+    }
+
+    /// One addition of raw limb runs, validated in place.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::BadWidth`], or [`SubmitError::BadLimbs`] when either
+    /// operand is not exactly `width.div_ceil(64)` limbs or has bits set
+    /// at or above `width`.
+    pub(crate) fn limbs(width: usize, a: Vec<u64>, b: Vec<u64>) -> Result<Self, SubmitError> {
+        if !WIDTH_RANGE.contains(&width) {
+            return Err(SubmitError::BadWidth(width));
+        }
+        let nl = width.div_ceil(64);
+        for (name, limbs) in [("a", &a), ("b", &b)] {
+            if limbs.len() != nl {
+                return Err(SubmitError::BadLimbs(format!(
+                    "operand {name} is {} limbs, width {width} needs {nl}",
+                    limbs.len()
+                )));
+            }
+            let used = width % 64;
+            if used != 0 && limbs[nl - 1] >> used != 0 {
+                return Err(SubmitError::BadLimbs(format!(
+                    "operand {name} has bits set at or above width {width}"
+                )));
+            }
+        }
+        Ok(Self::Limbs { width, a, b })
+    }
+
+    /// One whole program, lowered here — in the submitter — to its
+    /// carry-save pair ([`Program::csa_pair_scalar`]): xor/majority word
+    /// sweeps, no carry chains, one lane.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::BadOperandCount`] when `inputs` does not match the
+    /// program's input count, [`SubmitError::WidthMismatch`] or
+    /// [`SubmitError::BadWidth`].
+    pub(crate) fn program(program: &Program, inputs: &[UBig]) -> Result<Self, SubmitError> {
+        if inputs.len() != program.inputs() {
+            return Err(SubmitError::BadOperandCount(inputs.len()));
+        }
+        let width = inputs[0].width();
+        for i in &inputs[1..] {
+            if i.width() != width {
+                return Err(SubmitError::WidthMismatch(width, i.width()));
+            }
+        }
+        if !WIDTH_RANGE.contains(&width) {
+            return Err(SubmitError::BadWidth(width));
+        }
+        let (a, b) = program.csa_pair_scalar(inputs);
+        Ok(Self::Values { a, b })
+    }
+
+    /// One n-operand sum — [`Operands::program`] of the [`Program::sum`]
+    /// shape.
+    ///
+    /// # Errors
+    ///
+    /// As [`Operands::program`]; [`SubmitError::BadOperandCount`] when the
+    /// operand count is outside [`OPERAND_RANGE`].
+    pub(crate) fn sum(operands: &[UBig]) -> Result<Self, SubmitError> {
+        let program = Program::sum(operands.len())
+            .map_err(|_| SubmitError::BadOperandCount(operands.len()))?;
+        Self::program(&program, operands)
+    }
+
+    fn width(&self) -> usize {
+        match self {
+            Self::Values { a, .. } => a.width(),
+            Self::Limbs { width, .. } => *width,
+        }
+    }
 }
 
 /// A validated request in flight between a submitter and its lane's
 /// batcher. The engine and width are the lane's — resolved before
-/// queueing — so the job carries only the operands and the reply.
+/// queueing — so the job carries only the operands, the reply and its
+/// submit time on the router's clock.
 struct Job {
     operands: Operands,
-    reply: Reply,
+    reply: ReplyTo,
+    submitted: u64,
 }
 
 /// Moves one job into the lane's batching window, whichever operand form
-/// it carries.
-fn push_job(builder: &mut LaneBuilder<Reply>, job: Job) {
+/// it carries, and returns its submit stamp.
+fn push_job(builder: &mut LaneBuilder<ReplyTo>, job: Job) -> u64 {
     match job.operands {
         Operands::Values { a, b } => builder.push(a, b, job.reply),
-        Operands::Limbs { a, b } => builder.push_limbs(&a, &b, job.reply),
+        Operands::Limbs { a, b, .. } => builder.push_limbs(&a, &b, job.reply),
     }
+    job.submitted
 }
 
 /// A lazily-built, shared cache of [`Registry`] instances, one per
@@ -295,12 +499,14 @@ impl Metrics {
 }
 
 /// One issue group in flight between a lane's batcher and its workers,
-/// tagged with when it was queued: the router's latency observation
-/// starts at the batching decision, so the SLO p99s include executor
-/// queueing, not just the engine run.
+/// tagged with its oldest job's submit stamp on the router's clock. The
+/// router's latency sample for the group runs from that stamp until every
+/// reply has been handed to its sink, so the SLO p99s cover what the
+/// group's slowest client saw: the ingress queue, the batching window,
+/// the group queue, the run and the reply writes.
 struct QueuedGroup {
-    group: IssueGroup<Reply>,
-    enqueued: Instant,
+    group: IssueGroup<ReplyTo>,
+    oldest: u64,
 }
 
 /// One `(engine, width)` worker lane: the submit-facing half. The batcher
@@ -432,16 +638,16 @@ impl Service {
             let lane = Arc::clone(&lane);
             let groups = Arc::clone(&groups);
             std::thread::spawn(move || {
-                let mut builder: LaneBuilder<Reply> = LaneBuilder::new(&lane.engine, lane.width);
+                let mut builder: LaneBuilder<ReplyTo> = LaneBuilder::new(&lane.engine, lane.width);
                 'accept: while let Some(first) = lane.ingress.pop() {
-                    push_job(&mut builder, first);
+                    let mut oldest = push_job(&mut builder, first);
                     lane.window_lanes.store(builder.lanes(), Ordering::Relaxed);
                     let deadline = Instant::now() + config.max_wait;
                     let mut open = true;
                     while builder.lanes() < config.max_lanes {
                         match lane.ingress.pop_deadline(deadline) {
                             PopResult::Item(job) => {
-                                push_job(&mut builder, job);
+                                oldest = oldest.min(push_job(&mut builder, job));
                                 lane.window_lanes.store(builder.lanes(), Ordering::Relaxed);
                             }
                             PopResult::TimedOut => break,
@@ -454,11 +660,7 @@ impl Service {
                     let drained = builder.drain();
                     lane.window_lanes.store(0, Ordering::Relaxed);
                     if let Some(group) = drained {
-                        let queued = QueuedGroup {
-                            group,
-                            enqueued: Instant::now(),
-                        };
-                        if groups.push(queued).is_err() {
+                        if groups.push(QueuedGroup { group, oldest }).is_err() {
                             break 'accept;
                         }
                     }
@@ -479,14 +681,15 @@ impl Service {
             let router = Arc::clone(&self.router);
             let executor = Executor::new(config.exec_threads);
             threads.push(std::thread::spawn(move || {
-                while let Some(QueuedGroup { group, enqueued }) = groups.pop() {
+                let mut delivery = Delivery::default();
+                while let Some(QueuedGroup { group, oldest }) = groups.pop() {
                     let registry = registries.at(group.width);
                     let engine = registry
                         .lookup(&group.engine)
                         .expect("engine validated at submit time or routed");
                     let out = executor.run(engine, &group.a, &group.b);
-                    let micros = u64::try_from(enqueued.elapsed().as_micros()).unwrap_or(u64::MAX);
                     metrics.record_group(&group.engine, out.lanes() as u64, out.stalls());
+                    delivery.deliver(&out, group.tags);
                     // Every group feeds the router — named traffic too —
                     // so `auto` estimates warm up from whatever runs.
                     router.record(
@@ -494,15 +697,8 @@ impl Service {
                         group.width,
                         out.lanes() as u64,
                         out.stalls(),
-                        micros,
+                        router.now_micros().saturating_sub(oldest),
                     );
-                    for (l, reply) in group.tags.into_iter().enumerate() {
-                        reply(AddResult {
-                            sum: out.sum.lane(l),
-                            cout: out.cout(l),
-                            cycles: out.cycles(l),
-                        });
-                    }
                 }
             }));
         }
@@ -618,10 +814,23 @@ impl Service {
             .to_string())
     }
 
-    /// Queues one validated job on the `(engine, width)` lane, spinning
-    /// the lane up on first use.
-    fn enqueue(&self, engine: String, width: usize, job: Job) -> Result<(), SubmitError> {
+    /// Routes one validated request to its `(engine, width)` lane —
+    /// spinning the lane up on first use — stamps it with the router's
+    /// clock and queues it: the shared tail of every submit path.
+    pub(crate) fn submit_to(
+        &self,
+        engine: &str,
+        operands: Operands,
+        reply: ReplyTo,
+    ) -> Result<(), SubmitError> {
+        let width = operands.width();
+        let engine = self.canonical_engine(engine, width)?;
         let lane = self.lane_for(&engine, width)?;
+        let job = Job {
+            operands,
+            reply,
+            submitted: self.router.now_micros(),
+        };
         lane.ingress
             .push(shard_hint(), job)
             .map_err(|_| SubmitError::Stopped)
@@ -639,22 +848,7 @@ impl Service {
     /// operand widths, or a stopped service — the reply callback is
     /// dropped unfired in those cases, so transports answer errors inline.
     pub fn submit(&self, engine: &str, a: UBig, b: UBig, reply: Reply) -> Result<(), SubmitError> {
-        if a.width() != b.width() {
-            return Err(SubmitError::WidthMismatch(a.width(), b.width()));
-        }
-        let width = a.width();
-        if !WIDTH_RANGE.contains(&width) {
-            return Err(SubmitError::BadWidth(width));
-        }
-        let engine = self.canonical_engine(engine, width)?;
-        self.enqueue(
-            engine,
-            width,
-            Job {
-                operands: Operands::Values { a, b },
-                reply,
-            },
-        )
+        self.submit_to(engine, Operands::add(a, b)?, ReplyTo::Call(reply))
     }
 
     /// Validates and queues one addition whose operands are raw
@@ -676,33 +870,7 @@ impl Service {
         b: Vec<u64>,
         reply: Reply,
     ) -> Result<(), SubmitError> {
-        if !WIDTH_RANGE.contains(&width) {
-            return Err(SubmitError::BadWidth(width));
-        }
-        let nl = width.div_ceil(64);
-        for (name, limbs) in [("a", &a), ("b", &b)] {
-            if limbs.len() != nl {
-                return Err(SubmitError::BadLimbs(format!(
-                    "operand {name} is {} limbs, width {width} needs {nl}",
-                    limbs.len()
-                )));
-            }
-            let used = width % 64;
-            if used != 0 && limbs[nl - 1] >> used != 0 {
-                return Err(SubmitError::BadLimbs(format!(
-                    "operand {name} has bits set at or above width {width}"
-                )));
-            }
-        }
-        let engine = self.canonical_engine(engine, width)?;
-        self.enqueue(
-            engine,
-            width,
-            Job {
-                operands: Operands::Limbs { a, b },
-                reply,
-            },
-        )
+        self.submit_to(engine, Operands::limbs(width, a, b)?, ReplyTo::Call(reply))
     }
 
     /// Validates and queues one whole reduction program: the program's
@@ -724,27 +892,10 @@ impl Service {
         inputs: &[UBig],
         reply: Reply,
     ) -> Result<(), SubmitError> {
-        if inputs.len() != program.inputs() {
-            return Err(SubmitError::BadOperandCount(inputs.len()));
-        }
-        let width = inputs[0].width();
-        for i in &inputs[1..] {
-            if i.width() != width {
-                return Err(SubmitError::WidthMismatch(width, i.width()));
-            }
-        }
-        if !WIDTH_RANGE.contains(&width) {
-            return Err(SubmitError::BadWidth(width));
-        }
-        let engine = self.canonical_engine(engine, width)?;
-        let (x, y) = program.csa_pair_scalar(inputs);
-        self.enqueue(
+        self.submit_to(
             engine,
-            width,
-            Job {
-                operands: Operands::Values { a: x, b: y },
-                reply,
-            },
+            Operands::program(program, inputs)?,
+            ReplyTo::Call(reply),
         )
     }
 
@@ -762,9 +913,7 @@ impl Service {
         operands: &[UBig],
         reply: Reply,
     ) -> Result<(), SubmitError> {
-        let program = Program::sum(operands.len())
-            .map_err(|_| SubmitError::BadOperandCount(operands.len()))?;
-        self.submit_program(engine, &program, operands, reply)
+        self.submit_to(engine, Operands::sum(operands)?, ReplyTo::Call(reply))
     }
 
     /// Submits one n-operand sum and blocks until its group has run — the

@@ -11,6 +11,15 @@
 //! * [`FrameSink`] receives pre-encoded binary frames (the framed
 //!   protocol's unit of output).
 //!
+//! An `ADD`/`SUM`/`PROG` does not register a callback: its reply is an
+//! address — the sink plus the request's `seq` — and the lane worker that
+//! runs its issue group hands each sink **all** of that group's answers
+//! addressed to it in one [`OkBatch`], in lane order
+//! ([`ResponseSink::send_oks`], [`FrameSink::send_ok_frames`]). The
+//! provided methods deliver a batch one reply at a time through `send` /
+//! `send_frame`; the TCP server overrides them to encode the whole batch
+//! into the worker's reused buffer and write it with one syscall.
+//!
 //! The TCP server implements both sinks on `Mutex<TcpStream>`; the C ABI
 //! ([`vlcsa-ffi`]) and in-process tests implement them on plain
 //! collectors. Either way, worker threads call the sink directly when an
@@ -22,6 +31,8 @@
 
 use std::sync::Arc;
 
+use bitnum::MAX_WIDTH;
+use vlcsa::exec::WideOutcome;
 use vlcsa::route::AUTO_ENGINE;
 
 use crate::binary::{
@@ -29,9 +40,9 @@ use crate::binary::{
     PROTOCOL_VERSION,
 };
 use crate::protocol::{
-    format_response, parse_request, ErrorCode, Request, RequestError, Response, SloAction,
+    self, format_response, parse_request, ErrorCode, Request, RequestError, Response, SloAction,
 };
-use crate::service::{Service, SubmitError};
+use crate::service::{Conn, Operands, ReplyTo, Service, SubmitError};
 
 /// Where parsed text-protocol responses go. Implementations must
 /// tolerate concurrent calls from worker threads and serialize their own
@@ -40,6 +51,18 @@ pub trait ResponseSink: Send + Sync + 'static {
     /// Delivers one response. Errors are the sink's problem: a dispatch
     /// has nobody to tell that the client hung up.
     fn send(&self, response: &Response);
+
+    /// Delivers one issue group's `OK` answers for this sink, in lane
+    /// order. `buf` is the delivering worker's reused scratch buffer,
+    /// empty on entry. The default sends each answer through
+    /// [`ResponseSink::send`]; a transport overrides it to encode the
+    /// batch into `buf` ([`OkBatch::encode_lines`]) and write it once.
+    fn send_oks(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
+        let _ = buf;
+        for response in oks.responses() {
+            self.send(&response);
+        }
+    }
 }
 
 /// Where pre-encoded binary frames go; same concurrency contract as
@@ -47,6 +70,71 @@ pub trait ResponseSink: Send + Sync + 'static {
 pub trait FrameSink: Send + Sync + 'static {
     /// Delivers one complete, already-encoded frame.
     fn send_frame(&self, frame: &[u8]);
+
+    /// Delivers one issue group's `OK` frames for this sink, in lane
+    /// order; `buf` as in [`ResponseSink::send_oks`]. The default encodes
+    /// each frame into `buf` and sends it through
+    /// [`FrameSink::send_frame`]; a transport overrides it to encode the
+    /// batch ([`OkBatch::encode_frames`]) and write it once.
+    fn send_ok_frames(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
+        oks.for_each(|seq, cout, cycles, sum| {
+            buf.clear();
+            binary::push_ok(buf, seq, cout, cycles, sum);
+            self.send_frame(buf);
+        });
+    }
+}
+
+/// One issue group's `OK` answers bound for one sink: lanes of the
+/// group's outcome, each with the `seq` of the request it answers, in
+/// lane order. The encoders read every answer straight from the
+/// outcome's slab — no [`UBig`](bitnum::UBig) per answer.
+pub struct OkBatch<'a> {
+    out: &'a WideOutcome,
+    lanes: &'a [(u64, usize)],
+}
+
+impl<'a> OkBatch<'a> {
+    /// The answers of `lanes` — `(seq, lane)` pairs, in delivery order —
+    /// of the group whose outcome is `out`.
+    pub fn new(out: &'a WideOutcome, lanes: &'a [(u64, usize)]) -> Self {
+        Self { out, lanes }
+    }
+
+    /// The answers as [`Response::Ok`] values, one sum each — the
+    /// one-reply-at-a-time form.
+    fn responses(&self) -> impl Iterator<Item = Response> + '_ {
+        self.lanes.iter().map(|&(seq, l)| Response::Ok {
+            seq,
+            sum: self.out.sum.lane(l),
+            cout: self.out.cout(l),
+            cycles: self.out.cycles(l),
+        })
+    }
+
+    /// Appends every answer's text `OK` line, newline included: exactly
+    /// the concatenation of `format_response(&Response::Ok { .. })` plus
+    /// `\n` per answer.
+    pub fn encode_lines(&self, out: &mut Vec<u8>) {
+        self.for_each(|seq, cout, cycles, sum| protocol::push_ok_line(out, seq, cout, cycles, sum));
+    }
+
+    /// Appends every answer's `OK` frame: exactly the concatenation of
+    /// [`binary::encode_ok`] per answer.
+    pub fn encode_frames(&self, out: &mut Vec<u8>) {
+        self.for_each(|seq, cout, cycles, sum| binary::push_ok(out, seq, cout, cycles, sum));
+    }
+
+    /// Calls `f(seq, cout, cycles, sum_limbs)` per answer, in order,
+    /// gathering each sum from the slab into one stack buffer.
+    fn for_each(&self, mut f: impl FnMut(u64, bool, u8, &[u64])) {
+        let mut limbs = [0u64; MAX_WIDTH.div_ceil(64)];
+        let limbs = &mut limbs[..self.out.sum.width().div_ceil(64)];
+        for &(seq, l) in self.lanes {
+            self.out.sum.write_lane_limbs(l, limbs);
+            f(seq, self.out.cout(l), self.out.cycles(l), limbs);
+        }
+    }
 }
 
 /// Maps a [`SubmitError`] onto the wire error-code space, echoing the
@@ -68,16 +156,28 @@ pub fn submit_error(seq: u64, err: SubmitError) -> RequestError {
     }
 }
 
-fn submit_error_response(seq: u64, err: SubmitError) -> Response {
-    Response::Err(submit_error(seq, err))
-}
-
 /// Dispatches one text-protocol line: parse, validate, submit; answer
 /// errors inline through the sink. `ADD`/`SUM`/`PROG` replies arrive
 /// later, from a worker thread, when the batching window flushes — the
 /// sink is retained (via `Arc`) until every in-flight reply has fired.
 pub fn dispatch_text<S: ResponseSink>(line: &str, service: &Service, sink: &Arc<S>) {
-    match parse_request(line) {
+    let (seq, engine, operands) = match parse_request(line) {
+        Ok(Request::Add {
+            seq, engine, a, b, ..
+        }) => (seq, engine, Operands::add(a, b)),
+        Ok(Request::Sum {
+            seq,
+            engine,
+            operands,
+            ..
+        }) => (seq, engine, Operands::sum(&operands)),
+        Ok(Request::Program {
+            seq,
+            engine,
+            program,
+            inputs,
+            ..
+        }) => (seq, engine, Operands::program(&program, &inputs)),
         Ok(Request::Engines) => {
             // Engine names are width-independent; any registry lists
             // them. 64 is as good a cache key as any. `auto` rides
@@ -88,95 +188,23 @@ pub fn dispatch_text<S: ResponseSink>(line: &str, service: &Service, sink: &Arc<
                 .map(str::to_string)
                 .chain(std::iter::once(AUTO_ENGINE.to_string()))
                 .collect();
-            sink.send(&Response::Engines(names));
+            return sink.send(&Response::Engines(names));
         }
-        Ok(Request::Stats) => {
-            sink.send(&Response::Stats(service.stats()));
-        }
+        Ok(Request::Stats) => return sink.send(&Response::Stats(service.stats())),
         Ok(Request::Slo(action)) => {
-            match action {
-                SloAction::Query => {}
-                SloAction::Set(micros) => service.set_slo(Some(micros)),
-                SloAction::Clear => service.set_slo(None),
-            }
+            apply_slo(service, action);
             // Always echo the budget now in force, so a set doubles
             // as a readback and a query is just the degenerate case.
-            sink.send(&Response::Slo(service.slo()));
+            return sink.send(&Response::Slo(service.slo()));
         }
-        Ok(Request::Add {
-            seq,
-            engine,
-            width: _,
-            a,
-            b,
-        }) => {
-            let reply_to = Arc::clone(sink);
-            let submitted = service.submit(
-                &engine,
-                a,
-                b,
-                Box::new(move |result| {
-                    reply_to.send(&Response::Ok {
-                        seq,
-                        sum: result.sum,
-                        cout: result.cout,
-                        cycles: result.cycles,
-                    });
-                }),
-            );
-            if let Err(err) = submitted {
-                sink.send(&submit_error_response(seq, err));
-            }
-        }
-        Ok(Request::Sum {
-            seq,
-            engine,
-            width: _,
-            operands,
-        }) => {
-            let reply_to = Arc::clone(sink);
-            let submitted = service.submit_sum(
-                &engine,
-                &operands,
-                Box::new(move |result| {
-                    reply_to.send(&Response::Ok {
-                        seq,
-                        sum: result.sum,
-                        cout: result.cout,
-                        cycles: result.cycles,
-                    });
-                }),
-            );
-            if let Err(err) = submitted {
-                sink.send(&submit_error_response(seq, err));
-            }
-        }
-        Ok(Request::Program {
-            seq,
-            engine,
-            width: _,
-            program,
-            inputs,
-        }) => {
-            let reply_to = Arc::clone(sink);
-            let submitted = service.submit_program(
-                &engine,
-                &program,
-                &inputs,
-                Box::new(move |result| {
-                    reply_to.send(&Response::Ok {
-                        seq,
-                        sum: result.sum,
-                        cout: result.cout,
-                        cycles: result.cycles,
-                    });
-                }),
-            );
-            if let Err(err) = submitted {
-                sink.send(&submit_error_response(seq, err));
-            }
-        }
-        Err(err) => sink.send(&Response::Err(err)),
+        Err(err) => return sink.send(&Response::Err(err)),
+    };
+    let reply = ReplyTo::Wire {
+        conn: Conn::Text(Arc::clone(sink) as Arc<dyn ResponseSink>),
+        seq,
+    };
+    if let Err(err) = operands.and_then(|ops| service.submit_to(&engine, ops, reply)) {
+        sink.send(&Response::Err(submit_error(seq, err)));
     }
 }
 
@@ -194,83 +222,29 @@ pub fn dispatch_binary<S: FrameSink>(
     service: &Service,
     sink: &Arc<S>,
 ) {
-    match binary::decode_request(opcode, body, names) {
+    let (seq, engine, operands) = match binary::decode_request(opcode, body, names) {
+        // The limbs go straight from the frame into the slab layout; the
+        // reply's limbs come straight out of it.
         Ok(BinRequest::Add {
             seq,
             engine,
             width,
             a,
             b,
-        }) => {
-            let reply_to = Arc::clone(sink);
-            // The limbs go straight from the frame into the slab
-            // layout; the reply's limbs come straight out of it.
-            let submitted = service.submit_limbs(
-                engine,
-                width,
-                a,
-                b,
-                Box::new(move |result| {
-                    reply_to.send_frame(&binary::encode_ok(
-                        seq,
-                        result.cout,
-                        result.cycles,
-                        result.sum.limbs(),
-                    ));
-                }),
-            );
-            if let Err(err) = submitted {
-                sink.send_frame(&binary::encode_err(&submit_error(seq, err)));
-            }
-        }
+        }) => (seq, engine, Operands::limbs(width, a, b)),
         Ok(BinRequest::Sum {
             seq,
             engine,
-            width: _,
             operands,
-        }) => {
-            let reply_to = Arc::clone(sink);
-            let submitted = service.submit_sum(
-                engine,
-                &operands,
-                Box::new(move |result| {
-                    reply_to.send_frame(&binary::encode_ok(
-                        seq,
-                        result.cout,
-                        result.cycles,
-                        result.sum.limbs(),
-                    ));
-                }),
-            );
-            if let Err(err) = submitted {
-                sink.send_frame(&binary::encode_err(&submit_error(seq, err)));
-            }
-        }
+            ..
+        }) => (seq, engine, Operands::sum(&operands)),
         Ok(BinRequest::Prog {
             seq,
             engine,
-            width: _,
             program,
             inputs,
-        }) => {
-            let reply_to = Arc::clone(sink);
-            let submitted = service.submit_program(
-                engine,
-                &program,
-                &inputs,
-                Box::new(move |result| {
-                    reply_to.send_frame(&binary::encode_ok(
-                        seq,
-                        result.cout,
-                        result.cycles,
-                        result.sum.limbs(),
-                    ));
-                }),
-            );
-            if let Err(err) = submitted {
-                sink.send_frame(&binary::encode_err(&submit_error(seq, err)));
-            }
-        }
+            ..
+        }) => (seq, engine, Operands::program(&program, &inputs)),
         Ok(BinRequest::Engines) => {
             let entries: Vec<(u8, &str)> = names
                 .iter()
@@ -278,23 +252,36 @@ pub fn dispatch_binary<S: FrameSink>(
                 .map(|(i, n)| (i as u8, *n))
                 .chain(std::iter::once((ENGINE_ID_AUTO, AUTO_ENGINE)))
                 .collect();
-            sink.send_frame(&binary::encode_engines(&entries));
+            return sink.send_frame(&binary::encode_engines(&entries));
         }
         Ok(BinRequest::Stats) => {
             // The counters snapshot rides as its text line — one
             // format, one parser, whatever the transport.
             let line = format_response(&Response::Stats(service.stats()));
-            sink.send_frame(&binary::encode_stats(&line));
+            return sink.send_frame(&binary::encode_stats(&line));
         }
         Ok(BinRequest::Slo(action)) => {
-            match action {
-                SloAction::Query => {}
-                SloAction::Set(micros) => service.set_slo(Some(micros)),
-                SloAction::Clear => service.set_slo(None),
-            }
-            sink.send_frame(&binary::encode_slo(service.slo()));
+            apply_slo(service, action);
+            return sink.send_frame(&binary::encode_slo(service.slo()));
         }
-        Err(err) => sink.send_frame(&binary::encode_err(&err)),
+        Err(err) => return sink.send_frame(&binary::encode_err(&err)),
+    };
+    let reply = ReplyTo::Wire {
+        conn: Conn::Frame(Arc::clone(sink) as Arc<dyn FrameSink>),
+        seq,
+    };
+    if let Err(err) = operands.and_then(|ops| service.submit_to(engine, ops, reply)) {
+        sink.send_frame(&binary::encode_err(&submit_error(seq, err)));
+    }
+}
+
+/// Applies an `SLO` command's action; both protocols then echo the
+/// budget in force.
+fn apply_slo(service: &Service, action: SloAction) {
+    match action {
+        SloAction::Query => {}
+        SloAction::Set(micros) => service.set_slo(Some(micros)),
+        SloAction::Clear => service.set_slo(None),
     }
 }
 
@@ -429,6 +416,9 @@ mod tests {
     use std::sync::Mutex;
     use std::time::{Duration, Instant};
 
+    use bitnum::rng::Xoshiro256;
+    use bitnum::UBig;
+
     use super::*;
     use crate::service::ServeConfig;
 
@@ -544,8 +534,10 @@ mod tests {
         service.shutdown();
     }
 
-    /// A byte-accurate sink for [`ByteSession`] tests: text responses as
-    /// their wire lines, frames (and the HELLO ack) verbatim.
+    /// A byte- and write-accurate sink: one entry per write the socket
+    /// sink would make — text responses as their wire lines, frames (and
+    /// the HELLO ack) verbatim, and each issue group's answers as the one
+    /// chunk the socket sink encodes them into.
     struct Wire(Mutex<Vec<Vec<u8>>>);
 
     impl ResponseSink for Wire {
@@ -554,11 +546,21 @@ mod tests {
             line.push(b'\n');
             self.0.lock().expect("test sink lock").push(line);
         }
+
+        fn send_oks(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
+            oks.encode_lines(buf);
+            self.0.lock().expect("test sink lock").push(buf.clone());
+        }
     }
 
     impl FrameSink for Wire {
         fn send_frame(&self, frame: &[u8]) {
             self.0.lock().expect("test sink lock").push(frame.to_vec());
+        }
+
+        fn send_ok_frames(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
+            oks.encode_frames(buf);
+            self.0.lock().expect("test sink lock").push(buf.clone());
         }
     }
 
@@ -659,5 +661,139 @@ mod tests {
         );
         assert!(sink.0.lock().expect("test sink lock").is_empty());
         service.shutdown();
+    }
+
+    /// `n` random 64-bit `ADD`s on vlcsa1 with their answers from the
+    /// scalar model: `(a, b, sum, cout, cycles)`.
+    fn adds_with_answers(seed: u64, n: usize) -> Vec<(UBig, UBig, UBig, bool, u8)> {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let registry = vlcsa::engine::Registry::for_width(64);
+        let engine = registry.get("vlcsa1").expect("registry family");
+        (0..n)
+            .map(|_| {
+                let (a, b) = (UBig::random(64, &mut rng), UBig::random(64, &mut rng));
+                let one = engine.add_one(&a, &b);
+                (a, b, one.sum, one.cout, one.cycles)
+            })
+            .collect()
+    }
+
+    /// A service whose window flushes only by count, at `max_lanes`.
+    fn count_flushed(max_lanes: usize) -> Service {
+        Service::start(ServeConfig {
+            max_lanes,
+            max_wait: Duration::from_secs(30),
+            ..ServeConfig::default()
+        })
+    }
+
+    /// Submits `adds[i]` as `seq = base + i` over the text or binary
+    /// dispatch, and returns the bytes of those answers sent one by one.
+    fn submit_adds(
+        adds: &[(UBig, UBig, UBig, bool, u8)],
+        base: u64,
+        binary_wire: bool,
+        service: &Service,
+        sink: &Arc<Wire>,
+    ) -> Vec<u8> {
+        let names = service.registries().at(64).names();
+        let id = names.iter().position(|n| *n == "vlcsa1").expect("listed") as u8;
+        let mut separate = Vec::new();
+        for (i, (a, b, sum, cout, cycles)) in adds.iter().enumerate() {
+            let seq = base + i as u64;
+            if binary_wire {
+                let frame = binary::encode_add(seq, id, 64, a.limbs(), b.limbs());
+                dispatch_binary(frame[1], &frame[HEADER_LEN..], &names, service, sink);
+                separate.extend(binary::encode_ok(seq, *cout, *cycles, sum.limbs()));
+            } else {
+                let line = protocol::format_add(seq, "vlcsa1", a, b);
+                dispatch_text(&line, service, sink);
+                let ok = Response::Ok {
+                    seq,
+                    sum: sum.clone(),
+                    cout: *cout,
+                    cycles: *cycles,
+                };
+                separate.extend(format_response(&ok).into_bytes());
+                separate.push(b'\n');
+            }
+        }
+        separate
+    }
+
+    #[test]
+    fn one_issue_group_reaches_its_connection_as_one_write() {
+        const N: usize = 24;
+        for binary_wire in [false, true] {
+            let service = count_flushed(N);
+            let sink = Arc::new(Wire(Mutex::new(Vec::new())));
+            let adds = adds_with_answers(11, N);
+            let separate = submit_adds(&adds, 100, binary_wire, &service, &sink);
+            drain_wire(&sink, 1);
+            // Joining the workers first makes "exactly one" exact.
+            service.shutdown();
+            let writes = sink.0.lock().expect("test sink lock").clone();
+            assert_eq!(writes, vec![separate], "binary: {binary_wire}");
+        }
+    }
+
+    #[test]
+    fn interleaved_connections_each_get_one_write_per_group() {
+        const N: usize = 16;
+        // One text and one binary connection share the vlcsa1 lane; their
+        // requests alternate into a single 2N-lane issue group.
+        let service = count_flushed(2 * N);
+        let text = Arc::new(Wire(Mutex::new(Vec::new())));
+        let framed = Arc::new(Wire(Mutex::new(Vec::new())));
+        let adds = adds_with_answers(12, 2 * N);
+        let (mut text_bytes, mut framed_bytes) = (Vec::new(), Vec::new());
+        for (i, pair) in adds.chunks(2).enumerate() {
+            let seq = 2 * i as u64;
+            text_bytes.extend(submit_adds(&pair[..1], seq, false, &service, &text));
+            framed_bytes.extend(submit_adds(&pair[1..], seq + 1, true, &service, &framed));
+        }
+        drain_wire(&text, 1);
+        drain_wire(&framed, 1);
+        service.shutdown();
+        assert_eq!(*text.0.lock().expect("test sink lock"), vec![text_bytes]);
+        assert_eq!(
+            *framed.0.lock().expect("test sink lock"),
+            vec![framed_bytes]
+        );
+    }
+
+    /// A text sink that logs its name, once per write, into a log shared
+    /// with other sinks: the order in which a worker wrote connections.
+    struct Named(&'static str, Arc<Mutex<Vec<&'static str>>>);
+
+    impl ResponseSink for Named {
+        fn send(&self, _: &Response) {
+            self.1.lock().expect("test log lock").push(self.0);
+        }
+
+        fn send_oks(&self, _: &OkBatch<'_>, _: &mut Vec<u8>) {
+            self.1.lock().expect("test log lock").push(self.0);
+        }
+    }
+
+    #[test]
+    fn connections_are_answered_in_the_order_of_their_first_lane() {
+        let service = count_flushed(2);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let a = Arc::new(Named("a", Arc::clone(&log)));
+        let b = Arc::new(Named("b", Arc::clone(&log)));
+        // Each pair is one issue group. The connection holding lane 0 is
+        // written first, whichever of the two sinks that is.
+        for (i, (first, second)) in [(&b, &a), (&a, &b)].into_iter().enumerate() {
+            dispatch_text(&format!("ADD {i} vlcsa1 64 1 2"), &service, first);
+            dispatch_text(&format!("ADD {i} vlcsa1 64 3 4"), &service, second);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while log.lock().expect("test log lock").len() < 2 * (i + 1) {
+                assert!(Instant::now() < deadline, "timed out waiting for replies");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        service.shutdown();
+        assert_eq!(*log.lock().expect("test log lock"), ["b", "a", "a", "b"]);
     }
 }

@@ -13,17 +13,21 @@
 //! are exercised constantly.
 
 use std::collections::HashMap;
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
-use bitnum::batch::WideSlab;
+use bitnum::batch::{DefaultWord, WideSlab, Word};
 use bitnum::rng::{RandomBits, Xoshiro256};
 use bitnum::UBig;
 use proptest::prelude::*;
 use vlcsa::engine::Registry;
-use vlcsa::exec::Executor;
+use vlcsa::exec::{Executor, WideOutcome};
 use vlcsa::program::{Operand, Program};
-use vlcsa_serve::{AddResult, Client, ServeConfig, Server, Service};
+use vlcsa_serve::protocol::format_response;
+use vlcsa_serve::{
+    binary, AddResult, Client, FrameSink, OkBatch, Response, ResponseSink, ServeConfig, Server,
+    Service,
+};
 
 const ENGINES: [&str; 9] = [
     "ripple",
@@ -389,5 +393,98 @@ proptest! {
             }
         }
         server.shutdown();
+    }
+}
+
+/// A sink that keeps only the provided one-answer-at-a-time batch
+/// methods, concatenating what they send.
+struct OneAtATime(Mutex<Vec<u8>>);
+
+impl ResponseSink for OneAtATime {
+    fn send(&self, response: &Response) {
+        let mut out = self.0.lock().expect("sink lock");
+        out.extend(format_response(response).into_bytes());
+        out.push(b'\n');
+    }
+}
+
+impl FrameSink for OneAtATime {
+    fn send_frame(&self, frame: &[u8]) {
+        self.0.lock().expect("sink lock").extend_from_slice(frame);
+    }
+}
+
+/// The slab-direct `OK` encoders against the per-answer encoders over a
+/// [`UBig`] sum, at every width from 1 to 300 bits (across the
+/// 64/128/192/256 limb boundaries) and every lane of a full and a partial
+/// chunk. A batch's text bytes must be `format_response` plus `\n` per
+/// answer, its frame bytes `binary::encode_ok` per answer — and the
+/// provided one-at-a-time sink methods must send the same bytes.
+#[test]
+fn slab_direct_ok_encoders_equal_per_answer_encodings() {
+    let mut rng = Xoshiro256::seed_from_u64(0x5eed_0c0d);
+    let lanes = DefaultWord::LANES + DefaultWord::LANES / 2 + 1;
+    let chunks = lanes.div_ceil(DefaultWord::LANES);
+    for width in 1..=300usize {
+        let sums: Vec<UBig> = (0..lanes).map(|_| UBig::random(width, &mut rng)).collect();
+        let mut words = || -> Vec<DefaultWord> {
+            (0..chunks)
+                .map(|_| {
+                    let mut w = DefaultWord::ZERO;
+                    for i in 0..DefaultWord::LIMBS {
+                        w.set_limb(i, rng.next_u64());
+                    }
+                    w
+                })
+                .collect()
+        };
+        let out = WideOutcome {
+            sum: WideSlab::from_lanes(&sums),
+            cout: words(),
+            flagged: words(),
+        };
+        // Sequence numbers of every magnitude, including the extremes.
+        let mut answers: Vec<(u64, usize)> = (0..lanes)
+            .map(|l| (rng.next_u64() >> (l % 64), l))
+            .collect();
+        answers[0].0 = 0;
+        answers[lanes - 1].0 = u64::MAX;
+
+        let (mut want_lines, mut want_frames) = (Vec::new(), Vec::new());
+        for &(seq, l) in &answers {
+            let (cout, cycles) = (out.cout(l), out.cycles(l));
+            want_frames.extend(binary::encode_ok(seq, cout, cycles, sums[l].limbs()));
+            let ok = Response::Ok {
+                seq,
+                sum: sums[l].clone(),
+                cout,
+                cycles,
+            };
+            want_lines.extend(format_response(&ok).into_bytes());
+            want_lines.push(b'\n');
+        }
+
+        let oks = OkBatch::new(&out, &answers);
+        let (mut lines, mut frames) = (Vec::new(), Vec::new());
+        oks.encode_lines(&mut lines);
+        oks.encode_frames(&mut frames);
+        assert!(lines == want_lines, "text bytes differ at width {width}");
+        assert!(frames == want_frames, "frame bytes differ at width {width}");
+
+        let (text, framed) = (
+            OneAtATime(Mutex::new(Vec::new())),
+            OneAtATime(Mutex::new(Vec::new())),
+        );
+        let mut buf = Vec::new();
+        text.send_oks(&oks, &mut buf);
+        framed.send_ok_frames(&oks, &mut buf);
+        assert!(
+            *text.0.lock().expect("sink lock") == want_lines,
+            "default text path differs at width {width}"
+        );
+        assert!(
+            *framed.0.lock().expect("sink lock") == want_frames,
+            "default frame path differs at width {width}"
+        );
     }
 }

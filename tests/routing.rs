@@ -303,6 +303,60 @@ fn service_with_injected_router_resolves_auto_groups() {
     service.shutdown();
 }
 
+/// The SLO p99 is what a client sees, timed from submit to reply: the
+/// router's latency sample for an issue group runs from its oldest job's
+/// submit stamp — on the router's own clock — until every reply of the
+/// group has been handed over. A request that sat 5000 scripted µs in
+/// the batching window is a 5000 µs sample, not the group's run time.
+#[test]
+fn router_p99_runs_from_the_oldest_submit_to_the_replies() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use vlcsa_serve::{ServeConfig, Service};
+
+    let clock = Arc::new(ManualClock::new());
+    let router = Arc::new(Router::with_sources(
+        RouteConfig::default(),
+        Arc::clone(&clock) as Arc<dyn Clock>,
+        Arc::new(vlcsa::route::RegistryCandidates),
+    ));
+    // The window flushes by count only: at the second lane.
+    let service = Service::start_with_router(
+        ServeConfig {
+            max_lanes: 2,
+            max_wait: Duration::from_secs(30),
+            ..ServeConfig::default()
+        },
+        Arc::clone(&router),
+    );
+    let (tx, rx) = mpsc::channel();
+    let submit = |v: u128| {
+        let tx = tx.clone();
+        service
+            .submit(
+                "ripple",
+                UBig::from_u128(v, WIDTH),
+                UBig::from_u128(1, WIDTH),
+                Box::new(move |result| {
+                    let _ = tx.send(result);
+                }),
+            )
+            .expect("valid request");
+    };
+    submit(1);
+    clock.advance(5000);
+    submit(2);
+    for _ in 0..2 {
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("both requests are answered");
+    }
+    // Joining the workers makes the group's sample visible.
+    service.shutdown();
+    let estimate = router.estimate("ripple", WIDTH).expect("registry family");
+    assert_eq!(estimate.batches, 1);
+    assert_eq!(estimate.p99_micros, Some(5000));
+}
+
 /// Long-haul soak (ignored by default; CI runs it via `-- --ignored`):
 /// 50k scripted rounds with a stall storm rotating across an
 /// all-variable candidate set. Every candidate receives background
