@@ -158,7 +158,7 @@ static void check_auto_batch(void) {
         int code;
         while ((code = vlcsa_poll(engine, tickets[i], &sum, &cout, NULL)) ==
                VLCSA_PENDING)
-            ; /* spin: the window flushes within max_wait_micros */
+            ; /* spin: a worker runs it within max_wait_micros */
         CHECK(code == VLCSA_OK, "poll %zu: %s", i, vlcsa_last_error(engine));
         CHECK(sum == want, "ticket %zu: sum %" PRIu64 " want %" PRIu64, i, sum,
               want);

@@ -24,7 +24,7 @@
 //!   run resolves the only carry chain of the entire program;
 //! * [`Program::eval_scalar`] / [`Program::csa_pair_scalar`] — the
 //!   scalar fold reference and the scalar carry-save pair the serve
-//!   front-end submits as a single batching-window lane.
+//!   front-end submits as a single issue-group lane.
 //!
 //! # Example
 //!
@@ -45,7 +45,7 @@
 
 use std::fmt;
 
-use adders::batch::{reduce_csa, reduce_csa_one};
+use adders::batch::reduce_csa;
 use bitnum::batch::{BitSlab, DefaultWord, WideSlab, Word};
 use bitnum::UBig;
 
@@ -277,27 +277,30 @@ impl Program {
     /// assert_eq!(p.coefficients(), vec![3, 2]); // 2(i0+i1)+i0 = 3·i0 + 2·i1
     /// ```
     pub fn coefficients(&self) -> Vec<u128> {
-        let mut input_coef = vec![0u128; self.inputs];
-        let mut temp_coef: Vec<Vec<u128>> = Vec::with_capacity(self.steps.len());
-        for &(x, y) in &self.steps {
-            let mut c = vec![0u128; self.inputs];
+        // Row `s` of `temps` holds temporary `s`'s coefficients.
+        let n = self.inputs;
+        let mut temps = vec![0u128; self.steps.len() * n];
+        for (s, &(x, y)) in self.steps.iter().enumerate() {
+            let (done, row) = temps.split_at_mut(s * n);
             for op in [x, y] {
                 match op {
-                    Operand::Input(k) => c[k] += 1,
+                    Operand::Input(k) => row[k] += 1,
                     Operand::Temp(k) => {
-                        for (ck, tk) in c.iter_mut().zip(&temp_coef[k]) {
+                        for (ck, tk) in row[..n].iter_mut().zip(&done[k * n..(k + 1) * n]) {
                             *ck += tk;
                         }
                     }
                 }
             }
-            temp_coef.push(c);
         }
         match self.result() {
-            Operand::Input(k) => input_coef[k] = 1,
-            Operand::Temp(k) => input_coef.clone_from(&temp_coef[k]),
+            Operand::Input(k) => {
+                let mut unit = vec![0u128; n];
+                unit[k] = 1;
+                unit
+            }
+            Operand::Temp(k) => temps[k * n..(k + 1) * n].to_vec(),
         }
-        input_coef
     }
 
     /// Evaluates the program by folding every step with
@@ -329,30 +332,19 @@ impl Program {
         }
     }
 
-    /// The shifted-addend expansion of `Σ cₖ·iₖ`: one addend `iₖ << j` per
-    /// set bit `j < width` of each coefficient `cₖ` (never empty — a
-    /// vanishing combination yields one zero addend). This is the list the
-    /// carry-save tree collapses.
-    fn expanded_scalar(&self, inputs: &[UBig]) -> Vec<UBig> {
-        let width = inputs[0].width();
-        let mut addends = Vec::new();
-        for (input, c) in inputs.iter().zip(self.coefficients()) {
-            for j in 0..width.min(128) {
-                if c >> j & 1 == 1 {
-                    addends.push(input.shl(j));
-                }
-            }
-        }
-        if addends.is_empty() {
-            addends.push(UBig::zero(width));
-        }
-        addends
-    }
-
     /// Reduces the whole program to one scalar carry-save pair `(x, y)`
     /// with `x + y ≡ result (mod 2^width)` — the pair the serve front-end
-    /// submits as a **single** batching-window lane, so the one
-    /// carry-resolve happens inside whichever engine the request named.
+    /// submits as a **single** issue-group lane, so the one carry-resolve
+    /// happens inside whichever engine the request named.
+    ///
+    /// The pair is bit for bit what
+    /// [`reduce_csa_one`](adders::batch::reduce_csa_one) makes of the
+    /// shifted-addend expansion — one addend `iₖ << j` per set bit `j <
+    /// width` of each coefficient `cₖ`, inputs in order, bits ascending,
+    /// and one zero addend if none — through the same 3:2 Wallace
+    /// levels, computed here over one flat limb buffer that every level
+    /// rewrites in place. The reply's `cout` and `cycles` depend on the
+    /// pair itself, not only on its sum.
     ///
     /// # Panics
     ///
@@ -363,7 +355,51 @@ impl Program {
         for i in inputs {
             assert_eq!(i.width(), width, "program input width mismatch");
         }
-        reduce_csa_one(&self.expanded_scalar(inputs))
+        let nl = width.div_ceil(64);
+        let top = u64::MAX >> (nl * 64 - width);
+        let coefficients = self.coefficients();
+        let addends: u32 = coefficients.iter().map(|c| c.count_ones()).sum();
+        // Addend `a` is limbs `a * nl..(a + 1) * nl`.
+        let mut buf: Vec<u64> = Vec::with_capacity(addends.max(1) as usize * nl);
+        for (input, c) in inputs.iter().zip(coefficients) {
+            let mut bits = c;
+            while bits != 0 && (bits.trailing_zeros() as usize) < width {
+                push_shifted(&mut buf, input.limbs(), bits.trailing_zeros() as usize, top);
+                bits &= bits - 1;
+            }
+        }
+        if buf.is_empty() {
+            buf.resize(nl, 0);
+        }
+        let mut count = buf.len() / nl;
+        while count > 2 {
+            // Triple `t` (addends 3t..3t+3) becomes sum 2t and carry
+            // 2t + 1. Each limb is read before it is written, and no
+            // output slot lies past the triple being read, so the level
+            // rewrites the buffer in place.
+            let triples = count / 3;
+            for t in 0..triples {
+                let mut spill = 0u64;
+                for l in 0..nl {
+                    let [a, b, c] = [0, 1, 2].map(|i| buf[(3 * t + i) * nl + l]);
+                    let maj = (a & b) | (b & c) | (a & c);
+                    buf[2 * t * nl + l] = a ^ b ^ c;
+                    buf[(2 * t + 1) * nl + l] = maj << 1 | spill;
+                    spill = maj >> 63;
+                }
+                buf[(2 * t + 2) * nl - 1] &= top;
+            }
+            // Leftover addends pass through, after the triples' outputs.
+            buf.copy_within(3 * triples * nl..count * nl, 2 * triples * nl);
+            count -= triples;
+        }
+        let x = UBig::from_limbs(&buf[..nl], width);
+        let y = if count == 2 {
+            UBig::from_limbs(&buf[nl..2 * nl], width)
+        } else {
+            UBig::zero(width)
+        };
+        (x, y)
     }
 
     /// Executes the program over wide workloads with **one carry-resolve
@@ -493,6 +529,24 @@ fn parse_operand(token: &str) -> Result<Operand, ProgramError> {
         Some(("t", rest)) => Ok(Operand::Temp(idx(rest)?)),
         _ => Err(bad()),
     }
+}
+
+/// Appends `limbs << shift` (`shift` below the width), masked by `top`,
+/// to the flat addend buffer.
+fn push_shifted(buf: &mut Vec<u64>, limbs: &[u64], shift: usize, top: u64) {
+    let (q, r) = (shift / 64, shift % 64);
+    let start = buf.len();
+    buf.resize(start + limbs.len(), 0);
+    let out = &mut buf[start..];
+    for l in q..limbs.len() {
+        let spill = if l > q && r > 0 {
+            limbs[l - q - 1] >> (64 - r)
+        } else {
+            0
+        };
+        out[l] = limbs[l - q] << r | spill;
+    }
+    out[limbs.len() - 1] &= top;
 }
 
 fn shifted_chunk<W: Word>(chunk: &BitSlab<W>, k: usize) -> BitSlab<W> {
@@ -686,6 +740,84 @@ mod tests {
         assert_eq!(p.eval_scalar(&narrow).to_u128(), Some(0)); // 40 mod 8
         let (x, y) = p.csa_pair_scalar(&narrow);
         assert!(x.wrapping_add(&y).is_zero());
+    }
+
+    /// The pair as `reduce_csa_one` makes it from the `UBig` expansion:
+    /// one addend `iₖ << j` per set bit `j < width` of each coefficient,
+    /// scanning every shift position.
+    fn reference_pair(p: &Program, inputs: &[UBig]) -> (UBig, UBig) {
+        let width = inputs[0].width();
+        let mut addends = Vec::new();
+        for (input, c) in inputs.iter().zip(p.coefficients()) {
+            for j in 0..width.min(128) {
+                if c >> j & 1 == 1 {
+                    addends.push(input.shl(j));
+                }
+            }
+        }
+        if addends.is_empty() {
+            addends.push(UBig::zero(width));
+        }
+        adders::batch::reduce_csa_one(&addends)
+    }
+
+    #[test]
+    fn csa_pair_is_bit_identical_to_the_ubig_reduction() {
+        let mut rng = Xoshiro256::seed_from_u64(0x5CA1);
+        // Every width across the limb boundaries, every SUM shape.
+        for width in 1..=300usize {
+            for n in 1..=16usize {
+                let p = Program::sum(n).unwrap();
+                let ops: Vec<UBig> = (0..n).map(|_| UBig::random(width, &mut rng)).collect();
+                assert_eq!(
+                    p.csa_pair_scalar(&ops),
+                    reference_pair(&p, &ops),
+                    "sum({n}) width={width}"
+                );
+            }
+        }
+        // Weighted programs: a 64-step doubling chain puts its one shift at
+        // 64, the most a program can reach; a doubling chain that adds an
+        // input every 16th step spreads shifts from 0 to past 60; random
+        // programs land in between.
+        let chain: Vec<String> = (0..MAX_PROGRAM_STEPS)
+            .map(|s| match s {
+                0 => "i0+i1".into(),
+                s if s % 16 == 0 => format!("t{}+i{}", s - 1, s % 3),
+                s => format!("t{}+t{}", s - 1, s - 1),
+            })
+            .collect();
+        let chain = Program::from_spec(&chain.join(","), 3).unwrap();
+        assert!(chain.coefficients().iter().any(|&c| c >> 60 != 0));
+        let doubling: Vec<String> = (0..MAX_PROGRAM_STEPS)
+            .map(|s| match s {
+                0 => "i0+i0".into(),
+                s => format!("t{}+t{}", s - 1, s - 1),
+            })
+            .collect();
+        let doubling = Program::from_spec(&doubling.join(","), 1).unwrap();
+        assert_eq!(doubling.coefficients(), vec![1u128 << 64]);
+        for width in [
+            1usize, 63, 64, 65, 100, 127, 128, 129, 130, 192, 200, 256, 300,
+        ] {
+            let mut programs = vec![chain.clone(), doubling.clone()];
+            for _ in 0..8 {
+                let inputs = 1 + (rng.next_u64() % 8) as usize;
+                let steps = (rng.next_u64() % (MAX_PROGRAM_STEPS as u64 + 1)) as usize;
+                programs.push(random_program(&mut rng, inputs, steps));
+            }
+            for p in &programs {
+                let ops: Vec<UBig> = (0..p.inputs())
+                    .map(|_| UBig::random(width, &mut rng))
+                    .collect();
+                assert_eq!(
+                    p.csa_pair_scalar(&ops),
+                    reference_pair(p, &ops),
+                    "`{}` width={width}",
+                    p.spec()
+                );
+            }
+        }
     }
 
     #[test]

@@ -69,11 +69,13 @@ typedef struct vlcsa_config {
     const char *engine;
     /* Operand width in bits, 1..=4096. Required (0 is invalid). */
     size_t width;
-    /* Worker threads running issue groups; 0 = default. */
+    /* Worker threads forming and running issue groups; 0 = default. */
     size_t threads;
-    /* Batching-window flush bound in lanes; 0 = default. */
+    /* Most requests one issue group carries; 0 = default. */
     size_t max_lanes;
-    /* Batching-window flush bound in microseconds; 0 = default. */
+    /* Linger cap in microseconds: a worker that took fewer than
+     * max_lanes requests keeps taking for up to this long; 0 = none,
+     * the default. */
     uint64_t max_wait_micros;
     /* p99 latency budget (microseconds) for "auto" SLO degradation;
      * 0 = no budget. */
@@ -86,8 +88,8 @@ typedef struct vlcsa_stats {
     uint64_t lanes;        /* lanes (requests) served               */
     uint64_t stalls;       /* lanes that took the 2-cycle recovery  */
     uint64_t groups;       /* issue groups (batches) run            */
-    uint64_t queue_depth;  /* requests queued ahead of the batcher  */
-    uint64_t window_lanes; /* lanes pending in the open window      */
+    uint64_t queue_depth;  /* requests queued ahead of the workers  */
+    uint64_t window_lanes; /* requests taken but not yet run        */
     uint64_t word_bits;    /* lanes per slab word (64 or 256)       */
 } vlcsa_stats_t;
 
@@ -95,16 +97,16 @@ typedef struct vlcsa_stats {
 #define VLCSA_LANE_NAME_CAP 32
 
 /* One live (engine, width) lane of the scale-out runtime: each lane
- * owns its own ingress queue, batching window and workers, so these
- * depths are per-lane backlogs, not shares of a global queue. */
+ * owns its own ingress queue and workers, so these depths are per-lane
+ * backlogs, not shares of a global queue. */
 typedef struct vlcsa_lane_stats {
     /* Concrete engine name running this lane (NUL-terminated,
      * truncated to fit). "auto" traffic appears under the engine the
      * router picked. */
     char engine[VLCSA_LANE_NAME_CAP];
     size_t width;       /* operand width of this lane               */
-    uint64_t depth;     /* requests queued ahead of its batcher     */
-    uint64_t occupancy; /* lanes pending in its open window         */
+    uint64_t depth;     /* requests queued ahead of its workers     */
+    uint64_t occupancy; /* requests its workers took, not yet run   */
 } vlcsa_lane_stats_t;
 
 /* --- Lifecycle -------------------------------------------------------- */
@@ -126,9 +128,9 @@ size_t vlcsa_word_bits(void);
 
 /* --- Synchronous ------------------------------------------------------ */
 
-/* sum = a + b at the handle's width; blocks until the batching window
- * flushes and the lane runs. cout (carry out of the top bit) and
- * cycles (1, or 2 after a recovery stall) may be NULL. */
+/* sum = a + b at the handle's width; blocks until a lane worker has
+ * run it. cout (carry out of the top bit) and cycles (1, or 2 after a
+ * recovery stall) may be NULL. */
 int vlcsa_add(vlcsa_engine_t *engine, const uint64_t *a, const uint64_t *b,
               uint64_t *sum, int *cout, uint32_t *cycles);
 
@@ -140,9 +142,9 @@ int vlcsa_sum(vlcsa_engine_t *engine, const uint64_t *ops, size_t n,
 
 /* --- Asynchronous ----------------------------------------------------- */
 
-/* Queues a + b into the batching window and returns a ticket
- * immediately; a burst of submits coalesces into wide issue groups.
- * Operand buffers are copied before return. */
+/* Queues a + b on its lane and returns a ticket immediately; a burst
+ * of submits coalesces into wide issue groups. Operand buffers are
+ * copied before return. */
 int vlcsa_submit(vlcsa_engine_t *engine, const uint64_t *a, const uint64_t *b,
                  uint64_t *ticket);
 

@@ -9,21 +9,21 @@
 //! handle:
 //!
 //! * [`vlcsa_init`] / [`vlcsa_free`] — start and stop one engine handle
-//!   (engine name incl. `"auto"`, width, worker threads, batching
-//!   window, optional SLO budget);
+//!   (engine name incl. `"auto"`, width, worker threads, issue-group
+//!   bound, optional linger and SLO budget);
 //! * [`vlcsa_add`] / [`vlcsa_sum`] — synchronous adds and n-operand
 //!   reductions over raw little-endian `u64` limb buffers — the same
 //!   zero-copy limb ingress as the binary wire protocol, no hex and no
 //!   bignum allocation on the caller's thread for `add`;
 //! * [`vlcsa_submit`] / [`vlcsa_poll`] — the asynchronous ticket API:
-//!   submissions batch through the same window the TCP server uses, so
+//!   submissions batch through the same lanes the TCP server uses, so
 //!   a burst of tickets coalesces into wide issue groups;
 //! * [`vlcsa_stats`] / [`vlcsa_lane_count`] / [`vlcsa_lanes`] /
 //!   [`vlcsa_last_error`] — aggregate counters (lanes, stalls, issue
 //!   groups, queue depth), per-`(engine, width)` lane snapshots (each
-//!   lane's own ingress backlog and window occupancy — the scale-out
-//!   runtime's unit of isolation), and per-thread / per-handle error
-//!   text.
+//!   lane's own ingress backlog and the requests its workers hold — the
+//!   scale-out runtime's unit of isolation), and per-thread / per-handle
+//!   error text.
 //!
 //! # Boundary contract
 //!
@@ -88,11 +88,14 @@ pub struct VlcsaConfig {
     pub engine: *const c_char,
     /// Operand width in bits, `1..=4096`.
     pub width: usize,
-    /// Worker threads running issue groups; 0 picks the default.
+    /// Worker threads forming and running issue groups; 0 picks the
+    /// default.
     pub threads: usize,
-    /// Batching-window flush bound in lanes; 0 picks the default.
+    /// Most requests one issue group carries; 0 picks the default.
     pub max_lanes: usize,
-    /// Batching-window flush bound in microseconds; 0 picks the default.
+    /// Linger cap in microseconds: a worker that took fewer than
+    /// `max_lanes` requests keeps taking for up to this long. 0 = none,
+    /// the default.
     pub max_wait_micros: u64,
     /// p99 latency budget for `auto` SLO degradation; 0 = off.
     pub slo_micros: u64,
@@ -110,9 +113,9 @@ pub struct VlcsaStats {
     pub stalls: u64,
     /// Issue groups (batches) run — non-zero once anything was served.
     pub groups: u64,
-    /// Requests currently queued ahead of the batcher.
+    /// Requests currently queued ahead of the workers.
     pub queue_depth: u64,
-    /// Lanes pending in the open batching window.
+    /// Requests workers have taken but not yet run.
     pub window_lanes: u64,
     /// Lanes per slab word this build batches into (64 or 256).
     pub word_bits: u64,
@@ -124,9 +127,8 @@ pub const VLCSA_LANE_NAME_CAP: usize = 32;
 
 /// One live `(engine, width)` lane's queue snapshot — must stay
 /// layout-identical to `vlcsa_lane_stats_t` in `include/vlcsa.h`. Each
-/// lane owns its own ingress queue, batching window and workers, so
-/// `depth`/`occupancy` are per-lane backlogs, not shares of a global
-/// queue.
+/// lane owns its own ingress queue and workers, so `depth`/`occupancy`
+/// are per-lane backlogs, not shares of a global queue.
 #[repr(C)]
 pub struct VlcsaLaneStats {
     /// Concrete engine name running this lane, NUL-terminated and
@@ -135,9 +137,9 @@ pub struct VlcsaLaneStats {
     pub engine: [c_char; VLCSA_LANE_NAME_CAP],
     /// Operand width of this lane.
     pub width: usize,
-    /// Requests queued ahead of this lane's batcher.
+    /// Requests queued ahead of this lane's workers.
     pub depth: u64,
-    /// Lanes pending in this lane's open batching window.
+    /// Requests this lane's workers have taken but not yet run.
     pub occupancy: u64,
 }
 
@@ -324,11 +326,7 @@ pub unsafe extern "C" fn vlcsa_init(
             } else {
                 config.max_lanes
             },
-            max_wait: if config.max_wait_micros == 0 {
-                defaults.max_wait
-            } else {
-                Duration::from_micros(config.max_wait_micros)
-            },
+            max_wait: Duration::from_micros(config.max_wait_micros),
             workers: if config.threads == 0 {
                 defaults.workers
             } else {
@@ -418,7 +416,7 @@ pub extern "C" fn vlcsa_word_bits() -> usize {
 }
 
 /// Synchronous addition: `sum = a + b` at the handle's width, blocking
-/// until the batching window flushes and the lane runs. Operands and
+/// until a lane worker has run it. Operands and
 /// sum are little-endian `u64` limb buffers of [`vlcsa_limbs`] limbs.
 /// `cout` (carry out of the top bit) and `cycles` (1, or 2 after a
 /// recovery stall) may be null.
@@ -531,8 +529,8 @@ pub unsafe extern "C" fn vlcsa_sum(
     })
 }
 
-/// Asynchronous addition: queues `a + b` into the batching window and
-/// returns a ticket immediately. Many submits from one burst coalesce
+/// Asynchronous addition: queues `a + b` on its lane and returns a
+/// ticket immediately. Many submits from one burst coalesce
 /// into the same wide issue group — the point of the async API. Claim
 /// the result with [`vlcsa_poll`]; tickets are single-use.
 ///

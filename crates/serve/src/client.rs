@@ -507,8 +507,8 @@ impl Client {
         }
     }
 
-    /// Asks the server for its live counters — queue depth, batching
-    /// window occupancy, slab word width and per-engine stall totals.
+    /// Asks the server for its live counters — queue depth, window
+    /// occupancy, slab word width and per-engine stall totals.
     ///
     /// # Errors
     ///

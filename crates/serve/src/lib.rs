@@ -6,26 +6,27 @@
 //! requests flows through the unit and the stalls are absorbed by
 //! queueing. This crate is that serving-shaped workload for the
 //! reproduction. Clients submit additions over TCP, each naming any engine
-//! of [`vlcsa::engine::Registry`]; a bounded queue and a batching window
-//! (max lanes / max wait) pack the stream into per-engine
-//! [`WideSlab`](bitnum::batch::WideSlab) issue groups; a worker pool runs
+//! of [`vlcsa::engine::Registry`]; each `(engine, width)` pair gets a
+//! bounded queue and its own workers, which take everything queued (up to
+//! `max_lanes`) as one [`WideSlab`](bitnum::batch::WideSlab) issue group
+//! whenever they are free, so groups grow with the load; the workers run
 //! the groups through the sharded [`Executor`](vlcsa::exec::Executor); and
 //! every response carries the lane's exact sum, carry-out and cycle count,
 //! so VLCSA stall accounting is visible end to end.
 //!
 //! The layers, bottom up:
 //!
-//! * [`queue`] — the bounded MPMC queues, plain and sharded
+//! * [`queue`] — the bounded MPMC queue with a batch take
 //!   (backpressure + clean shutdown);
 //! * [`protocol`] — the newline-delimited text wire format;
 //! * [`binary`] — wire protocol v2: length-prefixed frames whose operands
 //!   are raw little-endian limbs, negotiated per connection via a `HELLO`
 //!   line ([`Client::connect_binary`]) — the zero-copy ingress path;
 //! * [`service`] — the transport-independent core: validation and
-//!   routing, then per-`(engine, width)` worker lanes, each owning a
-//!   sharded ingress queue, a batching window over
-//!   [`vlcsa::group::LaneBuilder`] and its own worker pool — a stalling
-//!   engine head-of-line-blocks only its own lane;
+//!   routing, then per-`(engine, width)` worker lanes, each owning an
+//!   ingress queue and its own workers, which build their issue groups
+//!   with [`vlcsa::group::LaneBuilder`] — a stalling engine
+//!   head-of-line-blocks only its own lane;
 //! * [`session`] — transport-independent request dispatch over sink
 //!   traits, shared by the TCP server and socket-free embedders (the
 //!   `vlcsa-ffi` C ABI);
@@ -37,7 +38,7 @@
 //! family when the `SLO <micros>` p99 budget is breached — and the
 //! request then rides the chosen engine's lane. `STATS` reports the
 //! current route per width, the budget in force, and every lane's queue
-//! depth and window occupancy.
+//! depth and window occupancy (requests taken but not yet run).
 //!
 //! # Quick start
 //!

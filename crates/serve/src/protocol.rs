@@ -3,7 +3,7 @@
 //! One request or response per line, tokens separated by single spaces,
 //! operands and sums as bare lowercase hex (the [`UBig`] `{:x}` /
 //! [`UBig::from_hex`] pair). Requests carry a client-chosen sequence
-//! number because the batching window is free to complete requests out of
+//! number because the service is free to complete requests out of
 //! submission order — two requests from one connection that land in
 //! different issue groups finish whenever their groups do — so every
 //! response names the request it answers.
@@ -28,7 +28,7 @@
 //! `SUM` carries a whole multi-operand reduction in one request: the
 //! server compresses the operands carry-save style
 //! ([`Program::csa_pair_scalar`]) and the one remaining carry-resolve
-//! rides the batching window as a **single lane** of the named engine —
+//! rides an issue group as a **single lane** of the named engine —
 //! the response's `cycles` are that one resolve's, and its `cout` is the
 //! resolve's carry out. `PROG` generalizes `SUM` to any add-DAG over
 //! named temporaries, with the program shape in [`Program::from_spec`]
@@ -37,7 +37,8 @@
 //! [`MAX_PROGRAM_INPUTS`].
 //!
 //! `STATS` answers with a **single line** of `key=value` tokens — queue
-//! depth, batching-window occupancy (pending lanes and the window bound),
+//! depth, window occupancy (requests lane workers have taken but not yet
+//! run, and the group bound `max_lanes`),
 //! the slab word width, the SLO budget (`slo=<micros>` or `slo=off`),
 //! per-protocol request counters (`proto_text=<n> proto_bin=<n>`: lines
 //! and frames the connection handlers have answered, across the text
@@ -502,7 +503,7 @@ impl EngineStats {
 }
 
 /// One serve lane's live gauges: the `(engine, width)` pair it runs, its
-/// ingress queue depth and its open batching-window occupancy — the
+/// ingress queue depth and its window occupancy — the
 /// `lane=<engine>:<width>:depth=<n>:occupancy=<n>` token of `STATS`.
 ///
 /// Lanes are created on demand by traffic, so an idle server reports
@@ -515,24 +516,24 @@ pub struct LaneStats {
     pub engine: String,
     /// The operand width this lane batches.
     pub width: usize,
-    /// Requests queued in the lane's sharded ingress, ahead of its
-    /// batcher.
+    /// Requests queued in the lane's ingress, ahead of its workers.
     pub depth: usize,
-    /// Lanes pending in the lane's open batching window.
+    /// Requests the lane's workers have taken but not yet run, including
+    /// those in an open linger window.
     pub occupancy: usize,
 }
 
-/// The `STATS` snapshot: queue depth, batching-window occupancy, the slab
+/// The `STATS` snapshot: queue depth, window occupancy, the slab
 /// word width, the SLO budget, per-lane gauges, per-engine stall counters
 /// and the `auto` router's current route per width — everything the
 /// single response line carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsReport {
-    /// Requests currently queued ahead of the batcher.
+    /// Requests currently queued ahead of the lane workers.
     pub queue_depth: usize,
-    /// Lanes pending in the open batching window.
+    /// Requests lane workers have taken but not yet run.
     pub window_lanes: usize,
-    /// The window's flush bound (`ServeConfig::max_lanes`).
+    /// The issue-group bound (`ServeConfig::max_lanes`).
     pub max_lanes: usize,
     /// Lane width of the slab word the engines run on (64 or 256).
     pub word_bits: usize,
@@ -556,7 +557,7 @@ pub struct StatsReport {
 }
 
 impl StatsReport {
-    /// Batching-window occupancy: pending lanes over the flush bound
+    /// Window occupancy: taken-but-not-run requests over the group bound
     /// (0 when the bound is unknown, rather than NaN).
     pub fn window_occupancy(&self) -> f64 {
         if self.max_lanes == 0 {

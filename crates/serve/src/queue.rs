@@ -1,22 +1,23 @@
-//! Bounded MPMC queues on `Mutex` + `Condvar` — the only concurrency
-//! primitives the service layer needs beyond `std::thread`.
+//! The bounded MPMC queue with a batch take, on `Mutex` + `Condvar` — the
+//! only concurrency primitive the service layer needs beyond
+//! `std::thread`.
 //!
 //! Producers block in [`Queue::push`] while the queue is full (that is the
-//! service's backpressure: a full request queue blocks connection readers,
-//! which stops draining their sockets, which pushes back on clients), and
-//! consumers block in [`Queue::pop`] while it is empty. [`Queue::close`]
-//! wakes everyone: pushes start failing immediately, pops keep returning
-//! the already-queued items and then report closure — so a shutdown drains
+//! service's backpressure: a full lane queue blocks connection readers,
+//! which stop draining their sockets, which pushes back on clients).
+//! Consumers take items in batches: [`Queue::take`] blocks until at least
+//! one item is queued, then moves everything queued, up to a bound, in
+//! one critical section. A consumer that wants more can call it again
+//! with a deadline — that is a linger window. [`Queue::close`] wakes
+//! everyone: pushes start failing immediately, takes keep returning the
+//! already-queued items and then report closure, so a shutdown drains
 //! in-flight work instead of dropping it.
 //!
-//! The deadline variant [`Queue::pop_deadline`] is what a batching window
-//! is made of: pop the first request unconditionally, then keep popping
-//! with the window's expiry as the deadline.
-//!
-//! [`ShardedQueue`] keeps the same contract but splits the item storage
-//! across several independently locked shards, so many submitter threads
-//! funnelling into one hot lane do not serialize on a single deque lock —
-//! see its docs for the ordering trade (per-shard FIFO, not global FIFO).
+//! Wake-ups are counted, not broadcast: a push signals a consumer only
+//! when it makes the queue non-empty while one waits, and a take signals
+//! a producer only when one is blocked. Under load the consumers are busy
+//! and find work waiting when they come back, so a push costs no system
+//! call at all.
 //!
 //! # Example
 //!
@@ -24,37 +25,34 @@
 //! use vlcsa_serve::queue::Queue;
 //!
 //! let queue: Queue<u32> = Queue::new(8);
-//! queue.push(1).unwrap();
-//! queue.push(2).unwrap();
+//! for i in 1..=3 {
+//!     queue.push(i).unwrap();
+//! }
 //! queue.close();
-//! assert_eq!(queue.push(3), Err(3));       // closed to producers…
-//! assert_eq!(queue.pop(), Some(1));        // …but drains to consumers
-//! assert_eq!(queue.pop(), Some(2));
-//! assert_eq!(queue.pop(), None);           // drained and closed
+//! assert_eq!(queue.push(4), Err(4));        // closed to producers…
+//! let mut batch = Vec::new();
+//! assert!(queue.take(&mut batch, 2, None)); // …but drains to consumers,
+//! assert_eq!(batch, [1, 2]);                // at most `max` at a time
+//! assert!(queue.take(&mut batch, 3, None));
+//! assert_eq!(batch, [1, 2, 3]);
+//! assert!(!queue.take(&mut batch, 4, None)); // drained and closed
 //! ```
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// What [`Queue::pop_deadline`] observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PopResult<T> {
-    /// An item arrived (or was already queued) before the deadline.
-    Item(T),
-    /// The deadline passed with the queue empty and open.
-    TimedOut,
-    /// The queue is closed and fully drained.
-    Closed,
-}
-
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers blocked in [`Queue::take`].
+    takers: usize,
+    /// Producers blocked in [`Queue::push`] on a full queue.
+    pushers: usize,
 }
 
-/// The bounded MPMC queue — see the module docs for the blocking and
-/// close semantics.
+/// The bounded MPMC queue — see the module docs for the blocking, wake-up
+/// and close semantics.
 pub struct Queue<T> {
     state: Mutex<State<T>>,
     capacity: usize,
@@ -74,6 +72,8 @@ impl<T> Queue<T> {
             state: Mutex::new(State {
                 items: VecDeque::new(),
                 closed: false,
+                takers: 0,
+                pushers: 0,
             }),
             capacity,
             not_empty: Condvar::new(),
@@ -95,64 +95,75 @@ impl<T> Queue<T> {
             }
             if state.items.len() < self.capacity {
                 state.items.push_back(item);
-                self.not_empty.notify_one();
+                let wake = state.items.len() == 1 && state.takers > 0;
+                drop(state);
+                if wake {
+                    self.not_empty.notify_one();
+                }
                 return Ok(());
             }
+            state.pushers += 1;
             state = self.not_full.wait(state).expect("queue lock");
+            state.pushers -= 1;
         }
     }
 
-    /// Dequeues the oldest item, blocking while the queue is empty and
-    /// open. Returns `None` once the queue is closed **and** drained.
-    pub fn pop(&self) -> Option<T> {
+    /// Moves queued items, oldest first, into `out` until it holds `max`
+    /// items or the queue is empty. While nothing is queued it blocks:
+    /// without a `deadline` until an item arrives, with one at most until
+    /// then. Items beyond `max` stay queued for the next take, and a
+    /// waiting consumer is woken for them.
+    ///
+    /// Returns `true` when it moved at least one item; `false` when the
+    /// deadline passed first, or when the queue is closed **and** drained.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` already holds `max` or more items.
+    pub fn take(&self, out: &mut Vec<T>, max: usize, deadline: Option<Instant>) -> bool {
+        assert!(out.len() < max, "a take needs room for at least 1 item");
         let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
+        while state.items.is_empty() {
             if state.closed {
-                return None;
+                return false;
             }
-            state = self.not_empty.wait(state).expect("queue lock");
-        }
-    }
-
-    /// Dequeues the oldest item, giving up at `deadline` — the batching
-    /// window's wait primitive.
-    pub fn pop_deadline(&self, deadline: Instant) -> PopResult<T> {
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
-                return PopResult::Item(item);
-            }
-            if state.closed {
-                return PopResult::Closed;
-            }
-            let now = Instant::now();
-            let Some(wait) = deadline
-                .checked_duration_since(now)
-                .filter(|w| !w.is_zero())
-            else {
-                return PopResult::TimedOut;
+            state.takers += 1;
+            state = match deadline {
+                None => self.not_empty.wait(state).expect("queue lock"),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        state.takers -= 1;
+                        return false;
+                    }
+                    self.not_empty
+                        .wait_timeout(state, left)
+                        .expect("queue lock")
+                        .0
+                }
             };
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(state, wait)
-                .expect("queue lock");
-            state = guard;
-            if timeout.timed_out() && state.items.is_empty() && !state.closed {
-                return PopResult::TimedOut;
-            }
+            state.takers -= 1;
         }
+        let n = (max - out.len()).min(state.items.len());
+        out.extend(state.items.drain(..n));
+        let wake_taker = !state.items.is_empty() && state.takers > 0;
+        let wake_pushers = state.pushers > 0;
+        drop(state);
+        if wake_taker {
+            self.not_empty.notify_one();
+        }
+        if wake_pushers {
+            self.not_full.notify_all();
+        }
+        true
     }
 
-    /// Closes the queue: pending and future pushes fail, pops drain what
+    /// Closes the queue: pending and future pushes fail, takes drain what
     /// is already queued and then report closure. Idempotent.
     pub fn close(&self) {
         let mut state = self.state.lock().expect("queue lock");
         state.closed = true;
+        drop(state);
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
@@ -160,242 +171,6 @@ impl<T> Queue<T> {
     /// Number of items currently queued.
     pub fn len(&self) -> usize {
         self.state.lock().expect("queue lock").items.len()
-    }
-
-    /// Whether nothing is currently queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// One shard of a [`ShardedQueue`]: its own lock, deque, capacity slice
-/// and producer-side condvar.
-struct Shard<T> {
-    items: Mutex<VecDeque<T>>,
-    not_full: Condvar,
-}
-
-/// The consumer-side gate of a [`ShardedQueue`]: the published-item count
-/// and the close flag, guarded by one tiny lock so a consumer can sleep
-/// without polling every shard.
-struct Gate {
-    pending: usize,
-    closed: bool,
-}
-
-/// A bounded MPMC queue sharded across independently locked deques — the
-/// ingress side of a serve lane.
-///
-/// Same contract as [`Queue`] (bounded, blocking push for backpressure,
-/// close-then-drain shutdown) with one structural difference: items live
-/// in `shards` separate `Mutex<VecDeque>` stripes and a producer only
-/// takes its own stripe's lock plus a constant-time tick on the shared
-/// gate, so submitter threads hammering one hot lane contend on the gate's
-/// increment instead of serializing whole deque operations and capacity
-/// waits behind a single lock.
-///
-/// The trade is ordering: FIFO holds **per shard**, not globally. The
-/// serve protocol is built for that — responses name their request by
-/// sequence number precisely because the batching window may complete
-/// requests out of submission order (see `protocol` module docs).
-///
-/// Consumers claim before they scan: `pop` decrements `pending` under the
-/// gate lock (so claims never exceed physically published items — `push`
-/// publishes to its shard *before* ticking the gate) and then sweeps the
-/// shards from a rotating cursor until the claimed item surfaces. With
-/// concurrent consumers a sweep can transiently miss (another claimant may
-/// drain a shard this sweep already passed), so the sweep loops; it
-/// terminates because every removal is matched to a claim, leaving at
-/// least one item for each outstanding claim.
-///
-/// # Example
-///
-/// ```
-/// use vlcsa_serve::queue::ShardedQueue;
-///
-/// let queue: ShardedQueue<u32> = ShardedQueue::new(8, 4);
-/// queue.push(0, 1).unwrap();
-/// queue.push(27, 2).unwrap();  // any hint works; hints pick shards
-/// assert_eq!(queue.len(), 2);
-/// queue.close();
-/// assert_eq!(queue.push(0, 3), Err(3));
-/// let mut drained = [queue.pop().unwrap(), queue.pop().unwrap()];
-/// drained.sort_unstable();
-/// assert_eq!(drained, [1, 2]);
-/// assert_eq!(queue.pop(), None);
-/// ```
-pub struct ShardedQueue<T> {
-    shards: Vec<Shard<T>>,
-    /// Per-shard capacity: the total bound split evenly (rounded up), so
-    /// backpressure engages per stripe.
-    shard_capacity: usize,
-    gate: Mutex<Gate>,
-    not_empty: Condvar,
-    /// Rotating scan start, so a lone busy shard does not make the sweep
-    /// quadratic and early shards get no structural priority.
-    cursor: std::sync::atomic::AtomicUsize,
-}
-
-impl<T> ShardedQueue<T> {
-    /// Creates a queue of `shards` stripes holding at most `capacity`
-    /// items in total (each stripe bounds `capacity.div_ceil(shards)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `shards` is zero.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        assert!(capacity >= 1, "a queue needs capacity for at least 1 item");
-        assert!(shards >= 1, "a sharded queue needs at least 1 shard");
-        Self {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    items: Mutex::new(VecDeque::new()),
-                    not_full: Condvar::new(),
-                })
-                .collect(),
-            shard_capacity: capacity.div_ceil(shards),
-            gate: Mutex::new(Gate {
-                pending: 0,
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            cursor: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of stripes.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Enqueues `item` on the stripe picked by `shard_hint` (any value —
-    /// it is reduced modulo the stripe count), blocking while that stripe
-    /// is full. Producers that keep a stable hint (e.g. a per-thread or
-    /// per-connection token) never contend on each other's stripe locks.
-    ///
-    /// # Errors
-    ///
-    /// Returns the item back if the queue is (or becomes, while blocked)
-    /// closed.
-    pub fn push(&self, shard_hint: usize, item: T) -> Result<(), T> {
-        let shard = &self.shards[shard_hint % self.shards.len()];
-        let mut items = shard.items.lock().expect("shard lock");
-        loop {
-            if items.len() < self.shard_capacity {
-                // Publish and tick in one gate critical section, so
-                // `pending` never admits a claim for an item that is not
-                // physically present in some stripe.
-                let mut gate = self.gate.lock().expect("gate lock");
-                if gate.closed {
-                    return Err(item);
-                }
-                items.push_back(item);
-                gate.pending += 1;
-                drop(gate);
-                drop(items);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            if self.gate.lock().expect("gate lock").closed {
-                return Err(item);
-            }
-            items = shard.not_full.wait(items).expect("shard lock");
-        }
-    }
-
-    /// Claims one published item (or closure) at the gate; `None` when the
-    /// caller should keep waiting.
-    fn claim(&self, gate: &mut Gate) -> Option<Option<()>> {
-        if gate.pending > 0 {
-            gate.pending -= 1;
-            Some(Some(()))
-        } else if gate.closed {
-            Some(None)
-        } else {
-            None
-        }
-    }
-
-    /// Sweeps the stripes until the claimed item surfaces.
-    fn take_claimed(&self) -> T {
-        use std::sync::atomic::Ordering;
-        let n = self.shards.len();
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-        loop {
-            for off in 0..n {
-                let shard = &self.shards[(start + off) % n];
-                let mut items = shard.items.lock().expect("shard lock");
-                if let Some(item) = items.pop_front() {
-                    drop(items);
-                    shard.not_full.notify_one();
-                    return item;
-                }
-            }
-            // A concurrent claimant drained a stripe behind this sweep;
-            // the claim invariant guarantees an item is still out there.
-            std::thread::yield_now();
-        }
-    }
-
-    /// Dequeues an item, blocking while the queue is empty and open.
-    /// Returns `None` once the queue is closed **and** drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut gate = self.gate.lock().expect("gate lock");
-        loop {
-            if let Some(claim) = self.claim(&mut gate) {
-                drop(gate);
-                return claim.map(|()| self.take_claimed());
-            }
-            gate = self.not_empty.wait(gate).expect("gate lock");
-        }
-    }
-
-    /// Dequeues an item, giving up at `deadline` — the lane batcher's
-    /// window-wait primitive.
-    pub fn pop_deadline(&self, deadline: Instant) -> PopResult<T> {
-        let mut gate = self.gate.lock().expect("gate lock");
-        loop {
-            if let Some(claim) = self.claim(&mut gate) {
-                drop(gate);
-                return match claim {
-                    Some(()) => PopResult::Item(self.take_claimed()),
-                    None => PopResult::Closed,
-                };
-            }
-            let now = Instant::now();
-            let Some(wait) = deadline
-                .checked_duration_since(now)
-                .filter(|w| !w.is_zero())
-            else {
-                return PopResult::TimedOut;
-            };
-            let (guard, timeout) = self.not_empty.wait_timeout(gate, wait).expect("gate lock");
-            gate = guard;
-            if timeout.timed_out() && gate.pending == 0 && !gate.closed {
-                return PopResult::TimedOut;
-            }
-        }
-    }
-
-    /// Closes the queue: pending and future pushes fail, pops drain what
-    /// is already queued and then report closure. Idempotent.
-    pub fn close(&self) {
-        let mut gate = self.gate.lock().expect("gate lock");
-        gate.closed = true;
-        drop(gate);
-        self.not_empty.notify_all();
-        for shard in &self.shards {
-            // Take the stripe lock so a producer between its capacity
-            // check and its wait cannot miss the wakeup.
-            drop(shard.items.lock().expect("shard lock"));
-            shard.not_full.notify_all();
-        }
-    }
-
-    /// Number of items currently queued (published across all stripes and
-    /// not yet claimed) — the lane's queue depth gauge.
-    pub fn len(&self) -> usize {
-        self.gate.lock().expect("gate lock").pending
     }
 
     /// Whether nothing is currently queued.
@@ -416,9 +191,10 @@ mod tests {
         for i in 0..10 {
             queue.push(i).unwrap();
         }
-        for i in 0..10 {
-            assert_eq!(queue.pop(), Some(i));
-        }
+        let mut out = Vec::new();
+        assert!(queue.take(&mut out, 16, None));
+        assert_eq!(out, (0..10).collect::<Vec<_>>());
+        assert!(queue.is_empty());
     }
 
     #[test]
@@ -430,19 +206,46 @@ mod tests {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || queue.push(3))
         };
-        // The producer is blocked on capacity; popping frees a slot.
+        // The producer is blocked on capacity; a take frees a slot.
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(queue.pop(), Some(1));
+        assert_eq!(queue.len(), 2);
+        let mut out = Vec::new();
+        assert!(queue.take(&mut out, 1, None));
         producer.join().unwrap().unwrap();
-        assert_eq!(queue.pop(), Some(2));
-        assert_eq!(queue.pop(), Some(3));
+        assert!(queue.take(&mut out, 3, None));
+        assert_eq!(out, [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_take_stops_at_max_and_leaves_the_rest_for_the_next_worker() {
+        let queue = Arc::new(Queue::new(8));
+        for i in 0..5 {
+            queue.push(i).unwrap();
+        }
+        let mut first = Vec::new();
+        assert!(queue.take(&mut first, 3, None));
+        assert_eq!(first, [0, 1, 2]);
+        assert_eq!(queue.len(), 2);
+        // A second consumer gets exactly the remainder, without blocking.
+        let worker = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                let mut rest = Vec::new();
+                assert!(queue.take(&mut rest, 8, None));
+                rest
+            })
+        };
+        assert_eq!(worker.join().unwrap(), [3, 4]);
+        assert!(queue.is_empty());
     }
 
     #[test]
     fn deadline_pop_times_out_then_delivers() {
         let queue: Arc<Queue<u8>> = Arc::new(Queue::new(4));
+        let mut out = Vec::new();
         let deadline = Instant::now() + Duration::from_millis(10);
-        assert_eq!(queue.pop_deadline(deadline), PopResult::TimedOut);
+        assert!(!queue.take(&mut out, 4, Some(deadline)));
+        assert!(out.is_empty());
         let pusher = {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || {
@@ -451,7 +254,8 @@ mod tests {
             })
         };
         let far = Instant::now() + Duration::from_secs(5);
-        assert_eq!(queue.pop_deadline(far), PopResult::Item(7));
+        assert!(queue.take(&mut out, 4, Some(far)));
+        assert_eq!(out, [7]);
         pusher.join().unwrap();
     }
 
@@ -460,18 +264,25 @@ mod tests {
         let queue: Arc<Queue<u8>> = Arc::new(Queue::new(4));
         let consumer = {
             let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.pop())
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                let took = queue.take(&mut out, 4, None);
+                (took, out)
+            })
         };
         std::thread::sleep(Duration::from_millis(10));
         queue.push(5).unwrap();
+        queue.push(6).unwrap();
         queue.close();
-        // The blocked consumer gets the item, not the closure.
-        assert_eq!(consumer.join().unwrap(), Some(5));
-        assert_eq!(queue.pop(), None);
-        assert_eq!(
-            queue.pop_deadline(Instant::now() + Duration::from_millis(1)),
-            PopResult::Closed
-        );
+        // The blocked consumer gets items, not the closure.
+        let (took, mut out) = consumer.join().unwrap();
+        assert!(took);
+        queue.take(&mut out, 4, None);
+        assert_eq!(out, [5, 6]);
+        // Drained and closed: both take forms report it at once.
+        assert!(!queue.take(&mut out, 4, None));
+        let far = Instant::now() + Duration::from_secs(30);
+        assert!(!queue.take(&mut out, 4, Some(far)));
         assert_eq!(queue.push(9), Err(9));
     }
 
@@ -489,112 +300,32 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fifo_within_one_stripe() {
-        let queue = ShardedQueue::new(64, 4);
-        assert_eq!(queue.shards(), 4);
-        for i in 0..10 {
-            queue.push(2, i).unwrap(); // one stable hint → one stripe
-        }
-        for i in 0..10 {
-            assert_eq!(queue.pop(), Some(i), "stripe order");
-        }
-    }
-
-    #[test]
-    fn sharded_drains_every_stripe_and_counts() {
-        let queue = ShardedQueue::new(64, 3);
-        for i in 0..30u32 {
-            queue.push(i as usize, i).unwrap(); // hints cover all stripes
-        }
-        assert_eq!(queue.len(), 30);
-        let mut seen: Vec<u32> = (0..30).map(|_| queue.pop().unwrap()).collect();
-        assert!(queue.is_empty());
-        seen.sort_unstable();
-        assert_eq!(seen, (0..30).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sharded_full_stripe_blocks_until_popped() {
-        // Total capacity 4 over 2 stripes → 2 per stripe.
-        let queue = Arc::new(ShardedQueue::new(4, 2));
-        queue.push(0, 1).unwrap();
-        queue.push(0, 2).unwrap();
-        let producer = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(0, 3))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        // Stripe 1 is untouched by stripe 0's backpressure.
-        queue.push(1, 9).unwrap();
-        assert_eq!(queue.pop(), Some(1));
-        producer.join().unwrap().unwrap();
-        let mut rest = [
-            queue.pop().unwrap(),
-            queue.pop().unwrap(),
-            queue.pop().unwrap(),
-        ];
-        rest.sort_unstable();
-        assert_eq!(rest, [2, 3, 9]);
-    }
-
-    #[test]
-    fn sharded_deadline_pop_times_out_then_delivers() {
-        let queue: Arc<ShardedQueue<u8>> = Arc::new(ShardedQueue::new(8, 2));
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert_eq!(queue.pop_deadline(deadline), PopResult::TimedOut);
-        let pusher = {
+    fn close_ends_a_deadline_take_at_once() {
+        let queue: Arc<Queue<u8>> = Arc::new(Queue::new(4));
+        let lingerer = {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
-                queue.push(1, 7).unwrap();
+                let mut out = Vec::new();
+                let far = Instant::now() + Duration::from_secs(30);
+                queue.take(&mut out, 4, Some(far))
             })
         };
-        let far = Instant::now() + Duration::from_secs(5);
-        assert_eq!(queue.pop_deadline(far), PopResult::Item(7));
-        pusher.join().unwrap();
-    }
-
-    #[test]
-    fn sharded_close_drains_then_reports_closure() {
-        let queue: Arc<ShardedQueue<u8>> = Arc::new(ShardedQueue::new(8, 3));
-        let consumer = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.pop())
-        };
         std::thread::sleep(Duration::from_millis(10));
-        queue.push(2, 5).unwrap();
+        let start = Instant::now();
         queue.close();
-        assert_eq!(consumer.join().unwrap(), Some(5));
-        assert_eq!(queue.pop(), None);
-        assert_eq!(
-            queue.pop_deadline(Instant::now() + Duration::from_millis(1)),
-            PopResult::Closed
-        );
-        assert_eq!(queue.push(0, 9), Err(9));
+        assert!(!lingerer.join().unwrap());
+        assert!(start.elapsed() < Duration::from_secs(10));
     }
 
     #[test]
-    fn sharded_close_wakes_blocked_producers() {
-        let queue = Arc::new(ShardedQueue::new(2, 2)); // 1 per stripe
-        queue.push(0, 1).unwrap();
-        let producer = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(0, 2))
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        queue.close();
-        assert_eq!(producer.join().unwrap(), Err(2));
-    }
-
-    #[test]
-    fn sharded_concurrent_producers_and_consumers_lose_nothing() {
-        let queue: Arc<ShardedQueue<u64>> = Arc::new(ShardedQueue::new(16, 4));
+    fn concurrent_producers_and_consumers_lose_nothing() {
+        let queue: Arc<Queue<u64>> = Arc::new(Queue::new(16));
         let producers: Vec<_> = (0..4u64)
             .map(|p| {
                 let queue = Arc::clone(&queue);
                 std::thread::spawn(move || {
                     for i in 0..100 {
-                        queue.push(p as usize, p * 1000 + i).unwrap();
+                        queue.push(p * 1000 + i).unwrap();
                     }
                 })
             })
@@ -604,8 +335,9 @@ mod tests {
                 let queue = Arc::clone(&queue);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    while let Some(item) = queue.pop() {
-                        got.push(item);
+                    let mut batch = Vec::new();
+                    while queue.take(&mut batch, 5, None) {
+                        got.append(&mut batch);
                     }
                     got
                 })
@@ -624,6 +356,6 @@ mod tests {
             .flat_map(|p| (0..100).map(move |i| p * 1000 + i))
             .collect();
         expect.sort_unstable();
-        assert_eq!(all, expect, "every pushed item popped exactly once");
+        assert_eq!(all, expect, "every pushed item taken exactly once");
     }
 }

@@ -15,9 +15,8 @@
 //! (or `OK` frame) the group owes that connection, encoded back to back
 //! from the outcome's slab into the worker's reused buffer and written
 //! with one `write_all` under one lock acquisition — out of submission
-//! order when the batching window split a connection's requests across
-//! groups. Every other response (an `ERR` line, a listing, a frame) is
-//! one write too.
+//! order when a connection's requests landed in different groups. Every
+//! other response (an `ERR` line, a listing, a frame) is one write too.
 //! Validation and protocol errors are answered inline by the reader as
 //! `ERR` lines; nothing short of a socket error drops a connection.
 //! Because workers write to client sockets directly, a client that stops

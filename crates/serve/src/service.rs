@@ -1,43 +1,49 @@
 //! The transport-independent service core: per-`(engine, width)` worker
-//! lanes, each owning a sharded ingress queue, a batching window and its
-//! own worker pool over the sharded executor.
+//! lanes, each owning a bounded ingress queue and its own workers, which
+//! form their issue groups themselves and run them over the sharded
+//! executor.
 //!
-//! Requests flow through three stages, the last two private to a lane:
+//! Requests flow through two stages, the second private to a lane:
 //!
 //! 1. **Submitters** (connection readers, or [`Service::add_blocking`]
 //!    callers) validate a request — width in range, operands same width,
 //!    engine resolved against the width's [`Registry`], `auto` resolved to
 //!    a concrete engine by the [`Router`] — and push a job into the
-//!    matching lane's bounded, sharded ingress queue, spinning the lane up
-//!    on first use. Validation and routing happen *before* queueing so a
-//!    bad request fails alone, with a structured error, and every queued
-//!    job already knows which lane runs it.
-//! 2. **The lane's batcher** pops the first pending job, then keeps
-//!    popping until either `max_lanes` lanes are pending or `max_wait` has
-//!    elapsed since that first job — the batching window — and drains the
-//!    accumulated [`LaneBuilder`] into one
-//!    [`IssueGroup`] on the lane's group queue. A
-//!    window that expires with nothing pending produces no group and
-//!    touches no executor.
-//! 3. **The lane's workers** pop issue groups, run them through
-//!    [`Executor::run`], and deliver each lane's sum, carry-out and cycle
-//!    count to the request's reply — the lane→request mapping is the
-//!    group's `tags` vector. An in-process caller's reply is a closure,
-//!    called per lane. A wire request's reply is an address, its
-//!    connection's sink plus its `seq`: the worker groups the group's
-//!    lanes by connection and hands each sink one [`OkBatch`], which the
-//!    TCP server writes with one syscall.
+//!    matching lane's bounded ingress queue, spinning the lane up on first
+//!    use. Validation and routing happen *before* queueing so a bad
+//!    request fails alone, with a structured error, and every queued job
+//!    already knows which lane runs it.
+//! 2. **The lane's workers** block until the ingress holds a job, take
+//!    everything queued — up to `max_lanes` — under one lock, build it
+//!    into one [`IssueGroup`](vlcsa::group::IssueGroup) with a
+//!    [`LaneBuilder`], run it through [`Executor::run`], and deliver each
+//!    lane's sum, carry-out and cycle count to the request's reply — the
+//!    lane→request mapping is the group's `tags` vector. An in-process
+//!    caller's reply is a closure, called per lane. A wire request's
+//!    reply is an address, its connection's sink plus its `seq`: the
+//!    worker groups the group's lanes by connection and hands each sink
+//!    one [`OkBatch`], which the TCP server writes with one syscall. Then
+//!    the worker takes again.
 //!
-//! Because every lane owns its queues and threads end to end, a stalling
+//! No request waits for a window to close. While every worker of a lane
+//! is busy, requests pile up in its ingress, so groups grow with the load
+//! and shrink to one request on an idle lane. A push wakes a worker only
+//! when it makes the queue non-empty while a worker waits. The opt-in
+//! linger ([`ServeConfig::max_wait`]) trades latency for larger groups: a
+//! worker that took fewer than `max_lanes` keeps taking until it has
+//! `max_lanes` or `max_wait` has passed since its first job, and a lane
+//! has at most one open linger window at a time.
+//!
+//! Because every lane owns its queue and threads end to end, a stalling
 //! or slow engine head-of-line-blocks only its own traffic: other lanes'
-//! batchers and workers never wait on it. That is the paper's isolation
-//! argument carried into the serving layer — variable-latency wins are
-//! only real if a rare slow completion cannot delay the fast ones.
+//! workers never wait on it. That is the paper's isolation argument
+//! carried into the serving layer — variable-latency wins are only real
+//! if a rare slow completion cannot delay the fast ones.
 //!
-//! [`Service::shutdown`] closes every lane's ingress, lets each batcher
-//! drain what was already accepted, closes the group queues, and joins
-//! every thread — accepted requests are answered, late submissions fail
-//! with [`SubmitError::Stopped`].
+//! [`Service::shutdown`] closes every lane's ingress, lets the workers
+//! drain everything already accepted — an open linger ends at once — and
+//! joins them: accepted requests are answered, late submissions fail with
+//! [`SubmitError::Stopped`].
 //!
 //! # Example
 //!
@@ -62,20 +68,15 @@ use std::time::{Duration, Instant};
 
 use bitnum::batch::{DefaultWord, Word};
 use bitnum::UBig;
-use vlcsa::engine::{EngineLookupError, Registry};
+use vlcsa::engine::{Engine, EngineLookupError, Registry};
 use vlcsa::exec::{Executor, WideOutcome};
-use vlcsa::group::{IssueGroup, LaneBuilder};
+use vlcsa::group::LaneBuilder;
 use vlcsa::program::Program;
 use vlcsa::route::{RouteConfig, Router, AUTO_ENGINE};
 
 use crate::protocol::{EngineStats, LaneStats, StatsReport, OPERAND_RANGE, WIDTH_RANGE};
-use crate::queue::{PopResult, Queue, ShardedQueue};
+use crate::queue::Queue;
 use crate::session::{FrameSink, OkBatch, ResponseSink};
-
-/// Stripes of every lane's ingress queue — enough that a handful of
-/// connection readers funnelling into one hot lane spread across distinct
-/// locks, small enough that the batcher's sweep stays cheap.
-const INGRESS_SHARDS: usize = 4;
 
 /// Tuning knobs of the service core. Each knob applies **per lane** (a
 /// lane is one `(engine, width)` pair traffic has spun up): lanes are
@@ -84,11 +85,14 @@ const INGRESS_SHARDS: usize = 4;
 pub struct ServeConfig {
     /// Bound of each lane's ingress queue (backpressure depth).
     pub queue_depth: usize,
-    /// Flush a lane's batching window once this many lanes are pending.
+    /// Most requests one issue group carries.
     pub max_lanes: usize,
-    /// Flush a lane's batching window this long after its first request.
+    /// Opt-in linger cap, zero by default: a worker that took fewer than
+    /// `max_lanes` requests keeps taking until it has `max_lanes` or this
+    /// long has passed since its first one. At zero a worker runs
+    /// whatever was queued when it looked.
     pub max_wait: Duration,
-    /// Worker threads draining each lane's issue groups.
+    /// Worker threads forming and running each lane's issue groups.
     pub workers: usize,
     /// Threads of the per-group [`Executor`].
     pub exec_threads: usize,
@@ -101,14 +105,14 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// Small-host defaults: one 256-lane window, half a millisecond of
-    /// batching patience, two workers per lane, serial executor, default
-    /// routing (no SLO until one is set).
+    /// Small-host defaults: up to 256 requests per issue group, no
+    /// linger, two workers per lane, serial executor, default routing (no
+    /// SLO until one is set).
     fn default() -> Self {
         Self {
             queue_depth: 1024,
             max_lanes: 256,
-            max_wait: Duration::from_micros(500),
+            max_wait: Duration::ZERO,
             workers: 2,
             exec_threads: 1,
             route: RouteConfig::default(),
@@ -288,7 +292,7 @@ impl Delivery {
 
 /// A validated request body: parsed values (the text protocol, and every
 /// reduction once lowered) or raw little-endian limb runs (the binary
-/// `ADD`), which the batcher scatters straight into the slab layout via
+/// `ADD`), which the lane worker scatters straight into the slab layout via
 /// [`LaneBuilder::push_limbs`] — no intermediate [`UBig`] anywhere on
 /// the limb path. The constructors are the validation every submit path
 /// shares.
@@ -396,7 +400,7 @@ impl Operands {
 }
 
 /// A validated request in flight between a submitter and its lane's
-/// batcher. The engine and width are the lane's — resolved before
+/// workers. The engine and width are the lane's — resolved before
 /// queueing — so the job carries only the operands, the reply and its
 /// submit time on the router's clock.
 struct Job {
@@ -405,7 +409,7 @@ struct Job {
     submitted: u64,
 }
 
-/// Moves one job into the lane's batching window, whichever operand form
+/// Moves one job into the issue group being built, whichever operand form
 /// it carries, and returns its submit stamp.
 fn push_job(builder: &mut LaneBuilder<ReplyTo>, job: Job) -> u64 {
     match job.operands {
@@ -498,27 +502,90 @@ impl Metrics {
     }
 }
 
-/// One issue group in flight between a lane's batcher and its workers,
-/// tagged with its oldest job's submit stamp on the router's clock. The
-/// router's latency sample for the group runs from that stamp until every
-/// reply has been handed to its sink, so the SLO p99s cover what the
-/// group's slowest client saw: the ingress queue, the batching window,
-/// the group queue, the run and the reply writes.
-struct QueuedGroup {
-    group: IssueGroup<ReplyTo>,
-    oldest: u64,
-}
-
-/// One `(engine, width)` worker lane: the submit-facing half. The batcher
-/// thread, the group queue and the worker threads it feeds are spawned at
-/// creation and owned by the [`LaneSet`]'s join list; submitters only see
-/// the ingress queue and the window gauge.
+/// One `(engine, width)` worker lane: the submit-facing half. Its workers
+/// are spawned at creation and owned by the [`LaneSet`]'s join list;
+/// submitters only see the ingress queue and the window gauge.
 struct Lane {
     engine: String,
     width: usize,
-    ingress: ShardedQueue<Job>,
-    /// Lanes pending in the batcher's currently-open window.
+    ingress: Queue<Job>,
+    /// Requests workers have taken from `ingress` but not yet run,
+    /// including those inside an open linger window.
     window_lanes: AtomicUsize,
+    /// Held by the worker whose linger window is open, so that a lane has
+    /// at most one. Untouched when `max_wait` is zero.
+    window: Mutex<()>,
+}
+
+impl Lane {
+    /// Takes the jobs of the lane's next issue group into `jobs`: blocks
+    /// for the first, takes everything queued up to `max_lanes`, and with
+    /// a non-zero `linger` keeps taking until it has `max_lanes` or
+    /// `linger` has passed since the first take. Closing the ingress ends
+    /// a linger at once. Returns `false` when the ingress is closed and
+    /// drained.
+    fn take_group(&self, jobs: &mut Vec<Job>, max_lanes: usize, linger: Duration) -> bool {
+        let _window = (!linger.is_zero()).then(|| self.window.lock().expect("window lock"));
+        if !self.ingress.take(jobs, max_lanes, None) {
+            return false;
+        }
+        self.window_lanes.fetch_add(jobs.len(), Ordering::Relaxed);
+        if !linger.is_zero() {
+            let deadline = Instant::now() + linger;
+            while jobs.len() < max_lanes {
+                let taken = jobs.len();
+                if !self.ingress.take(jobs, max_lanes, Some(deadline)) {
+                    break;
+                }
+                self.window_lanes
+                    .fetch_add(jobs.len() - taken, Ordering::Relaxed);
+            }
+        }
+        true
+    }
+
+    /// One worker's life: form an issue group, run it on `engine`, deliver
+    /// its replies, record it, repeat until the ingress is closed and
+    /// drained.
+    ///
+    /// The router's latency sample for a group runs from its oldest job's
+    /// submit stamp until every reply has been handed to its sink, so the
+    /// SLO p99s cover what the group's slowest client saw: the ingress
+    /// queue, any linger, the run and the reply writes.
+    fn work(
+        &self,
+        engine: &dyn Engine<DefaultWord>,
+        config: ServeConfig,
+        metrics: &Metrics,
+        router: &Router,
+    ) {
+        let executor = Executor::new(config.exec_threads);
+        let mut jobs = Vec::with_capacity(config.max_lanes);
+        let mut builder: LaneBuilder<ReplyTo> = LaneBuilder::new(&self.engine, self.width);
+        let mut delivery = Delivery::default();
+        while self.take_group(&mut jobs, config.max_lanes, config.max_wait) {
+            let taken = jobs.len();
+            let oldest = jobs
+                .drain(..)
+                .map(|job| push_job(&mut builder, job))
+                .min()
+                .expect("a take moves at least one job");
+            let group = builder.drain().expect("a taken job is a lane");
+            self.window_lanes.fetch_sub(taken, Ordering::Relaxed);
+            let out = executor.run(engine, &group.a, &group.b);
+            metrics.record_group(&self.engine, out.lanes() as u64, out.stalls());
+            delivery.deliver(&out, group.tags);
+            // Every group feeds the router — named traffic too — so `auto`
+            // estimates warm up from whatever runs.
+            router.record(
+                &self.engine,
+                self.width,
+                out.lanes() as u64,
+                out.stalls(),
+                router.now_micros().saturating_sub(oldest),
+            );
+        }
+    }
 }
 
 /// Every live lane plus the join handles of their threads, behind one
@@ -528,17 +595,6 @@ struct LaneSet {
     lanes: Vec<Arc<Lane>>,
     threads: Vec<JoinHandle<()>>,
     closed: bool,
-}
-
-/// A stable per-thread stripe hint for [`ShardedQueue::push`]: threads
-/// enumerate themselves on first submit, so each connection reader keeps
-/// hitting its own ingress stripe.
-fn shard_hint() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static HINT: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    HINT.with(|h| *h)
 }
 
 /// The running service core — see the module docs for the pipeline shape.
@@ -589,10 +645,7 @@ impl Service {
         router: Arc<Router>,
         registries: Arc<RegistryCache>,
     ) -> Self {
-        assert!(
-            config.max_lanes >= 1,
-            "a batching window needs max_lanes >= 1"
-        );
+        assert!(config.max_lanes >= 1, "an issue group needs max_lanes >= 1");
         assert!(config.workers >= 1, "a lane needs at least one worker");
         Self {
             lanes: Mutex::new(LaneSet {
@@ -608,8 +661,8 @@ impl Service {
     }
 
     /// The lane serving `(engine, width)`, spun up on first use: its
-    /// batcher and `config.workers` workers are spawned here and their
-    /// handles parked in the [`LaneSet`] for shutdown to join.
+    /// `config.workers` workers are spawned here and their handles parked
+    /// in the [`LaneSet`] for shutdown to join.
     fn lane_for(&self, engine: &str, width: usize) -> Result<Arc<Lane>, SubmitError> {
         let mut set = self.lanes.lock().expect("lane set lock");
         if set.closed {
@@ -625,93 +678,33 @@ impl Service {
         let lane = Arc::new(Lane {
             engine: engine.to_string(),
             width,
-            ingress: ShardedQueue::new(self.config.queue_depth, INGRESS_SHARDS),
+            ingress: Queue::new(self.config.queue_depth),
             window_lanes: AtomicUsize::new(0),
+            window: Mutex::new(()),
         });
-        // Group-queue depth: enough that the batcher never blocks on a
-        // slow worker unless every one of this lane's workers is busy
-        // with a backlog.
-        let groups: Arc<Queue<QueuedGroup>> = Arc::new(Queue::new(self.config.workers * 2));
-        let config = self.config;
-
-        let batcher = {
+        for _ in 0..self.config.workers {
             let lane = Arc::clone(&lane);
-            let groups = Arc::clone(&groups);
-            std::thread::spawn(move || {
-                let mut builder: LaneBuilder<ReplyTo> = LaneBuilder::new(&lane.engine, lane.width);
-                'accept: while let Some(first) = lane.ingress.pop() {
-                    let mut oldest = push_job(&mut builder, first);
-                    lane.window_lanes.store(builder.lanes(), Ordering::Relaxed);
-                    let deadline = Instant::now() + config.max_wait;
-                    let mut open = true;
-                    while builder.lanes() < config.max_lanes {
-                        match lane.ingress.pop_deadline(deadline) {
-                            PopResult::Item(job) => {
-                                oldest = oldest.min(push_job(&mut builder, job));
-                                lane.window_lanes.store(builder.lanes(), Ordering::Relaxed);
-                            }
-                            PopResult::TimedOut => break,
-                            PopResult::Closed => {
-                                open = false;
-                                break;
-                            }
-                        }
-                    }
-                    let drained = builder.drain();
-                    lane.window_lanes.store(0, Ordering::Relaxed);
-                    if let Some(group) = drained {
-                        if groups.push(QueuedGroup { group, oldest }).is_err() {
-                            break 'accept;
-                        }
-                    }
-                    if !open {
-                        break;
-                    }
-                }
-                groups.close();
-            })
-        };
-
-        let mut threads = Vec::with_capacity(config.workers + 1);
-        threads.push(batcher);
-        for _ in 0..config.workers {
-            let groups = Arc::clone(&groups);
             let registries = Arc::clone(&self.registries);
             let metrics = Arc::clone(&self.metrics);
             let router = Arc::clone(&self.router);
-            let executor = Executor::new(config.exec_threads);
-            threads.push(std::thread::spawn(move || {
-                let mut delivery = Delivery::default();
-                while let Some(QueuedGroup { group, oldest }) = groups.pop() {
-                    let registry = registries.at(group.width);
-                    let engine = registry
-                        .lookup(&group.engine)
-                        .expect("engine validated at submit time or routed");
-                    let out = executor.run(engine, &group.a, &group.b);
-                    metrics.record_group(&group.engine, out.lanes() as u64, out.stalls());
-                    delivery.deliver(&out, group.tags);
-                    // Every group feeds the router — named traffic too —
-                    // so `auto` estimates warm up from whatever runs.
-                    router.record(
-                        &group.engine,
-                        group.width,
-                        out.lanes() as u64,
-                        out.stalls(),
-                        router.now_micros().saturating_sub(oldest),
-                    );
-                }
+            let config = self.config;
+            set.threads.push(std::thread::spawn(move || {
+                let registry = registries.at(lane.width);
+                let engine = registry
+                    .lookup(&lane.engine)
+                    .expect("engine validated at submit time or routed");
+                lane.work(engine, config, &metrics, &router);
             }));
         }
-
         set.lanes.push(Arc::clone(&lane));
-        set.threads.append(&mut threads);
         Ok(lane)
     }
 
     /// Snapshots the live counters the in-band `STATS` command reports:
-    /// per-lane queue depth and window occupancy (and their sums, the
-    /// global `queue_depth`/`window_lanes`), the slab word width, and
-    /// per-engine served-lane/stall totals.
+    /// per-lane queue depth and window occupancy — requests a worker has
+    /// taken but not yet run — (and their sums, the global
+    /// `queue_depth`/`window_lanes`), the slab word width, and per-engine
+    /// served-lane/stall totals.
     ///
     /// The snapshot is advisory, not transactional: the queue depths and
     /// window occupancies move while it is taken. Engine totals are exact —
@@ -831,9 +824,7 @@ impl Service {
             reply,
             submitted: self.router.now_micros(),
         };
-        lane.ingress
-            .push(shard_hint(), job)
-            .map_err(|_| SubmitError::Stopped)
+        lane.ingress.push(job).map_err(|_| SubmitError::Stopped)
     }
 
     /// Validates and queues one addition; `reply` fires from a worker once
@@ -854,7 +845,7 @@ impl Service {
     /// Validates and queues one addition whose operands are raw
     /// little-endian limb runs — the zero-copy ingress of the binary
     /// protocol. No [`UBig`] is built anywhere on this path: the limbs are
-    /// validated in place here and the lane's batcher scatters them
+    /// validated in place here and the lane's worker scatters them
     /// straight into the slab layout ([`LaneBuilder::push_limbs`]).
     ///
     /// # Errors
@@ -877,7 +868,7 @@ impl Service {
     /// carry-save pair ([`Program::csa_pair_scalar`]) is computed here in
     /// the submitter — xor/majority word sweeps, no carry chains — and
     /// queued as a **single lane**, so the program's one carry-resolve
-    /// rides the batching window like any `ADD` and the reply's `cycles`
+    /// rides its lane's issue groups like any `ADD` and the reply's `cycles`
     /// are that resolve's 1 or 2. The reply's `sum` is the exact wrapped
     /// program result; its `cout` is the final resolve's carry out.
     ///
@@ -955,23 +946,34 @@ impl Service {
         rx.recv().map_err(|_| SubmitError::Stopped)
     }
 
-    /// Closes every lane's ingress and collects the join handles — the
-    /// shared half of [`Service::shutdown`] and `Drop`.
-    fn close_lanes(&self) -> Vec<JoinHandle<()>> {
-        let mut set = self.lanes.lock().expect("lane set lock");
-        set.closed = true;
-        for lane in &set.lanes {
-            lane.ingress.close();
+    /// Closes every lane's ingress, lets the workers drain everything
+    /// already accepted, and joins them — the shared body of
+    /// [`Service::shutdown`] and `Drop`. Idempotent. Returns whether every
+    /// worker exited cleanly.
+    fn stop(&self) -> bool {
+        let threads = {
+            let mut set = self.lanes.lock().expect("lane set lock");
+            set.closed = true;
+            for lane in &set.lanes {
+                lane.ingress.close();
+            }
+            std::mem::take(&mut set.threads)
+        };
+        let mut clean = true;
+        for handle in threads {
+            clean &= handle.join().is_ok();
         }
-        std::mem::take(&mut set.threads)
+        clean
     }
 
     /// Stops accepting requests, answers everything already accepted, and
-    /// joins every lane's batcher and workers.
+    /// joins every lane's workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker thread panicked.
     pub fn shutdown(self) {
-        for handle in self.close_lanes() {
-            handle.join().expect("service thread panicked");
-        }
+        assert!(self.stop(), "service thread panicked");
     }
 }
 
@@ -979,9 +981,7 @@ impl Drop for Service {
     /// A dropped (not shut down) service still closes the lanes and joins,
     /// so no thread outlives the handle.
     fn drop(&mut self) {
-        for handle in self.close_lanes() {
-            let _ = handle.join();
-        }
+        self.stop();
     }
 }
 
@@ -1272,5 +1272,102 @@ mod tests {
         // One engine counter accumulates across its width lanes.
         assert_eq!(stats.engine("vlcsa1").unwrap().lanes, 3);
         service.shutdown();
+    }
+
+    #[test]
+    fn a_lone_request_waits_out_no_window() {
+        // By default a worker runs whatever it took at once. A 500 µs
+        // batching window would make every lone round trip at least that
+        // long; half of it is the bound.
+        let service = Service::start(ServeConfig::default());
+        let (a, b) = (UBig::from_u128(40, 8), UBig::from_u128(2, 8));
+        let mut micros: Vec<u128> = (0..201)
+            .map(|_| {
+                let (a, b) = (a.clone(), b.clone());
+                let start = Instant::now();
+                let out = service.add_blocking("ripple", a, b).unwrap();
+                let took = start.elapsed().as_micros();
+                assert_eq!(out.sum.to_u128(), Some(42));
+                took
+            })
+            .collect();
+        micros.sort_unstable();
+        assert!(micros[100] < 250, "median round trip {} µs", micros[100]);
+        service.shutdown();
+    }
+
+    /// Several threads submit while [`Service::stop`] — the body of
+    /// `shutdown` — runs: every accepted request is answered exactly once,
+    /// every refused one never, and an open linger does not hold the stop
+    /// up.
+    fn submits_racing_shutdown_are_answered_exactly_once(max_wait: Duration) {
+        let service = Service::start(ServeConfig {
+            max_wait,
+            ..ServeConfig::default()
+        });
+        let accepted = AtomicUsize::new(0);
+        let (requests, stop_took) = std::thread::scope(|scope| {
+            let submitters: Vec<_> = ["ripple", "vlcsa1", "vlcsa1", "carry-select"]
+                .into_iter()
+                .map(|engine| {
+                    let (service, accepted) = (&service, &accepted);
+                    scope.spawn(move || {
+                        let mut requests = Vec::new();
+                        for i in 0u128.. {
+                            let replies = Arc::new(AtomicUsize::new(0));
+                            let counter = Arc::clone(&replies);
+                            let reply: Reply = Box::new(move |result| {
+                                assert_eq!(result.sum.to_u128(), Some(i + 1));
+                                counter.fetch_add(1, Ordering::SeqCst);
+                            });
+                            let (a, b) = (UBig::from_u128(i, 64), UBig::from_u128(1, 64));
+                            match service.submit(engine, a, b, reply) {
+                                Ok(()) => {
+                                    accepted.fetch_add(1, Ordering::Relaxed);
+                                    requests.push((replies, true));
+                                }
+                                Err(SubmitError::Stopped) => {
+                                    requests.push((replies, false));
+                                    break;
+                                }
+                                Err(other) => panic!("{other}"),
+                            }
+                        }
+                        requests
+                    })
+                })
+                .collect();
+            while accepted.load(Ordering::Relaxed) < 1000 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let start = Instant::now();
+            assert!(service.stop(), "a lane worker panicked");
+            let stop_took = start.elapsed();
+            let requests: Vec<(Arc<AtomicUsize>, bool)> = submitters
+                .into_iter()
+                .flat_map(|s| s.join().expect("submitter"))
+                .collect();
+            (requests, stop_took)
+        });
+        assert!(
+            stop_took < Duration::from_secs(10),
+            "shutdown waited out the linger: {stop_took:?}"
+        );
+        for (replies, ok) in &requests {
+            assert_eq!(replies.load(Ordering::SeqCst), usize::from(*ok));
+        }
+        let refused = requests.iter().filter(|(_, ok)| !ok).count();
+        assert_eq!(refused, 4, "each submitter stops at its first refusal");
+        service.shutdown();
+    }
+
+    #[test]
+    fn submits_racing_shutdown_are_answered_exactly_once_without_linger() {
+        submits_racing_shutdown_are_answered_exactly_once(Duration::ZERO);
+    }
+
+    #[test]
+    fn submits_racing_shutdown_are_answered_exactly_once_in_a_long_linger() {
+        submits_racing_shutdown_are_answered_exactly_once(Duration::from_secs(30));
     }
 }

@@ -158,8 +158,9 @@ pub fn submit_error(seq: u64, err: SubmitError) -> RequestError {
 
 /// Dispatches one text-protocol line: parse, validate, submit; answer
 /// errors inline through the sink. `ADD`/`SUM`/`PROG` replies arrive
-/// later, from a worker thread, when the batching window flushes — the
-/// sink is retained (via `Arc`) until every in-flight reply has fired.
+/// later, from a lane worker, once the request's issue group has run —
+/// the sink is retained (via `Arc`) until every in-flight reply has
+/// fired.
 pub fn dispatch_text<S: ResponseSink>(line: &str, service: &Service, sink: &Arc<S>) {
     let (seq, engine, operands) = match parse_request(line) {
         Ok(Request::Add {

@@ -1,9 +1,9 @@
 //! Head-of-line isolation across serve lanes: a stalled engine must not
 //! delay any other `(engine, width)` lane.
 //!
-//! This is the scale-out runtime's core claim — per-lane batchers, queues
-//! and workers mean a slow engine head-of-line-blocks only its own
-//! traffic — pinned deterministically, with no sleeps: a synthetic
+//! This is the scale-out runtime's core claim — per-lane queues and
+//! workers mean a slow engine head-of-line-blocks only its own traffic —
+//! pinned deterministically, with no sleeps: a synthetic
 //! `gated` engine (registered through the [`RegistryCache::with_factory`]
 //! seam) parks its worker inside `add_batch` on a condvar handshake, the
 //! test *observes* the park, drives a full burst through other lanes to
@@ -301,5 +301,61 @@ fn stalled_lane_keeps_only_its_own_backlog() {
         answered += 1;
     }
     assert_eq!(answered, 3, "every gated request answered after release");
+    service.shutdown();
+}
+
+/// Work conservation: while a lane's only worker is busy, its requests
+/// pile up, and the worker takes all of them as its next issue group. No
+/// window is involved (`max_wait` is zero by default), so the group's
+/// size is the backlog.
+#[test]
+fn groups_grow_while_the_worker_is_busy() {
+    const N: u64 = 40;
+    let gate = Arc::new(Gate::new());
+    let service = Service::start_custom(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        Arc::new(Router::new(RouteConfig::default())),
+        Arc::new(gated_cache(&gate)),
+    );
+    let (tx, rx) = mpsc::channel();
+    let submit = |i: u64| {
+        let tx = tx.clone();
+        service
+            .submit(
+                "gated",
+                UBig::from_u128(i as u128, 64),
+                UBig::from_u128(i as u128 * 3, 64),
+                Box::new(move |result| {
+                    let _ = tx.send((i, result));
+                }),
+            )
+            .expect("gated submit");
+    };
+    // Park the worker inside a one-request group, then queue N behind it.
+    submit(0);
+    gate.await_parked(1);
+    for i in 1..=N {
+        submit(i);
+    }
+    gate.open();
+    drop(tx);
+    let mut answered = vec![false; N as usize + 1];
+    while let Ok((i, result)) = rx.recv_timeout(Duration::from_secs(30)) {
+        assert_eq!(result.sum.to_u128(), Some(i as u128 * 4), "request {i}");
+        assert!(!answered[i as usize], "request {i} answered twice");
+        answered[i as usize] = true;
+    }
+    assert!(answered.iter().all(|a| *a), "every request answered");
+    let stats = service.stats();
+    let gated = stats.engine("gated").expect("gated ran");
+    assert_eq!(
+        (gated.groups, gated.lanes),
+        (2, N + 1),
+        "the backlog ran as one group: {:?}",
+        stats.engines
+    );
     service.shutdown();
 }

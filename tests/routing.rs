@@ -224,7 +224,7 @@ fn slo_breach_forces_a_fixed_family_and_recovery_reenables_variable() {
 }
 
 /// Two routers fed the same script make the same decisions at every
-/// step — the determinism contract the serve batcher and this whole
+/// step — the determinism contract the serve lanes and this whole
 /// harness rely on.
 #[test]
 fn identical_scripts_produce_identical_decision_sequences() {
