@@ -14,6 +14,22 @@
 //! hex on either side. The API is identical across the two; only the
 //! bytes differ.
 //!
+//! # Flush before block
+//!
+//! Every byte the client sends goes through one send buffer, in call
+//! order. A submit is written at once — one write per request — unless a
+//! complete reply already sits unread in the receive buffer, which means
+//! the caller is draining a burst of replies and will read again without
+//! blocking. The request is then held, and every held request goes out in
+//! one write just before the client next blocks on a read: in
+//! [`Client::recv`] (and so [`Client::add`], [`Client::sum`],
+//! [`Client::run_program`]) once no complete reply is buffered, or in
+//! [`Client::close`] or on drop. Commands (`ENGINES`, `STATS`, `SLO`, the
+//! `HELLO` upgrade) take the same path, behind everything held; called as
+//! documented, with nothing in flight, they go out at once. A held
+//! request's write error surfaces as [`ClientError::Io`] from the call
+//! that writes it.
+//!
 //! # Example
 //!
 //! ```no_run
@@ -36,7 +52,7 @@ use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use bitnum::UBig;
 use vlcsa::program::Program;
 
-use crate::binary::{self, BinResponse, FrameReadError, HELLO_LINE};
+use crate::binary::{self, BinResponse, FrameReadError, HEADER_LEN, HELLO_LINE};
 use crate::protocol::{
     format_add, format_program, format_sum, parse_response, RequestError, Response, SloAction,
     StatsReport, OPERAND_RANGE,
@@ -108,10 +124,16 @@ fn engine_id(ids: &HashMap<String, u8>, engine: &str) -> std::io::Result<u8> {
     })
 }
 
+/// Held request bytes past which a submit writes anyway, so a caller
+/// that submits without ever reading holds a bounded amount.
+const HOLD_LIMIT: usize = 64 * 1024;
+
 /// The blocking protocol client — see the module docs.
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// Bytes not yet written: held requests, in submission order.
+    out: Vec<u8>,
     next_seq: u64,
     /// Widths of in-flight requests, by sequence number.
     pending: HashMap<u64, usize>,
@@ -131,6 +153,7 @@ impl Client {
         Ok(Self {
             writer,
             reader,
+            out: Vec::new(),
             next_seq: 1,
             pending: HashMap::new(),
             wire: Wire::Text,
@@ -149,7 +172,7 @@ impl Client {
     /// `ERR 0 bad-request …` instead of the echo).
     pub fn connect_binary(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let mut client = Self::connect(addr)?;
-        client.write_line(HELLO_LINE.to_string())?;
+        client.send(format!("{HELLO_LINE}\n").as_bytes())?;
         let ack = client.read_line()?;
         if ack.trim_end_matches(['\r', '\n']) != HELLO_LINE {
             return Err(ClientError::Protocol(format!(
@@ -179,8 +202,56 @@ impl Client {
         self.pending.len()
     }
 
+    /// Whether a complete reply — a whole line, or a whole frame — sits
+    /// unread in the receive buffer, so the next read will not block.
+    fn reply_buffered(&self) -> bool {
+        let buf = self.reader.buffer();
+        match self.wire {
+            Wire::Text => buf.contains(&b'\n'),
+            Wire::Binary { .. } => {
+                buf.len() >= HEADER_LEN
+                    && buf.len() - HEADER_LEN
+                        >= u32::from_le_bytes(buf[2..6].try_into().expect("4 header bytes"))
+                            as usize
+            }
+        }
+    }
+
+    /// Writes everything held with one `write_all`.
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.writer.write_all(&self.out);
+        self.out.clear();
+        written
+    }
+
+    /// Queues one encoded request or command behind anything held and
+    /// writes it all, unless a complete reply waits unread: then it is
+    /// held until the next read that would block (or until
+    /// [`HOLD_LIMIT`]). A text line goes in whole, newline included:
+    /// under `TCP_NODELAY` every write is its own segment, and a split
+    /// line wakes the server's reader twice.
+    fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.out.extend_from_slice(bytes);
+        if self.reply_buffered() && self.out.len() < HOLD_LIMIT {
+            return Ok(());
+        }
+        self.flush()
+    }
+
+    /// Writes what is held if the next read would block on the socket.
+    fn flush_before_read(&mut self) -> std::io::Result<()> {
+        if self.reply_buffered() {
+            return Ok(());
+        }
+        self.flush()
+    }
+
     /// Reads one response frame (binary mode only).
     fn read_response_frame(&mut self) -> Result<(u8, Vec<u8>), ClientError> {
+        self.flush_before_read()?;
         match binary::read_frame(&mut self.reader) {
             Ok(Some(frame)) => Ok(frame),
             Ok(None) => Err(ClientError::Io(std::io::Error::new(
@@ -192,15 +263,14 @@ impl Client {
         }
     }
 
-    /// Writes one text line and its newline with a single write: under
-    /// `TCP_NODELAY` every write is its own segment, and a split line
-    /// wakes the server's reader twice.
-    fn write_line(&mut self, mut line: String) -> std::io::Result<()> {
+    /// Queues one text line and its newline; see [`Client::send`].
+    fn send_line(&mut self, mut line: String) -> std::io::Result<()> {
         line.push('\n');
-        self.writer.write_all(line.as_bytes())
+        self.send(line.as_bytes())
     }
 
     fn read_line(&mut self) -> Result<String, ClientError> {
+        self.flush_before_read()?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(ClientError::Io(std::io::Error::new(
@@ -214,9 +284,16 @@ impl Client {
     /// Queues one `ADD` without waiting and returns its sequence number.
     /// The operand widths must agree (the request width is theirs).
     ///
+    /// The request is written at once unless a complete reply already
+    /// waits unread; then it is held and written, with every other held
+    /// request, just before the client next blocks on a read, or at
+    /// [`Client::close`] or drop (see the module docs).
+    ///
     /// # Errors
     ///
-    /// Returns the socket write error.
+    /// Returns the socket write error of this request, or of held ones
+    /// written with it. A held request's own write error surfaces from
+    /// the call that writes it.
     ///
     /// # Panics
     ///
@@ -232,12 +309,12 @@ impl Client {
         self.next_seq += 1;
         match &self.wire {
             Wire::Text => {
-                self.write_line(format_add(seq, engine, a, b))?;
+                self.send_line(format_add(seq, engine, a, b))?;
             }
             Wire::Binary { ids } => {
                 let id = engine_id(ids, engine)?;
                 let frame = binary::encode_add(seq, id, a.width(), a.limbs(), b.limbs());
-                self.writer.write_all(&frame)?;
+                self.send(&frame)?;
             }
         }
         self.pending.insert(seq, a.width());
@@ -247,11 +324,12 @@ impl Client {
     /// Queues one `SUM` — a whole n-operand reduction in one request —
     /// without waiting, and returns its sequence number. The response
     /// (via [`Client::recv`]) carries the exact wrapped sum and the
-    /// single final carry-resolve's `cout` and `cycles`.
+    /// single final carry-resolve's `cout` and `cycles`. It reaches the
+    /// wire as [`Client::submit`]'s requests do.
     ///
     /// # Errors
     ///
-    /// Returns the socket write error.
+    /// As [`Client::submit`].
     ///
     /// # Panics
     ///
@@ -272,12 +350,12 @@ impl Client {
         self.next_seq += 1;
         match &self.wire {
             Wire::Text => {
-                self.write_line(format_sum(seq, engine, operands))?;
+                self.send_line(format_sum(seq, engine, operands))?;
             }
             Wire::Binary { ids } => {
                 let id = engine_id(ids, engine)?;
                 let frame = binary::encode_sum(seq, id, operands);
-                self.writer.write_all(&frame)?;
+                self.send(&frame)?;
             }
         }
         self.pending.insert(seq, operands[0].width());
@@ -298,11 +376,12 @@ impl Client {
     }
 
     /// Queues one `PROG` — an arbitrary dataflow add-program — without
-    /// waiting, and returns its sequence number.
+    /// waiting, and returns its sequence number. It reaches the wire as
+    /// [`Client::submit`]'s requests do.
     ///
     /// # Errors
     ///
-    /// Returns the socket write error, or
+    /// As [`Client::submit`], or
     /// [`ClientError::Unrepresentable`] — without sending anything — for
     /// a step-less program: its spec is the empty string, which is not a
     /// wire token (run it locally with
@@ -338,12 +417,12 @@ impl Client {
         self.next_seq += 1;
         match &self.wire {
             Wire::Text => {
-                self.write_line(format_program(seq, engine, program, inputs))?;
+                self.send_line(format_program(seq, engine, program, inputs))?;
             }
             Wire::Binary { ids } => {
                 let id = engine_id(ids, engine)?;
                 let frame = binary::encode_program(seq, id, program, inputs);
-                self.writer.write_all(&frame)?;
+                self.send(&frame)?;
             }
         }
         self.pending.insert(seq, inputs[0].width());
@@ -388,12 +467,14 @@ impl Client {
     }
 
     /// Blocks for the next completion, whichever in-flight request it
-    /// answers: `(seq, Ok(response))` or `(seq, Err(server error))`.
+    /// answers: `(seq, Ok(response))` or `(seq, Err(server error))`. When
+    /// no complete reply is buffered, it first writes every held request.
     ///
     /// # Errors
     ///
-    /// Fails on socket errors, on unparseable lines, and on responses that
-    /// answer no in-flight sequence number.
+    /// Fails on socket errors — a held request's write error included —
+    /// on unparseable lines, and on responses that answer no in-flight
+    /// sequence number.
     pub fn recv(&mut self) -> Result<(u64, Result<AddResponse, RequestError>), ClientError> {
         if self.is_binary() {
             return self.recv_binary();
@@ -484,7 +565,7 @@ impl Client {
                 .map(|(_, name)| name)
                 .collect());
         }
-        self.writer.write_all(b"ENGINES\n")?;
+        self.send(b"ENGINES\n")?;
         let line = self.read_line()?;
         match parse_response(&line, 1).map_err(ClientError::Protocol)? {
             Response::Engines(names) => Ok(names),
@@ -497,7 +578,7 @@ impl Client {
     /// The binary `ENGINES` round trip, ids included — what the upgrade
     /// handshake builds the name→id map from.
     fn engines_entries(&mut self) -> Result<Vec<(u8, String)>, ClientError> {
-        self.writer.write_all(&binary::encode_engines_request())?;
+        self.send(&binary::encode_engines_request())?;
         let (opcode, body) = self.read_response_frame()?;
         match binary::decode_response(opcode, &body).map_err(ClientError::Protocol)? {
             BinResponse::Engines(entries) => Ok(entries),
@@ -516,7 +597,7 @@ impl Client {
     /// in-flight requests — an `OK` arriving first is a protocol error.
     pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
         let line = if self.is_binary() {
-            self.writer.write_all(&binary::encode_stats_request())?;
+            self.send(&binary::encode_stats_request())?;
             let (opcode, body) = self.read_response_frame()?;
             match binary::decode_response(opcode, &body).map_err(ClientError::Protocol)? {
                 // The frame carries the text snapshot line verbatim: one
@@ -529,7 +610,7 @@ impl Client {
                 }
             }
         } else {
-            self.writer.write_all(b"STATS\n")?;
+            self.send(b"STATS\n")?;
             self.read_line()?
         };
         match parse_response(&line, 1).map_err(ClientError::Protocol)? {
@@ -575,7 +656,7 @@ impl Client {
 
     fn slo_command(&mut self, action: SloAction) -> Result<Option<u64>, ClientError> {
         if self.is_binary() {
-            self.writer.write_all(&binary::encode_slo_request(action))?;
+            self.send(&binary::encode_slo_request(action))?;
             let (opcode, body) = self.read_response_frame()?;
             return match binary::decode_response(opcode, &body).map_err(ClientError::Protocol)? {
                 BinResponse::Slo(budget) => Ok(budget),
@@ -589,7 +670,7 @@ impl Client {
             SloAction::Set(micros) => format!("SLO {micros}\n"),
             SloAction::Clear => "SLO off\n".to_string(),
         };
-        self.writer.write_all(line.as_bytes())?;
+        self.send(line.as_bytes())?;
         let line = self.read_line()?;
         match parse_response(&line, 1).map_err(ClientError::Protocol)? {
             Response::Slo(budget) => Ok(budget),
@@ -599,8 +680,19 @@ impl Client {
         }
     }
 
-    /// Shuts the connection down (best effort; dropping does the same).
-    pub fn close(self) {
+    /// Writes every held request, then shuts the connection down (best
+    /// effort; dropping writes what is held but leaves the shutdown to
+    /// the socket's close).
+    pub fn close(mut self) {
+        let _ = self.flush();
         let _ = self.writer.shutdown(Shutdown::Both);
+    }
+}
+
+impl Drop for Client {
+    /// Writes every held request, best effort: a request the caller
+    /// submitted reaches the server even if its reply is never read.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }

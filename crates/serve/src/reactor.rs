@@ -31,10 +31,10 @@
 //!   the only module in the crate allowed `unsafe`.
 //!
 //! Backpressure is unchanged: a full lane ingress queue blocks the
-//! feeding pool thread inside `Service::submit`, the unread socket bytes
-//! back up, and TCP flow control pushes the stall to the client — the
-//! same path the blocking front-end takes, with the pool absorbing it a
-//! few connections at a time instead of one thread each.
+//! feeding pool thread inside the session's end-of-feed push, the unread
+//! socket bytes back up, and TCP flow control pushes the stall to the
+//! client — the same path the threaded front-end takes, with the pool
+//! absorbing it a few connections at a time instead of one thread each.
 
 use std::collections::HashMap;
 use std::io::Read;

@@ -1,26 +1,39 @@
 //! The TCP front-end: a listener, one reader thread per connection, and
 //! response writing from the worker threads.
 //!
-//! Each accepted connection gets a reader thread that parses request lines
-//! ([`crate::protocol`]) and submits them to the shared [`Service`]. A
+//! Each accepted connection gets a reader thread that feeds whatever each
+//! `read` delivers to the connection's [`crate::session::ByteSession`] —
+//! the same protocol state machine the `reactor` feature's epoll pool
+//! feeds, so the two front-ends share one parser and differ only in how
+//! they wait for bytes. A
 //! connection whose **first** non-empty line is exactly
-//! [`HELLO_LINE`] upgrades to the binary
-//! framing of [`crate::binary`] instead — the server echoes the line and
-//! both directions speak frames from then on; every other connection is
-//! text forever. The
-//! write half of the socket is wrapped in an `Arc<Mutex<TcpStream>>`, the
-//! connection's sink; each `ADD`/`SUM`/`PROG` is submitted with that sink
-//! plus its sequence number as its reply address. When an issue group
+//! [`HELLO_LINE`](crate::binary::HELLO_LINE) upgrades to the binary
+//! framing of [`crate::binary`] — the server echoes the line and both
+//! directions speak frames from then on; every other connection is text
+//! forever.
+//!
+//! **Flush before block.** The session answers malformed requests inline
+//! and stages every valid `ADD`/`SUM`/`PROG` of a read per lane; before the
+//! reader blocks on its socket again, each lane gets its run with one
+//! [`Queue::push_all`](crate::queue::Queue::push_all) — one lock round and
+//! at most one worker wake-up per read, not per request. A pipelining
+//! [`Client`](crate::Client) does the same on its side, so a burst of
+//! requests crosses the wire in one write and reaches its lane in one
+//! push.
+//!
+//! The write half of the socket is wrapped in an `Arc<Mutex<TcpStream>>`,
+//! the connection's sink; each `ADD`/`SUM`/`PROG` carries that sink plus
+//! its sequence number as its reply address. When an issue group
 //! completes, its worker gives each connection one chunk: every `OK` line
 //! (or `OK` frame) the group owes that connection, encoded back to back
 //! from the outcome's slab into the worker's reused buffer and written
 //! with one `write_all` under one lock acquisition — out of submission
 //! order when a connection's requests landed in different groups. Every
 //! other response (an `ERR` line, a listing, a frame) is one write too.
-//! Validation and protocol errors are answered inline by the reader as
-//! `ERR` lines; nothing short of a socket error drops a connection.
-//! Because workers write to client sockets directly, a client that stops
-//! reading could otherwise pin a worker on its full send buffer and
+//! Nothing short of a socket error, poisoned framing or a line that is not
+//! UTF-8 drops a connection; on the last two the reader shuts the socket
+//! down. Because workers write to client sockets directly, a client that
+//! stops reading could otherwise pin a worker on its full send buffer and
 //! head-of-line-block every other connection — so each accepted socket
 //! carries [`Server::WRITE_TIMEOUT`], after which the write fails, the
 //! socket is shut down (that client loses the chunk and its connection,
@@ -32,12 +45,11 @@
 //! every thread.
 //!
 //! With the `reactor` cargo feature, the one-reader-thread-per-connection
-//! model is replaced by the [`crate::session::ByteSession`] state machine
-//! driven from an `epoll(7)` reader pool (see the `reactor` module) —
-//! many idle connections, a handful of threads. Everything else — the
-//! service core, the wire protocols, the write path, the shutdown
-//! contract — is identical, and without the feature none of that code is
-//! even compiled.
+//! model is replaced by an `epoll(7)` reader pool feeding the same
+//! sessions (see the `reactor` module) — many idle connections, a handful
+//! of threads. Everything else — the service core, the wire protocols,
+//! the write path, the shutdown contract — is identical, and without the
+//! feature none of that code is even compiled.
 //!
 //! # Example
 //!
@@ -56,23 +68,19 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::Write;
 #[cfg(not(feature = "reactor"))]
-use std::io::{BufRead, BufReader};
+use std::io::Read;
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-#[cfg(not(feature = "reactor"))]
-use crate::binary::{self, FrameReadError, HELLO_LINE};
 use crate::protocol::Response;
-#[cfg(not(feature = "reactor"))]
-use crate::protocol::{ErrorCode, RequestError};
 use crate::service::{ServeConfig, Service};
 #[cfg(not(feature = "reactor"))]
-use crate::session;
+use crate::session::{ByteSession, FeedOutcome};
 use crate::session::{FrameSink, OkBatch, ResponseSink};
 
 /// Writes `bytes` — a line, a frame, or a whole chunk of answers — to a
@@ -119,92 +127,36 @@ impl FrameSink for Mutex<TcpStream> {
     }
 }
 
-/// One connection's read loop: parse, validate, submit; answer errors
-/// inline. Returns when the client disconnects or the socket is shut down.
-///
-/// Protocol negotiation happens here, once: if the first non-empty line
-/// is exactly [`HELLO_LINE`], the server echoes it and hands the
-/// connection to [`serve_binary`] — that decision point is the only one,
-/// so text responses and frames can never interleave on one socket. A
-/// `HELLO` anywhere later is just an unknown text command
-/// (`ERR 0 bad-request`).
+/// Bytes one `read` may hand a connection's session — std's `BufReader`
+/// default. The buffer is zeroed per connection, so a larger one costs
+/// every connection setup time and memory, busy or not.
+#[cfg(not(feature = "reactor"))]
+const READ_BUF: usize = 8 * 1024;
+
+/// One connection's reader thread: feeds whatever each `read` delivers to
+/// the connection's [`ByteSession`], which answers errors inline and queues
+/// the read's requests before this loop blocks on the socket again.
+/// Returns when the client disconnects, the socket is shut down, or the
+/// session closes the stream — then it shuts the socket down, as the
+/// reactor does.
 #[cfg(not(feature = "reactor"))]
 fn serve_connection(stream: TcpStream, service: &Service) {
-    let mut reader = match stream.try_clone() {
-        Ok(read_half) => BufReader::new(read_half),
-        Err(_) => return,
+    let Ok(writer) = stream.try_clone() else {
+        return;
     };
-    let writer = Arc::new(Mutex::new(stream));
-    let mut first = true;
-    let mut line = String::new();
+    let mut session = ByteSession::new(Arc::new(Mutex::new(writer)));
+    let mut buf = vec![0u8; READ_BUF];
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        if first && line.trim_end_matches(['\r', '\n']) == HELLO_LINE {
-            // The ack is the upgrade line itself, echoed; it is the last
-            // text this connection ever sees. The upgrade exchange counts
-            // as neither protocol's traffic.
-            if !write_chunk(&writer, format!("{HELLO_LINE}\n").as_bytes()) {
-                return;
-            }
-            serve_binary(reader, &writer, service);
+        let n = match (&stream).read(&mut buf) {
+            Ok(0) => return,
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        };
+        if session.feed(&buf[..n], service) == FeedOutcome::Close {
+            let _ = stream.shutdown(Shutdown::Both);
             return;
         }
-        first = false;
-        service.note_text_request();
-        session::dispatch_text(&line, service, &writer);
-    }
-}
-
-/// The binary read loop, entered once per upgraded connection and never
-/// left. This is pure transport: read frames, hand them to
-/// [`session::dispatch_binary`]. Error policy, per frame:
-///
-/// - a clean close at a frame boundary, or a socket error / disconnect
-///   mid-frame: return (nothing to answer a half-frame with);
-/// - an untrustworthy header (unknown version byte, length prefix over
-///   [`binary::MAX_FRAME_BODY`]): answer one `ERR` frame and close — the
-///   stream cannot be resynchronized;
-/// - a malformed **body**: dispatch answers an `ERR` frame and the loop
-///   keeps going — the length prefix already delimited the bad frame, so
-///   later frames on the same connection are unaffected.
-#[cfg(not(feature = "reactor"))]
-fn serve_binary(
-    mut reader: BufReader<TcpStream>,
-    writer: &Arc<Mutex<TcpStream>>,
-    service: &Service,
-) {
-    // Engine ids are indices into the width-independent name listing —
-    // the same listing (and the same `lookup` error surface) the text
-    // `ENGINES` command exposes.
-    let names = service.registries().at(64).names();
-    loop {
-        let (opcode, body) = match binary::read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return,
-            Err(FrameReadError::Io(_)) => return,
-            Err(poison) => {
-                service.note_binary_request();
-                writer.send_frame(&binary::encode_err(&RequestError {
-                    seq: 0,
-                    code: ErrorCode::BadRequest,
-                    message: poison.to_string(),
-                }));
-                let _ = writer
-                    .lock()
-                    .expect("connection write lock")
-                    .shutdown(Shutdown::Both);
-                return;
-            }
-        };
-        service.note_binary_request();
-        session::dispatch_binary(opcode, &body, &names, service, writer);
     }
 }
 

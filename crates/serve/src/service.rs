@@ -5,14 +5,16 @@
 //!
 //! Requests flow through two stages, the second private to a lane:
 //!
-//! 1. **Submitters** (connection readers, or [`Service::add_blocking`]
+//! 1. **Submitters** (connection sessions, or [`Service::add_blocking`]
 //!    callers) validate a request — width in range, operands same width,
 //!    engine resolved against the width's [`Registry`], `auto` resolved to
 //!    a concrete engine by the [`Router`] — and push a job into the
 //!    matching lane's bounded ingress queue, spinning the lane up on first
 //!    use. Validation and routing happen *before* queueing so a bad
 //!    request fails alone, with a structured error, and every queued job
-//!    already knows which lane runs it.
+//!    already knows which lane runs it. In-process submits queue at once;
+//!    a connection's [`ByteSession`](crate::session::ByteSession) caches
+//!    its lanes and hands each one a whole read's requests with one push.
 //! 2. **The lane's workers** block until the ingress holds a job, take
 //!    everything queued — up to `max_lanes` — under one lock, build it
 //!    into one [`IssueGroup`](vlcsa::group::IssueGroup) with a
@@ -60,6 +62,7 @@
 //! service.shutdown();
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -391,7 +394,7 @@ impl Operands {
         Self::program(&program, operands)
     }
 
-    fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         match self {
             Self::Values { a, .. } => a.width(),
             Self::Limbs { width, .. } => *width,
@@ -403,9 +406,10 @@ impl Operands {
 /// workers. The engine and width are the lane's — resolved before
 /// queueing — so the job carries only the operands, the reply and its
 /// submit time on the router's clock.
-struct Job {
+pub(crate) struct Job {
     operands: Operands,
-    reply: ReplyTo,
+    /// Where the answer goes.
+    pub(crate) reply: ReplyTo,
     submitted: u64,
 }
 
@@ -505,10 +509,12 @@ impl Metrics {
 /// One `(engine, width)` worker lane: the submit-facing half. Its workers
 /// are spawned at creation and owned by the [`LaneSet`]'s join list;
 /// submitters only see the ingress queue and the window gauge.
-struct Lane {
-    engine: String,
+pub(crate) struct Lane {
+    /// The registry name of the lane's engine.
+    pub(crate) engine: &'static str,
     width: usize,
-    ingress: Queue<Job>,
+    /// The bounded queue the lane's workers take their groups from.
+    pub(crate) ingress: Queue<Job>,
     /// Requests workers have taken from `ingress` but not yet run,
     /// including those inside an open linger window.
     window_lanes: AtomicUsize,
@@ -561,7 +567,7 @@ impl Lane {
     ) {
         let executor = Executor::new(config.exec_threads);
         let mut jobs = Vec::with_capacity(config.max_lanes);
-        let mut builder: LaneBuilder<ReplyTo> = LaneBuilder::new(&self.engine, self.width);
+        let mut builder: LaneBuilder<ReplyTo> = LaneBuilder::new(self.engine, self.width);
         let mut delivery = Delivery::default();
         while self.take_group(&mut jobs, config.max_lanes, config.max_wait) {
             let taken = jobs.len();
@@ -573,12 +579,12 @@ impl Lane {
             let group = builder.drain().expect("a taken job is a lane");
             self.window_lanes.fetch_sub(taken, Ordering::Relaxed);
             let out = executor.run(engine, &group.a, &group.b);
-            metrics.record_group(&self.engine, out.lanes() as u64, out.stalls());
+            metrics.record_group(self.engine, out.lanes() as u64, out.stalls());
             delivery.deliver(&out, group.tags);
             // Every group feeds the router — named traffic too — so `auto`
             // estimates warm up from whatever runs.
             router.record(
-                &self.engine,
+                self.engine,
                 self.width,
                 out.lanes() as u64,
                 out.stalls(),
@@ -663,7 +669,7 @@ impl Service {
     /// The lane serving `(engine, width)`, spun up on first use: its
     /// `config.workers` workers are spawned here and their handles parked
     /// in the [`LaneSet`] for shutdown to join.
-    fn lane_for(&self, engine: &str, width: usize) -> Result<Arc<Lane>, SubmitError> {
+    fn lane_for(&self, engine: &'static str, width: usize) -> Result<Arc<Lane>, SubmitError> {
         let mut set = self.lanes.lock().expect("lane set lock");
         if set.closed {
             return Err(SubmitError::Stopped);
@@ -676,7 +682,7 @@ impl Service {
             return Ok(Arc::clone(lane));
         }
         let lane = Arc::new(Lane {
-            engine: engine.to_string(),
+            engine,
             width,
             ingress: Queue::new(self.config.queue_depth),
             window_lanes: AtomicUsize::new(0),
@@ -691,7 +697,7 @@ impl Service {
             set.threads.push(std::thread::spawn(move || {
                 let registry = registries.at(lane.width);
                 let engine = registry
-                    .lookup(&lane.engine)
+                    .lookup(lane.engine)
                     .expect("engine validated at submit time or routed");
                 lane.work(engine, config, &metrics, &router);
             }));
@@ -731,7 +737,7 @@ impl Service {
             .lanes
             .iter()
             .map(|lane| LaneStats {
-                engine: lane.engine.clone(),
+                engine: lane.engine.to_string(),
                 width: lane.width,
                 depth: lane.ingress.len(),
                 occupancy: lane.window_lanes.load(Ordering::Relaxed),
@@ -785,46 +791,65 @@ impl Service {
         self.router.set_slo(micros);
     }
 
-    /// Resolves a submitted engine name to the concrete engine whose lane
-    /// runs it: `auto` asks the [`Router`] (per request, with the current
-    /// estimates — so consecutive `auto` requests can land on different
-    /// lanes as estimates move), anything else must be a registry name at
-    /// the width.
-    fn canonical_engine(&self, engine: &str, width: usize) -> Result<String, SubmitError> {
-        if engine == AUTO_ENGINE {
-            return Ok(self
-                .router
+    /// `engine` itself, or for `auto` the engine the [`Router`] picks at
+    /// `width` for the next request, with the current estimates — so
+    /// consecutive `auto` requests can land on different lanes as the
+    /// estimates move.
+    pub(crate) fn routed<'a>(&self, engine: &'a str, width: usize) -> Cow<'a, str> {
+        if engine != AUTO_ENGINE {
+            return Cow::Borrowed(engine);
+        }
+        Cow::Owned(
+            self.router
                 .route(width)
                 .expect("the registry lists engines at every valid width")
-                .engine);
-        }
+                .engine,
+        )
+    }
+
+    /// Resolves a submitted engine name to the registry name of the
+    /// engine whose lane runs it: `auto` is [`Service::routed`] and the
+    /// pick looked up like any other name, which must be a registry name
+    /// at the width.
+    fn canonical_engine(&self, engine: &str, width: usize) -> Result<&'static str, SubmitError> {
         Ok(self
             .registries
             .at(width)
-            .lookup(engine)
+            .lookup(&self.routed(engine, width))
             .map_err(SubmitError::UnknownEngine)?
-            .name()
-            .to_string())
+            .name())
+    }
+
+    /// The lane that runs `engine` (a registry name, or `auto`) at
+    /// `width`, spun up on first use.
+    pub(crate) fn lane(&self, engine: &str, width: usize) -> Result<Arc<Lane>, SubmitError> {
+        self.lane_for(self.canonical_engine(engine, width)?, width)
+    }
+
+    /// A validated request as its lane's job, stamped with the router's
+    /// clock.
+    pub(crate) fn job(&self, operands: Operands, reply: ReplyTo) -> Job {
+        Job {
+            operands,
+            reply,
+            submitted: self.router.now_micros(),
+        }
     }
 
     /// Routes one validated request to its `(engine, width)` lane —
-    /// spinning the lane up on first use — stamps it with the router's
-    /// clock and queues it: the shared tail of every submit path.
+    /// spinning the lane up on first use — stamps it and queues it at
+    /// once, as a batch of one: the shared tail of every in-process
+    /// submit path and of the one-request dispatches.
     pub(crate) fn submit_to(
         &self,
         engine: &str,
         operands: Operands,
         reply: ReplyTo,
     ) -> Result<(), SubmitError> {
-        let width = operands.width();
-        let engine = self.canonical_engine(engine, width)?;
-        let lane = self.lane_for(&engine, width)?;
-        let job = Job {
-            operands,
-            reply,
-            submitted: self.router.now_micros(),
-        };
-        lane.ingress.push(job).map_err(|_| SubmitError::Stopped)
+        let lane = self.lane(engine, operands.width())?;
+        lane.ingress
+            .push(self.job(operands, reply))
+            .map_err(|_| SubmitError::Stopped)
     }
 
     /// Validates and queues one addition; `reply` fires from a worker once
@@ -950,7 +975,7 @@ impl Service {
     /// already accepted, and joins them — the shared body of
     /// [`Service::shutdown`] and `Drop`. Idempotent. Returns whether every
     /// worker exited cleanly.
-    fn stop(&self) -> bool {
+    pub(crate) fn stop(&self) -> bool {
         let threads = {
             let mut set = self.lanes.lock().expect("lane set lock");
             set.closed = true;

@@ -1,10 +1,14 @@
-//! Transport-independent request dispatch: the per-request surface of
-//! both wire protocols, factored out of the TCP front-end.
+//! Transport-independent request dispatch: the per-connection protocol
+//! state of both wire protocols, and the per-request surface under it.
 //!
-//! [`server`](crate::server) owns sockets, threads, and framing; this
-//! module owns what happens *between* a decoded request and the
-//! [`Service`] — validation-error mapping, submit calls, and reply
-//! routing. Responses leave through a caller-supplied sink:
+//! [`server`](crate::server) and the `reactor` feature own sockets and
+//! threads; both feed each connection's bytes to a [`ByteSession`], which
+//! owns framing, the `HELLO` upgrade, and what happens *between* a decoded
+//! request and the [`Service`] — validation-error mapping, staging each
+//! read's requests per lane until the caller would block, and reply
+//! routing. [`dispatch_text`] and [`dispatch_binary`] are the one-request
+//! form, which queues at once. Responses leave through a caller-supplied
+//! sink:
 //!
 //! * [`ResponseSink`] receives parsed [`Response`] values (the text
 //!   protocol's unit of output);
@@ -29,6 +33,7 @@
 //!
 //! [`vlcsa-ffi`]: https://docs.rs/vlcsa-ffi
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bitnum::MAX_WIDTH;
@@ -42,7 +47,7 @@ use crate::binary::{
 use crate::protocol::{
     self, format_response, parse_request, ErrorCode, Request, RequestError, Response, SloAction,
 };
-use crate::service::{Conn, Operands, ReplyTo, Service, SubmitError};
+use crate::service::{Conn, Job, Lane, Operands, ReplyTo, Service, SubmitError};
 
 /// Where parsed text-protocol responses go. Implementations must
 /// tolerate concurrent calls from worker threads and serialize their own
@@ -160,8 +165,19 @@ pub fn submit_error(seq: u64, err: SubmitError) -> RequestError {
 /// errors inline through the sink. `ADD`/`SUM`/`PROG` replies arrive
 /// later, from a lane worker, once the request's issue group has run —
 /// the sink is retained (via `Arc`) until every in-flight reply has
-/// fired.
+/// fired. The request is queued at once, as a batch of one; a
+/// [`ByteSession`] stages a whole read instead.
 pub fn dispatch_text<S: ResponseSink>(line: &str, service: &Service, sink: &Arc<S>) {
+    text_request(line, service, sink, None);
+}
+
+/// [`dispatch_text`], staging the request on `staging` when given one.
+fn text_request<S: ResponseSink>(
+    line: &str,
+    service: &Service,
+    sink: &Arc<S>,
+    staging: Option<&mut Staging>,
+) {
     let (seq, engine, operands) = match parse_request(line) {
         Ok(Request::Add {
             seq, engine, a, b, ..
@@ -180,6 +196,7 @@ pub fn dispatch_text<S: ResponseSink>(line: &str, service: &Service, sink: &Arc<
             ..
         }) => (seq, engine, Operands::program(&program, &inputs)),
         Ok(Request::Engines) => {
+            settle(staging);
             // Engine names are width-independent; any registry lists
             // them. 64 is as good a cache key as any. `auto` rides
             // along so clients discover the pseudo-engine too.
@@ -191,8 +208,12 @@ pub fn dispatch_text<S: ResponseSink>(line: &str, service: &Service, sink: &Arc<
                 .collect();
             return sink.send(&Response::Engines(names));
         }
-        Ok(Request::Stats) => return sink.send(&Response::Stats(service.stats())),
+        Ok(Request::Stats) => {
+            settle(staging);
+            return sink.send(&Response::Stats(service.stats()));
+        }
         Ok(Request::Slo(action)) => {
+            settle(staging);
             apply_slo(service, action);
             // Always echo the budget now in force, so a set doubles
             // as a readback and a query is just the degenerate case.
@@ -204,7 +225,11 @@ pub fn dispatch_text<S: ResponseSink>(line: &str, service: &Service, sink: &Arc<
         conn: Conn::Text(Arc::clone(sink) as Arc<dyn ResponseSink>),
         seq,
     };
-    if let Err(err) = operands.and_then(|ops| service.submit_to(&engine, ops, reply)) {
+    let submitted = operands.and_then(|ops| match staging {
+        Some(staging) => staging.stage(service, &engine, ops, reply),
+        None => service.submit_to(&engine, ops, reply),
+    });
+    if let Err(err) = submitted {
         sink.send(&Response::Err(submit_error(seq, err)));
     }
 }
@@ -215,13 +240,26 @@ pub fn dispatch_text<S: ResponseSink>(line: &str, service: &Service, sink: &Arc<
 /// into — the caller computes it once per connection, not per frame.
 /// Body-level malformation is answered and absorbed here; only the
 /// *caller* can see header-level poison (bad version, oversized length),
-/// which is a close-the-stream event.
+/// which is a close-the-stream event. The request is queued at once, as
+/// a batch of one; a [`ByteSession`] stages a whole read instead.
 pub fn dispatch_binary<S: FrameSink>(
     opcode: u8,
     body: &[u8],
     names: &[&'static str],
     service: &Service,
     sink: &Arc<S>,
+) {
+    frame_request(opcode, body, names, service, sink, None);
+}
+
+/// [`dispatch_binary`], staging the request on `staging` when given one.
+fn frame_request<S: FrameSink>(
+    opcode: u8,
+    body: &[u8],
+    names: &[&'static str],
+    service: &Service,
+    sink: &Arc<S>,
+    staging: Option<&mut Staging>,
 ) {
     let (seq, engine, operands) = match binary::decode_request(opcode, body, names) {
         // The limbs go straight from the frame into the slab layout; the
@@ -247,6 +285,7 @@ pub fn dispatch_binary<S: FrameSink>(
             ..
         }) => (seq, engine, Operands::program(&program, &inputs)),
         Ok(BinRequest::Engines) => {
+            settle(staging);
             let entries: Vec<(u8, &str)> = names
                 .iter()
                 .enumerate()
@@ -256,12 +295,14 @@ pub fn dispatch_binary<S: FrameSink>(
             return sink.send_frame(&binary::encode_engines(&entries));
         }
         Ok(BinRequest::Stats) => {
+            settle(staging);
             // The counters snapshot rides as its text line — one
             // format, one parser, whatever the transport.
             let line = format_response(&Response::Stats(service.stats()));
             return sink.send_frame(&binary::encode_stats(&line));
         }
         Ok(BinRequest::Slo(action)) => {
+            settle(staging);
             apply_slo(service, action);
             return sink.send_frame(&binary::encode_slo(service.slo()));
         }
@@ -271,8 +312,20 @@ pub fn dispatch_binary<S: FrameSink>(
         conn: Conn::Frame(Arc::clone(sink) as Arc<dyn FrameSink>),
         seq,
     };
-    if let Err(err) = operands.and_then(|ops| service.submit_to(engine, ops, reply)) {
+    let submitted = operands.and_then(|ops| match staging {
+        Some(staging) => staging.stage(service, engine, ops, reply),
+        None => service.submit_to(engine, ops, reply),
+    });
+    if let Err(err) = submitted {
         sink.send_frame(&binary::encode_err(&submit_error(seq, err)));
+    }
+}
+
+/// Queues what a session has staged before a command answers, so the
+/// command sees every request before it on its connection.
+fn settle(staging: Option<&mut Staging>) {
+    if let Some(staging) = staging {
+        staging.flush();
     }
 }
 
@@ -283,6 +336,78 @@ fn apply_slo(service: &Service, action: SloAction) {
         SloAction::Query => {}
         SloAction::Set(micros) => service.set_slo(Some(micros)),
         SloAction::Clear => service.set_slo(None),
+    }
+}
+
+/// One connection's staged ingress: the concrete lanes it has used, and
+/// the jobs decoded since it last flushed, one run per lane.
+///
+/// A request naming a concrete engine finds its lane here without taking
+/// the registry-cache or lane-set lock; `auto` is routed per request and
+/// its pick looked up the same way. The cache holds at most the lanes
+/// that exist, and the runs at most one read's requests.
+#[derive(Default)]
+struct Staging {
+    /// Every lane this connection has used, by width.
+    lanes: HashMap<usize, Vec<Arc<Lane>>>,
+    /// Jobs waiting for the next flush, one run per lane, in first-use
+    /// order.
+    runs: Vec<(Arc<Lane>, Vec<Job>)>,
+}
+
+impl Staging {
+    /// Resolves one validated request to its lane, stamps it and appends
+    /// it to that lane's run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Service::lane`] on a cache miss: an unknown engine, or a
+    /// stopped service.
+    fn stage(
+        &mut self,
+        service: &Service,
+        engine: &str,
+        operands: Operands,
+        reply: ReplyTo,
+    ) -> Result<(), SubmitError> {
+        let width = operands.width();
+        let engine = service.routed(engine, width);
+        let cached = self.lanes.entry(width).or_default();
+        let i = match cached.iter().position(|lane| lane.engine == engine) {
+            Some(i) => i,
+            None => {
+                cached.push(service.lane(&engine, width)?);
+                cached.len() - 1
+            }
+        };
+        let lane = &cached[i];
+        let job = service.job(operands, reply);
+        match self.runs.iter_mut().find(|(l, _)| Arc::ptr_eq(l, lane)) {
+            Some((_, jobs)) => jobs.push(job),
+            None => self.runs.push((Arc::clone(lane), vec![job])),
+        }
+        Ok(())
+    }
+
+    /// Hands every lane its staged run with one [`Queue::push_all`]
+    /// (`crate::queue::Queue`). A run refused because its lane closed is
+    /// answered here, `ERR <seq> shutdown` per request — a cached lane is
+    /// closed by a shutdown like any other, so it cannot bypass one.
+    fn flush(&mut self) {
+        for (lane, mut jobs) in self.runs.drain(..) {
+            if lane.ingress.push_all(&mut jobs) {
+                continue;
+            }
+            for job in jobs {
+                if let ReplyTo::Wire { conn, seq } = job.reply {
+                    let err = submit_error(seq, SubmitError::Stopped);
+                    match conn {
+                        Conn::Text(sink) => sink.send(&Response::Err(err)),
+                        Conn::Frame(sink) => sink.send_frame(&binary::encode_err(&err)),
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -297,35 +422,44 @@ pub enum FeedOutcome {
     Close,
 }
 
-/// The event-driven twin of the server's blocking read loops: an
-/// incremental byte-stream session for transports that deliver bytes in
-/// arbitrary slices (the `reactor` feature's epoll reader pool) instead
-/// of owning a blocking per-connection read loop.
-///
-/// Semantics match `serve_connection` / `serve_binary` in
-/// [`server`](crate::server) exactly:
+/// One connection's protocol state: an incremental byte-stream session
+/// that both TCP front-ends feed whatever each `read` delivers — the
+/// threaded server from its per-connection reader thread, the `reactor`
+/// feature from its epoll reader pool. They differ only in how they wait
+/// for bytes.
 ///
 /// * text lines are dispatched as they complete; blank lines are ignored
 ///   and do not burn the upgrade opportunity;
 /// * a **first** non-empty line equal to [`HELLO_LINE`] upgrades the
 ///   session to binary framing — the ack (the upgrade line echoed) leaves
 ///   through [`FrameSink`] as raw bytes, the last non-frame output the
-///   connection ever sees;
+///   connection ever sees; a `HELLO` any later is an unknown command;
 /// * framed mode consumes length-delimited frames; an untrustworthy
 ///   header (unknown version byte, lying length prefix) answers one `ERR`
-///   frame and reports [`FeedOutcome::Close`];
-/// * a line that is not valid UTF-8 closes the stream, as the blocking
-///   reader's `read_line` error path does.
+///   frame and reports [`FeedOutcome::Close`]; a malformed body is
+///   answered and the stream stays in sync;
+/// * a line that is not valid UTF-8 reports [`FeedOutcome::Close`].
+///
+/// **Flush before block.** Requests are parsed in place; only an
+/// incomplete tail is kept for the next call. Errors are answered inline,
+/// but every valid `ADD`/`SUM`/`PROG` is staged, per lane, and each lane
+/// gets its run with one [`Queue::push_all`](crate::queue::Queue::push_all)
+/// when `feed` returns — the point where the caller is about to block on
+/// its socket again. So one read's burst reaches a lane in one lock round
+/// with at most one wake-up, and an idle lane takes it as one issue
+/// group. `ENGINES`, `STATS` and `SLO` flush first, so they see every
+/// request before them.
 ///
 /// One instance is one connection's state; callers serialize `feed` per
-/// connection (the reactor holds a per-connection lock). Replies to
-/// batched submissions arrive later, from worker threads, through the
-/// same sink — identical to the blocking front-end.
+/// connection. Replies to queued requests arrive later, from worker
+/// threads, through the same sink.
 pub struct ByteSession<S> {
     sink: Arc<S>,
+    /// The incomplete tail of the bytes fed so far.
     buf: Vec<u8>,
     mode: SessionMode,
     first: bool,
+    staging: Staging,
 }
 
 enum SessionMode {
@@ -341,23 +475,44 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
             buf: Vec::new(),
             mode: SessionMode::Text,
             first: true,
+            staging: Staging::default(),
         }
     }
 
     /// Consumes `bytes` — any split, including an empty slice — and
-    /// dispatches every request they complete. Incomplete trailing input
-    /// is buffered for the next call.
+    /// dispatches every request they complete, then queues what it staged.
+    /// Incomplete trailing input is kept for the next call.
     pub fn feed(&mut self, bytes: &[u8], service: &Service) -> FeedOutcome {
-        self.buf.extend_from_slice(bytes);
+        let mut tail = std::mem::take(&mut self.buf);
+        let outcome = if tail.is_empty() {
+            let (used, outcome) = self.consume(bytes, service);
+            tail.extend_from_slice(&bytes[used..]);
+            outcome
+        } else {
+            tail.extend_from_slice(bytes);
+            let (used, outcome) = self.consume(&tail, service);
+            tail.drain(..used);
+            outcome
+        };
+        self.buf = tail;
+        self.staging.flush();
+        outcome
+    }
+
+    /// Dispatches every whole request at the front of `bytes`; returns
+    /// how many bytes they took and how the stream stands.
+    fn consume(&mut self, bytes: &[u8], service: &Service) -> (usize, FeedOutcome) {
+        let mut used = 0;
         loop {
+            let rest = &bytes[used..];
             match &self.mode {
                 SessionMode::Text => {
-                    let Some(nl) = self.buf.iter().position(|&b| b == b'\n') else {
-                        return FeedOutcome::Continue;
+                    let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+                        return (used, FeedOutcome::Continue);
                     };
-                    let line: Vec<u8> = self.buf.drain(..=nl).collect();
-                    let Ok(line) = std::str::from_utf8(&line) else {
-                        return FeedOutcome::Close;
+                    used += nl + 1;
+                    let Ok(line) = std::str::from_utf8(&rest[..=nl]) else {
+                        return (used, FeedOutcome::Close);
                     };
                     if line.trim().is_empty() {
                         continue;
@@ -366,7 +521,7 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
                         // The ack is the upgrade line itself; it rides the
                         // frame sink because it is raw bytes, not a
                         // `Response`. The exchange counts as neither
-                        // protocol's traffic, as in the blocking loop.
+                        // protocol's traffic.
                         self.sink.send_frame(format!("{HELLO_LINE}\n").as_bytes());
                         self.mode = SessionMode::Binary {
                             names: service.registries().at(64).names(),
@@ -375,15 +530,15 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
                     }
                     self.first = false;
                     service.note_text_request();
-                    dispatch_text(line, service, &self.sink);
+                    text_request(line, service, &self.sink, Some(&mut self.staging));
                 }
                 SessionMode::Binary { names } => {
-                    if self.buf.len() < HEADER_LEN {
-                        return FeedOutcome::Continue;
+                    if rest.len() < HEADER_LEN {
+                        return (used, FeedOutcome::Continue);
                     }
-                    let version = self.buf[0];
-                    let len = u32::from_le_bytes(self.buf[2..6].try_into().expect("4 header bytes"))
-                        as usize;
+                    let version = rest[0];
+                    let len =
+                        u32::from_le_bytes(rest[2..6].try_into().expect("4 header bytes")) as usize;
                     let poison = if version != PROTOCOL_VERSION {
                         Some(FrameReadError::BadVersion(version))
                     } else if len > MAX_FRAME_BODY {
@@ -398,14 +553,21 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
                             code: ErrorCode::BadRequest,
                             message: poison.to_string(),
                         }));
-                        return FeedOutcome::Close;
+                        return (used, FeedOutcome::Close);
                     }
-                    if self.buf.len() < HEADER_LEN + len {
-                        return FeedOutcome::Continue;
+                    if rest.len() < HEADER_LEN + len {
+                        return (used, FeedOutcome::Continue);
                     }
-                    let frame: Vec<u8> = self.buf.drain(..HEADER_LEN + len).collect();
+                    used += HEADER_LEN + len;
                     service.note_binary_request();
-                    dispatch_binary(frame[1], &frame[HEADER_LEN..], names, service, &self.sink);
+                    frame_request(
+                        rest[1],
+                        &rest[HEADER_LEN..HEADER_LEN + len],
+                        names,
+                        service,
+                        &self.sink,
+                        Some(&mut self.staging),
+                    );
                 }
             }
         }
@@ -761,6 +923,155 @@ mod tests {
             *framed.0.lock().expect("test sink lock"),
             vec![framed_bytes]
         );
+    }
+
+    /// The requests `seqs` as `ADD`s on vlcsa1 at width 64, in either
+    /// framing, back to back: one read's worth of pipelined traffic.
+    fn add_bytes(adds: &[(UBig, UBig, UBig, bool, u8)], seqs: u64, framed: bool) -> Vec<u8> {
+        let names = vlcsa::engine::Registry::for_width(64).names();
+        let id = names.iter().position(|n| *n == "vlcsa1").expect("listed") as u8;
+        let mut bytes = Vec::new();
+        for (i, (a, b, ..)) in adds.iter().enumerate() {
+            let seq = seqs + i as u64;
+            if framed {
+                bytes.extend(binary::encode_add(seq, id, 64, a.limbs(), b.limbs()));
+            } else {
+                bytes.extend(protocol::format_add(seq, "vlcsa1", a, b).into_bytes());
+                bytes.push(b'\n');
+            }
+        }
+        bytes
+    }
+
+    /// A session already upgraded to frames when `framed`.
+    fn session(sink: &Arc<Wire>, framed: bool, service: &Service) -> ByteSession<Wire> {
+        let mut session = ByteSession::new(Arc::clone(sink));
+        if framed {
+            session.feed(format!("{HELLO_LINE}\n").as_bytes(), service);
+            drain_wire(sink, 1);
+            sink.0.lock().expect("test sink lock").clear();
+        }
+        session
+    }
+
+    /// Every reply the sink has written, one entry per line or frame,
+    /// sorted, once there are `want` of them.
+    fn replies(sink: &Arc<Wire>, framed: bool, want: usize) -> Vec<Vec<u8>> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let bytes = sink.0.lock().expect("test sink lock").concat();
+            let mut out = Vec::new();
+            let mut rest = &bytes[..];
+            while !rest.is_empty() {
+                let len = if framed {
+                    HEADER_LEN + u32::from_le_bytes(rest[2..6].try_into().expect("header")) as usize
+                } else {
+                    rest.iter().position(|&b| b == b'\n').expect("whole lines") + 1
+                };
+                out.push(rest[..len].to_vec());
+                rest = &rest[len..];
+            }
+            if out.len() >= want {
+                out.sort();
+                return out;
+            }
+            assert!(Instant::now() < deadline, "timed out waiting for replies");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn one_read_burst_reaches_an_idle_lane_as_one_group() {
+        const N: usize = 40;
+        for framed in [false, true] {
+            let service = Service::start(ServeConfig::default());
+            let sink = Arc::new(Wire(Mutex::new(Vec::new())));
+            let mut session = session(&sink, framed, &service);
+            let adds = adds_with_answers(13, N + 1);
+            // One request spins the lane up; once it is answered, the
+            // lane's workers are idle.
+            session.feed(&add_bytes(&adds[..1], 0, framed), &service);
+            replies(&sink, framed, 1);
+            let before = service.stats().engine("vlcsa1").expect("served").clone();
+            session.feed(&add_bytes(&adds[1..], 1, framed), &service);
+            replies(&sink, framed, N + 1);
+            let after = service.stats().engine("vlcsa1").expect("served").clone();
+            assert_eq!(
+                (after.groups - before.groups, after.lanes - before.lanes),
+                (1, N as u64),
+                "framed: {framed}"
+            );
+            service.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_cached_lane_answers_shutdown_exactly_once() {
+        for framed in [false, true] {
+            let service = Service::start(ServeConfig::default());
+            let sink = Arc::new(Wire(Mutex::new(Vec::new())));
+            let mut session = session(&sink, framed, &service);
+            let adds = adds_with_answers(14, 2);
+            session.feed(&add_bytes(&adds[..1], 1, framed), &service);
+            replies(&sink, framed, 1);
+            assert!(service.stop(), "a lane worker panicked");
+            // The lane is cached, so this request takes no service lock on
+            // its way to the closed lane.
+            session.feed(&add_bytes(&adds[1..], 2, framed), &service);
+            let refused = submit_error(2, SubmitError::Stopped);
+            let want = if framed {
+                binary::encode_err(&refused)
+            } else {
+                format!("{}\n", format_response(&Response::Err(refused))).into_bytes()
+            };
+            std::thread::sleep(Duration::from_millis(20));
+            let out = replies(&sink, framed, 2);
+            assert_eq!(out.len(), 2, "framed: {framed}: {out:?}");
+            assert_eq!(
+                out.iter().filter(|r| **r == want).count(),
+                1,
+                "framed: {framed}: {out:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_partial_tail_completes_on_the_next_feed() {
+        const N: usize = 30;
+        for framed in [false, true] {
+            let adds = adds_with_answers(15, N);
+            // A malformed request in the middle is answered too.
+            let bad = if framed {
+                let mut frame = binary::encode_add(7, 0, 64, &[1], &[2]);
+                frame[1] = 0x7f;
+                frame
+            } else {
+                b"ADD 7 vlcsa1 64 zz 1\n".to_vec()
+            };
+            let bytes = [
+                add_bytes(&adds[..N / 2], 100, framed),
+                bad,
+                add_bytes(&adds[N / 2..], 100 + N as u64 / 2, framed),
+            ]
+            .concat();
+            let answers = |feeds: &[&[u8]]| {
+                let service = Service::start(ServeConfig::default());
+                let sink = Arc::new(Wire(Mutex::new(Vec::new())));
+                let mut session = session(&sink, framed, &service);
+                for feed in feeds {
+                    assert_eq!(session.feed(feed, &service), FeedOutcome::Continue);
+                }
+                let out = replies(&sink, framed, N + 1);
+                service.shutdown();
+                out
+            };
+            // Everything but the last few bytes, then those.
+            let cut = bytes.len() - 5;
+            let split = answers(&[&bytes[..cut], &bytes[cut..]]);
+            let bytewise: Vec<&[u8]> = bytes.chunks(1).collect();
+            assert_eq!(split, answers(&bytewise), "framed: {framed}");
+            assert_eq!(split.len(), N + 1);
+        }
     }
 
     /// A text sink that logs its name, once per write, into a log shared

@@ -25,7 +25,10 @@ use vlcsa::batch::BatchOutcome;
 use vlcsa::engine::{Engine, Registry, ScalarEngine};
 use vlcsa::route::{RouteConfig, Router};
 use vlcsa::AddOutcome;
-use vlcsa_serve::{RegistryCache, ServeConfig, Service};
+use vlcsa_serve::protocol::{format_response, parse_response};
+use vlcsa_serve::{
+    ByteSession, FrameSink, RegistryCache, Response, ResponseSink, ServeConfig, Service,
+};
 
 /// The rendezvous between the test and the stalled worker: the worker
 /// reports how many `add_batch` calls are parked inside the gate, the
@@ -357,5 +360,73 @@ fn groups_grow_while_the_worker_is_busy() {
         "the backlog ran as one group: {:?}",
         stats.engines
     );
+    service.shutdown();
+}
+
+/// Collects text replies, one entry per line.
+struct Lines(Mutex<Vec<String>>);
+
+impl ResponseSink for Lines {
+    fn send(&self, response: &Response) {
+        self.0
+            .lock()
+            .expect("test sink lock")
+            .push(format_response(response));
+    }
+}
+
+impl FrameSink for Lines {
+    fn send_frame(&self, _: &[u8]) {
+        unreachable!("the connection stays text");
+    }
+}
+
+/// A command sees every request before it on its connection: a session
+/// stages a read's `ADD`s until the read is done, but a `STATS` in the
+/// same read queues them first, so it counts them while the lane's only
+/// worker is parked.
+#[test]
+fn a_stats_counts_the_adds_before_it_in_the_same_read() {
+    const K: usize = 12;
+    let gate = Arc::new(Gate::new());
+    let service = Service::start_custom(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        Arc::new(Router::new(RouteConfig::default())),
+        Arc::new(gated_cache(&gate)),
+    );
+    let sink = Arc::new(Lines(Mutex::new(Vec::new())));
+    let mut session = ByteSession::new(Arc::clone(&sink));
+    session.feed(b"ADD 0 gated 64 1 2\n", &service);
+    gate.await_parked(1);
+    let mut read = String::new();
+    for i in 1..=K {
+        read.push_str(&format!("ADD {i} gated 64 {i:x} 1\n"));
+    }
+    read.push_str("STATS\n");
+    session.feed(read.as_bytes(), &service);
+    let line = sink
+        .0
+        .lock()
+        .expect("test sink lock")
+        .iter()
+        .find(|l| l.starts_with("STATS"))
+        .cloned()
+        .expect("STATS is answered inline");
+    let Ok(Response::Stats(stats)) = parse_response(&line, 1) else {
+        panic!("unparseable STATS line: {line}");
+    };
+    assert!(
+        stats.queue_depth + stats.window_lanes >= K,
+        "the STATS missed requests before it: {line}"
+    );
+    gate.open();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while sink.0.lock().expect("test sink lock").len() < K + 2 {
+        assert!(std::time::Instant::now() < deadline, "replies missing");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     service.shutdown();
 }
