@@ -13,8 +13,9 @@
 //!    use. Validation and routing happen *before* queueing so a bad
 //!    request fails alone, with a structured error, and every queued job
 //!    already knows which lane runs it. In-process submits queue at once;
-//!    a connection's [`ByteSession`](crate::session::ByteSession) caches
-//!    its lanes and hands each one a whole read's requests with one push.
+//!    a connection's [`ByteSession`](crate::session::ByteSession) stages
+//!    a whole read's requests per lane and hands each lane its run with
+//!    one push.
 //! 2. **The lane's workers** block until the ingress holds a job, take
 //!    everything queued — up to `max_lanes` — under one lock, build it
 //!    into one [`IssueGroup`](vlcsa::group::IssueGroup) with a
@@ -62,7 +63,6 @@
 //! service.shutdown();
 //! ```
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -791,33 +791,24 @@ impl Service {
         self.router.set_slo(micros);
     }
 
-    /// `engine` itself, or for `auto` the engine the [`Router`] picks at
-    /// `width` for the next request, with the current estimates — so
-    /// consecutive `auto` requests can land on different lanes as the
-    /// estimates move.
-    pub(crate) fn routed<'a>(&self, engine: &'a str, width: usize) -> Cow<'a, str> {
-        if engine != AUTO_ENGINE {
-            return Cow::Borrowed(engine);
-        }
-        Cow::Owned(
-            self.router
-                .route(width)
-                .expect("the registry lists engines at every valid width")
-                .engine,
-        )
-    }
-
     /// Resolves a submitted engine name to the registry name of the
-    /// engine whose lane runs it: `auto` is [`Service::routed`] and the
-    /// pick looked up like any other name, which must be a registry name
-    /// at the width.
+    /// engine whose lane runs it: `auto` asks the [`Router`] (per request,
+    /// with the current estimates — so consecutive `auto` requests can
+    /// land on different lanes as estimates move) and looks its pick up
+    /// in the width's registry; anything else must be a registry name at
+    /// the width.
     fn canonical_engine(&self, engine: &str, width: usize) -> Result<&'static str, SubmitError> {
-        Ok(self
-            .registries
-            .at(width)
-            .lookup(&self.routed(engine, width))
-            .map_err(SubmitError::UnknownEngine)?
-            .name())
+        let registry = self.registries.at(width);
+        let found = if engine == AUTO_ENGINE {
+            let route = self
+                .router
+                .route(width)
+                .expect("the registry lists engines at every valid width");
+            registry.lookup(&route.engine)
+        } else {
+            registry.lookup(engine)
+        };
+        Ok(found.map_err(SubmitError::UnknownEngine)?.name())
     }
 
     /// The lane that runs `engine` (a registry name, or `auto`) at

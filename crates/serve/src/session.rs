@@ -33,7 +33,6 @@
 //!
 //! [`vlcsa-ffi`]: https://docs.rs/vlcsa-ffi
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bitnum::MAX_WIDTH;
@@ -168,15 +167,19 @@ pub fn submit_error(seq: u64, err: SubmitError) -> RequestError {
 /// fired. The request is queued at once, as a batch of one; a
 /// [`ByteSession`] stages a whole read instead.
 pub fn dispatch_text<S: ResponseSink>(line: &str, service: &Service, sink: &Arc<S>) {
-    text_request(line, service, sink, None);
+    let mut staging = Staging::default();
+    text_request(line, service, sink, &mut staging);
+    staging.flush();
 }
 
-/// [`dispatch_text`], staging the request on `staging` when given one.
+/// [`dispatch_text`], staging the request on `staging`. A command flushes
+/// what is staged first, so it sees every request before it on its
+/// connection.
 fn text_request<S: ResponseSink>(
     line: &str,
     service: &Service,
     sink: &Arc<S>,
-    staging: Option<&mut Staging>,
+    staging: &mut Staging,
 ) {
     let (seq, engine, operands) = match parse_request(line) {
         Ok(Request::Add {
@@ -196,7 +199,7 @@ fn text_request<S: ResponseSink>(
             ..
         }) => (seq, engine, Operands::program(&program, &inputs)),
         Ok(Request::Engines) => {
-            settle(staging);
+            staging.flush();
             // Engine names are width-independent; any registry lists
             // them. 64 is as good a cache key as any. `auto` rides
             // along so clients discover the pseudo-engine too.
@@ -209,11 +212,11 @@ fn text_request<S: ResponseSink>(
             return sink.send(&Response::Engines(names));
         }
         Ok(Request::Stats) => {
-            settle(staging);
+            staging.flush();
             return sink.send(&Response::Stats(service.stats()));
         }
         Ok(Request::Slo(action)) => {
-            settle(staging);
+            staging.flush();
             apply_slo(service, action);
             // Always echo the budget now in force, so a set doubles
             // as a readback and a query is just the degenerate case.
@@ -225,10 +228,7 @@ fn text_request<S: ResponseSink>(
         conn: Conn::Text(Arc::clone(sink) as Arc<dyn ResponseSink>),
         seq,
     };
-    let submitted = operands.and_then(|ops| match staging {
-        Some(staging) => staging.stage(service, &engine, ops, reply),
-        None => service.submit_to(&engine, ops, reply),
-    });
+    let submitted = operands.and_then(|ops| staging.stage(service, &engine, ops, reply));
     if let Err(err) = submitted {
         sink.send(&Response::Err(submit_error(seq, err)));
     }
@@ -249,17 +249,21 @@ pub fn dispatch_binary<S: FrameSink>(
     service: &Service,
     sink: &Arc<S>,
 ) {
-    frame_request(opcode, body, names, service, sink, None);
+    let mut staging = Staging::default();
+    frame_request(opcode, body, names, service, sink, &mut staging);
+    staging.flush();
 }
 
-/// [`dispatch_binary`], staging the request on `staging` when given one.
+/// [`dispatch_binary`], staging the request on `staging`. A command flushes
+/// what is staged first, so it sees every request before it on its
+/// connection.
 fn frame_request<S: FrameSink>(
     opcode: u8,
     body: &[u8],
     names: &[&'static str],
     service: &Service,
     sink: &Arc<S>,
-    staging: Option<&mut Staging>,
+    staging: &mut Staging,
 ) {
     let (seq, engine, operands) = match binary::decode_request(opcode, body, names) {
         // The limbs go straight from the frame into the slab layout; the
@@ -285,7 +289,7 @@ fn frame_request<S: FrameSink>(
             ..
         }) => (seq, engine, Operands::program(&program, &inputs)),
         Ok(BinRequest::Engines) => {
-            settle(staging);
+            staging.flush();
             let entries: Vec<(u8, &str)> = names
                 .iter()
                 .enumerate()
@@ -295,14 +299,14 @@ fn frame_request<S: FrameSink>(
             return sink.send_frame(&binary::encode_engines(&entries));
         }
         Ok(BinRequest::Stats) => {
-            settle(staging);
+            staging.flush();
             // The counters snapshot rides as its text line — one
             // format, one parser, whatever the transport.
             let line = format_response(&Response::Stats(service.stats()));
             return sink.send_frame(&binary::encode_stats(&line));
         }
         Ok(BinRequest::Slo(action)) => {
-            settle(staging);
+            staging.flush();
             apply_slo(service, action);
             return sink.send_frame(&binary::encode_slo(service.slo()));
         }
@@ -312,20 +316,9 @@ fn frame_request<S: FrameSink>(
         conn: Conn::Frame(Arc::clone(sink) as Arc<dyn FrameSink>),
         seq,
     };
-    let submitted = operands.and_then(|ops| match staging {
-        Some(staging) => staging.stage(service, engine, ops, reply),
-        None => service.submit_to(engine, ops, reply),
-    });
+    let submitted = operands.and_then(|ops| staging.stage(service, engine, ops, reply));
     if let Err(err) = submitted {
         sink.send_frame(&binary::encode_err(&submit_error(seq, err)));
-    }
-}
-
-/// Queues what a session has staged before a command answers, so the
-/// command sees every request before it on its connection.
-fn settle(staging: Option<&mut Staging>) {
-    if let Some(staging) = staging {
-        staging.flush();
     }
 }
 
@@ -339,19 +332,11 @@ fn apply_slo(service: &Service, action: SloAction) {
     }
 }
 
-/// One connection's staged ingress: the concrete lanes it has used, and
-/// the jobs decoded since it last flushed, one run per lane.
-///
-/// A request naming a concrete engine finds its lane here without taking
-/// the registry-cache or lane-set lock; `auto` is routed per request and
-/// its pick looked up the same way. The cache holds at most the lanes
-/// that exist, and the runs at most one read's requests.
+/// One connection's staged ingress: the jobs decoded since it last
+/// flushed, one run per lane, in first-use order. It holds at most one
+/// read's requests.
 #[derive(Default)]
 struct Staging {
-    /// Every lane this connection has used, by width.
-    lanes: HashMap<usize, Vec<Arc<Lane>>>,
-    /// Jobs waiting for the next flush, one run per lane, in first-use
-    /// order.
     runs: Vec<(Arc<Lane>, Vec<Job>)>,
 }
 
@@ -361,8 +346,7 @@ impl Staging {
     ///
     /// # Errors
     ///
-    /// As [`Service::lane`] on a cache miss: an unknown engine, or a
-    /// stopped service.
+    /// As [`Service::lane`]: an unknown engine, or a stopped service.
     fn stage(
         &mut self,
         service: &Service,
@@ -370,29 +354,19 @@ impl Staging {
         operands: Operands,
         reply: ReplyTo,
     ) -> Result<(), SubmitError> {
-        let width = operands.width();
-        let engine = service.routed(engine, width);
-        let cached = self.lanes.entry(width).or_default();
-        let i = match cached.iter().position(|lane| lane.engine == engine) {
-            Some(i) => i,
-            None => {
-                cached.push(service.lane(&engine, width)?);
-                cached.len() - 1
-            }
-        };
-        let lane = &cached[i];
+        let lane = service.lane(engine, operands.width())?;
         let job = service.job(operands, reply);
-        match self.runs.iter_mut().find(|(l, _)| Arc::ptr_eq(l, lane)) {
+        match self.runs.iter_mut().find(|(l, _)| Arc::ptr_eq(l, &lane)) {
             Some((_, jobs)) => jobs.push(job),
-            None => self.runs.push((Arc::clone(lane), vec![job])),
+            None => self.runs.push((lane, vec![job])),
         }
         Ok(())
     }
 
     /// Hands every lane its staged run with one [`Queue::push_all`]
-    /// (`crate::queue::Queue`). A run refused because its lane closed is
-    /// answered here, `ERR <seq> shutdown` per request — a cached lane is
-    /// closed by a shutdown like any other, so it cannot bypass one.
+    /// (`crate::queue::Queue`). A run refused because its lane closed —
+    /// the service stopped after the run was staged — is answered here,
+    /// `ERR <seq> shutdown` per request, as a refused submit is.
     fn flush(&mut self) {
         for (lane, mut jobs) in self.runs.drain(..) {
             if lane.ingress.push_all(&mut jobs) {
@@ -457,6 +431,9 @@ pub struct ByteSession<S> {
     sink: Arc<S>,
     /// The incomplete tail of the bytes fed so far.
     buf: Vec<u8>,
+    /// How many leading bytes of `buf` are known to hold no newline, so
+    /// a long text line is searched once, not again on every feed.
+    scanned: usize,
     mode: SessionMode,
     first: bool,
     staging: Staging,
@@ -473,6 +450,7 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
         Self {
             sink,
             buf: Vec::new(),
+            scanned: 0,
             mode: SessionMode::Text,
             first: true,
             staging: Staging::default(),
@@ -494,24 +472,33 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
             tail.drain(..used);
             outcome
         };
+        // A healthy text stream keeps only what follows its last newline.
+        self.scanned = match (&self.mode, outcome) {
+            (SessionMode::Text, FeedOutcome::Continue) => tail.len(),
+            _ => 0,
+        };
         self.buf = tail;
         self.staging.flush();
         outcome
     }
 
     /// Dispatches every whole request at the front of `bytes`; returns
-    /// how many bytes they took and how the stream stands.
+    /// how many bytes they took and how the stream stands. In text mode
+    /// the first newline search skips the `scanned` bytes already
+    /// searched.
     fn consume(&mut self, bytes: &[u8], service: &Service) -> (usize, FeedOutcome) {
         let mut used = 0;
+        let mut scanned = std::mem::take(&mut self.scanned);
         loop {
             let rest = &bytes[used..];
             match &self.mode {
                 SessionMode::Text => {
-                    let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+                    let Some(nl) = rest[scanned..].iter().position(|&b| b == b'\n') else {
                         return (used, FeedOutcome::Continue);
                     };
-                    used += nl + 1;
-                    let Ok(line) = std::str::from_utf8(&rest[..=nl]) else {
+                    let line = &rest[..=std::mem::take(&mut scanned) + nl];
+                    used += line.len();
+                    let Ok(line) = std::str::from_utf8(line) else {
                         return (used, FeedOutcome::Close);
                     };
                     if line.trim().is_empty() {
@@ -530,7 +517,7 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
                     }
                     self.first = false;
                     service.note_text_request();
-                    text_request(line, service, &self.sink, Some(&mut self.staging));
+                    text_request(line, service, &self.sink, &mut self.staging);
                 }
                 SessionMode::Binary { names } => {
                     if rest.len() < HEADER_LEN {
@@ -566,7 +553,7 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
                         names,
                         service,
                         &self.sink,
-                        Some(&mut self.staging),
+                        &mut self.staging,
                     );
                 }
             }
@@ -576,7 +563,7 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Mutex;
+    use std::sync::{Mutex, OnceLock};
     use std::time::{Duration, Instant};
 
     use bitnum::rng::Xoshiro256;
@@ -727,7 +714,7 @@ mod tests {
         }
     }
 
-    fn drain_wire(sink: &Arc<Wire>, want: usize) -> Vec<Vec<u8>> {
+    fn drain_wire(sink: &Wire, want: usize) -> Vec<Vec<u8>> {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             {
@@ -956,7 +943,7 @@ mod tests {
 
     /// Every reply the sink has written, one entry per line or frame,
     /// sorted, once there are `want` of them.
-    fn replies(sink: &Arc<Wire>, framed: bool, want: usize) -> Vec<Vec<u8>> {
+    fn replies(sink: &Wire, framed: bool, want: usize) -> Vec<Vec<u8>> {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let bytes = sink.0.lock().expect("test sink lock").concat();
@@ -1005,33 +992,89 @@ mod tests {
         }
     }
 
+    /// A [`Wire`] that, once armed, stops the service whenever it answers
+    /// an error: a stop that lands between a feed's staging and its flush.
+    struct StopOnError(Wire, OnceLock<Arc<Service>>);
+
+    impl StopOnError {
+        fn answered_error(&self) {
+            if let Some(service) = self.1.get() {
+                assert!(service.stop(), "a lane worker panicked");
+            }
+        }
+    }
+
+    impl ResponseSink for StopOnError {
+        fn send(&self, response: &Response) {
+            self.0.send(response);
+            if matches!(response, Response::Err(_)) {
+                self.answered_error();
+            }
+        }
+
+        fn send_oks(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
+            self.0.send_oks(oks, buf);
+        }
+    }
+
+    impl FrameSink for StopOnError {
+        fn send_frame(&self, frame: &[u8]) {
+            self.0.send_frame(frame);
+            if frame[1] == binary::resp::ERR {
+                self.answered_error();
+            }
+        }
+
+        fn send_ok_frames(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
+            self.0.send_ok_frames(oks, buf);
+        }
+    }
+
     #[test]
-    fn a_cached_lane_answers_shutdown_exactly_once() {
+    fn a_stopped_service_answers_shutdown_exactly_once() {
         for framed in [false, true] {
-            let service = Service::start(ServeConfig::default());
-            let sink = Arc::new(Wire(Mutex::new(Vec::new())));
-            let mut session = session(&sink, framed, &service);
+            let service = Arc::new(Service::start(ServeConfig::default()));
+            let sink = Arc::new(StopOnError(Wire(Mutex::new(Vec::new())), OnceLock::new()));
+            let mut session = ByteSession::new(Arc::clone(&sink));
+            if framed {
+                session.feed(format!("{HELLO_LINE}\n").as_bytes(), &service);
+                drain_wire(&sink.0, 1);
+                sink.0 .0.lock().expect("test sink lock").clear();
+            }
             let adds = adds_with_answers(14, 2);
+            // Request 1 spins the lane up and is answered.
             session.feed(&add_bytes(&adds[..1], 1, framed), &service);
-            replies(&sink, framed, 1);
-            assert!(service.stop(), "a lane worker panicked");
-            // The lane is cached, so this request takes no service lock on
-            // its way to the closed lane.
-            session.feed(&add_bytes(&adds[1..], 2, framed), &service);
-            let refused = submit_error(2, SubmitError::Stopped);
-            let want = if framed {
-                binary::encode_err(&refused)
+            replies(&sink.0, framed, 1);
+            sink.1.get_or_init(|| Arc::clone(&service));
+            // Request 2 is staged; the malformed request 3 is answered
+            // inline, and that answer stops the service before the feed
+            // flushes, so request 2's run reaches a closed lane. Request 4
+            // arrives after the stop.
+            let bad = if framed {
+                let mut frame = binary::encode_add(3, 0, 64, &[1], &[2]);
+                frame[1] = 0x7f;
+                frame
             } else {
-                format!("{}\n", format_response(&Response::Err(refused))).into_bytes()
+                b"ADD 3 vlcsa1 64 zz 1\n".to_vec()
             };
+            session.feed(&[add_bytes(&adds[1..], 2, framed), bad].concat(), &service);
+            session.feed(&add_bytes(&adds[1..], 4, framed), &service);
             std::thread::sleep(Duration::from_millis(20));
-            let out = replies(&sink, framed, 2);
-            assert_eq!(out.len(), 2, "framed: {framed}: {out:?}");
-            assert_eq!(
-                out.iter().filter(|r| **r == want).count(),
-                1,
-                "framed: {framed}: {out:?}"
-            );
+            let out = replies(&sink.0, framed, 4);
+            assert_eq!(out.len(), 4, "framed: {framed}: {out:?}");
+            for seq in [2, 4] {
+                let refused = submit_error(seq, SubmitError::Stopped);
+                let want = if framed {
+                    binary::encode_err(&refused)
+                } else {
+                    format!("{}\n", format_response(&Response::Err(refused))).into_bytes()
+                };
+                assert_eq!(
+                    out.iter().filter(|r| **r == want).count(),
+                    1,
+                    "framed: {framed}, seq {seq}: {out:?}"
+                );
+            }
         }
     }
 
@@ -1072,6 +1115,36 @@ mod tests {
             assert_eq!(split, answers(&bytewise), "framed: {framed}");
             assert_eq!(split.len(), N + 1);
         }
+    }
+
+    #[test]
+    fn a_line_longer_than_a_read_is_parsed_whole() {
+        // A SUM of 64 full-width operands is a line of about 64 KiB. Fed
+        // in the front-ends' 8 KiB reads, it and the short line after it
+        // are answered exactly as the same lines dispatched whole.
+        let mut rng = Xoshiro256::seed_from_u64(16);
+        let operands: Vec<UBig> = (0..64).map(|_| UBig::random(MAX_WIDTH, &mut rng)).collect();
+        let lines = [
+            protocol::format_sum(9, "vlcsa1", &operands),
+            "ADD 10 vlcsa1 64 2 3".to_string(),
+        ];
+        let service = Service::start(ServeConfig::default());
+        let whole = Arc::new(Wire(Mutex::new(Vec::new())));
+        for line in &lines {
+            dispatch_text(line, &service, &whole);
+        }
+        let sink = Arc::new(Wire(Mutex::new(Vec::new())));
+        let mut session = ByteSession::new(Arc::clone(&sink));
+        let bytes = format!("{}\n{}\n", lines[0], lines[1]).into_bytes();
+        assert!(bytes.len() > 4 * 8192);
+        for read in bytes.chunks(8192) {
+            assert_eq!(session.feed(read, &service), FeedOutcome::Continue);
+        }
+        let want = replies(&whole, false, 2);
+        assert!(want[0].starts_with(b"OK 10 "), "{want:?}");
+        assert!(want[1].starts_with(b"OK 9 "), "{want:?}");
+        assert_eq!(replies(&sink, false, 2), want);
+        service.shutdown();
     }
 
     /// A text sink that logs its name, once per write, into a log shared
