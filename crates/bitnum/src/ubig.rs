@@ -130,6 +130,8 @@ impl UBig {
             .or_else(|| s.strip_prefix("0X"))
             .unwrap_or(s);
         let mut v = Self::zero(width);
+        let last = v.limbs.len() - 1;
+        let top_bits = width % 64;
         let mut digits = 0usize;
         for c in s.chars() {
             if c == '_' {
@@ -138,16 +140,14 @@ impl UBig {
             let d = c
                 .to_digit(16)
                 .ok_or_else(|| ParseUBigError::invalid_digit(c))? as u64;
-            // Shifting left by 4 must not lose set bits, and the new digit
-            // must fit under the width mask.
+            // Shifting left by 4 must not lose set bits, and no bit may
+            // land at or above `width` in a partial top limb.
             if !v.extract_top_nibble_is_zero() {
                 return Err(ParseUBigError::overflow());
             }
             v.shl_small_unmasked(4);
             v.limbs[0] |= d;
-            let mut masked = v.clone();
-            masked.mask_top();
-            if masked != v {
+            if top_bits != 0 && v.limbs[last] >> top_bits != 0 {
                 return Err(ParseUBigError::overflow());
             }
             digits += 1;
@@ -755,6 +755,54 @@ mod tests {
         assert!(UBig::from_hex("xyz", 8).is_err());
         assert!(UBig::from_hex("100", 8).is_err()); // 0x100 needs 9 bits
         assert!(UBig::from_hex("ff", 8).is_ok());
+    }
+
+    #[test]
+    fn from_hex_overflows_exactly_past_the_width() {
+        // Oracle: the digit string's bit length — four bits per digit after
+        // the leading zeros, less the top digit's leading zero bits.
+        let mut rng = Xoshiro256::seed_from_u64(0x4e5);
+        let mut pick = |n: u64| (rng.next_u64() % n) as usize;
+        for width in 1..=300usize {
+            for _ in 0..24 {
+                // Up to two nibbles past the width, behind 0–2 zeros.
+                let nibbles = width.div_ceil(4) + pick(3);
+                let digits: String = (0..nibbles)
+                    .map(|_| char::from_digit(pick(16) as u32, 16).expect("hex digit"))
+                    .collect();
+                let mut s = "0".repeat(pick(3));
+                for d in digits.chars() {
+                    if pick(8) == 0 {
+                        s.push('_');
+                    }
+                    s.push(if pick(2) == 0 {
+                        d.to_ascii_uppercase()
+                    } else {
+                        d
+                    });
+                }
+                let significant = digits.trim_start_matches('0');
+                let bits = significant.chars().next().map_or(0, |top| {
+                    let top = top.to_digit(16).expect("hex digit");
+                    4 * (significant.len() - 1) + (u32::BITS - top.leading_zeros()) as usize
+                });
+                match UBig::from_hex(&s, width) {
+                    Ok(v) => {
+                        assert!(bits <= width, "{s} at width {width}");
+                        let want = if significant.is_empty() {
+                            "0"
+                        } else {
+                            significant
+                        };
+                        assert_eq!(format!("{v:x}"), want, "{s} at width {width}");
+                    }
+                    Err(e) => {
+                        assert!(bits > width, "{s} at width {width}: {e}");
+                        assert_eq!(e, ParseUBigError::overflow(), "{s} at width {width}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod exec;
 pub mod group;
 pub mod magnitude;
 pub mod model;
-pub mod multiop;
 pub mod netlist;
 pub mod pipeline;
 pub mod program;

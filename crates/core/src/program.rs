@@ -6,8 +6,8 @@
 //! propagation once per operand. A [`Program`] lets one request carry the
 //! whole computation: a list of steps, each adding two operands (an input
 //! `iK` or an earlier temporary `tK`), whose last temporary is the result
-//! — the shapes [`multiop`](crate::multiop) and `workloads::chains`
-//! already model, now as a first-class value the serve protocol can ship.
+//! — the shapes [`Program::sum`] and `workloads::chains` model, as a
+//! first-class value the serve protocol can ship.
 //!
 //! Because every step is an addition, the result is a nonnegative integer
 //! combination of the inputs (mod 2<sup>width</sup>):
@@ -15,8 +15,8 @@
 //!
 //! * [`Program::run_steps`] — the baseline: one sharded
 //!   [`Executor::run`] per step, i.e. one carry-resolve per step, with
-//!   per-lane sequential cycle accounting exactly like
-//!   [`MultiAdder::sum_sequential`](crate::multiop::MultiAdder);
+//!   per-lane sequential cycle accounting (run this way,
+//!   [`Program::sum`]`(n)` is the linear fold: `n - 1` resolves);
 //! * [`Program::run_csa`] — the fast path: each `cₖ·iₖ` is decomposed
 //!   into shifted addends (`iₖ << j` for every set bit `j` of `cₖ`), the
 //!   whole addend list collapses through the bit-sliced Wallace tree
@@ -471,9 +471,8 @@ impl Program {
     /// Executes the program step by step — one sharded [`Executor::run`]
     /// (one carry-resolve) **per step** — with sequential per-lane cycle
     /// accounting: lane `l` costs the sum over steps of that step's 1 or 2
-    /// cycles, exactly like
-    /// [`MultiAdder::sum_sequential`](crate::multiop::MultiAdder). The
-    /// baseline [`Program::run_csa`] is measured against.
+    /// cycles, so [`Program::sum`] runs as the linear fold of its
+    /// operands. The baseline [`Program::run_csa`] is measured against.
     ///
     /// # Panics
     ///

@@ -27,9 +27,9 @@
 //!   ingress queue and its own workers, which build their issue groups
 //!   with [`vlcsa::group::LaneBuilder`] — a stalling engine
 //!   head-of-line-blocks only its own lane;
-//! * [`session`] — transport-independent request dispatch over sink
-//!   traits, shared by the TCP server and socket-free embedders (the
-//!   `vlcsa-ffi` C ABI);
+//! * [`session`] — the per-connection byte-stream state machine over
+//!   sink traits: framing, the `HELLO` upgrade, and staging each read's
+//!   requests per lane — no socket required;
 //! * [`server`] / [`client`] — the TCP front-end and the client library.
 //!
 //! Requests may also name the pseudo-engine `auto`: submitters resolve it
@@ -69,20 +69,13 @@
 //! server.shutdown();
 //! ```
 
-// The default build carries no `unsafe` at all. The `reactor` feature
-// needs raw epoll syscalls, so there the crate-wide wall drops to `deny`
-// and exactly one module (`reactor::sys` and its call sites) opts out
-// with per-site `SAFETY` arguments.
-#![cfg_attr(not(feature = "reactor"), forbid(unsafe_code))]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod binary;
 pub mod client;
 pub mod protocol;
 pub mod queue;
-#[cfg(feature = "reactor")]
-mod reactor;
 pub mod server;
 pub mod service;
 pub mod session;

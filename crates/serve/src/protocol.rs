@@ -59,7 +59,10 @@
 //! that router degrades under, `SLO off` clears it, bare `SLO` queries it.
 //!
 //! A malformed line that does not yield a sequence number is answered with
-//! `ERR 0 bad-request …`; protocol errors never drop the connection.
+//! `ERR 0 bad-request …`; protocol errors never drop the connection. The
+//! one exception is a line longer than [`MAX_LINE`]: it is answered
+//! `ERR 0 bad-request` once the server holds that much of it, and the
+//! connection is closed.
 //!
 //! # Example
 //!
@@ -79,7 +82,7 @@
 //! ```
 
 use bitnum::{HexLimbs, UBig};
-use vlcsa::program::{Program, MAX_PROGRAM_INPUTS};
+use vlcsa::program::{Program, MAX_PROGRAM_INPUTS, MAX_PROGRAM_STEPS};
 use vlcsa::route::RouteStat;
 
 /// Widths a request may name: at least 1 bit, at most
@@ -88,6 +91,28 @@ pub const WIDTH_RANGE: std::ops::RangeInclusive<usize> = 1..=bitnum::MAX_WIDTH;
 
 /// Operand counts a `SUM`/`PROG` request may name.
 pub const OPERAND_RANGE: std::ops::RangeInclusive<usize> = 1..=MAX_PROGRAM_INPUTS;
+
+/// The most bytes a connection holds of a text line whose newline has not
+/// arrived: the longest line [`format_program`] emits — a `PROG` of
+/// [`MAX_PROGRAM_INPUTS`] full-width operands whose spec has
+/// [`MAX_PROGRAM_STEPS`] steps — plus room for the head. A held line past
+/// it is answered `ERR 0 bad-request` and the connection is closed.
+pub const MAX_LINE: usize = {
+    // `PROG`, a 20-digit seq, the engine name, the width, the count and
+    // their spaces, with room to spare.
+    let head = 256;
+    // Each step is `<op>+<op>` and a comma; an operand is `i` or `t` and
+    // an index below the larger cap.
+    let cap = if MAX_PROGRAM_INPUTS > MAX_PROGRAM_STEPS {
+        MAX_PROGRAM_INPUTS
+    } else {
+        MAX_PROGRAM_STEPS
+    };
+    let spec = MAX_PROGRAM_STEPS * (2 * (2 + (cap - 1).ilog10() as usize) + 2);
+    // A space and full-width hex per operand.
+    let operands = MAX_PROGRAM_INPUTS * (1 + bitnum::MAX_WIDTH.div_ceil(4));
+    head + spec + operands
+};
 
 /// One parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -2,11 +2,9 @@
 //! response writing from the worker threads.
 //!
 //! Each accepted connection gets a reader thread that feeds whatever each
-//! `read` delivers to the connection's [`crate::session::ByteSession`] —
-//! the same protocol state machine the `reactor` feature's epoll pool
-//! feeds, so the two front-ends share one parser and differ only in how
-//! they wait for bytes. A
-//! connection whose **first** non-empty line is exactly
+//! `read` delivers to the connection's [`crate::session::ByteSession`], the
+//! one protocol state machine every byte goes through. A connection whose
+//! **first** non-empty line is exactly
 //! [`HELLO_LINE`](crate::binary::HELLO_LINE) upgrades to the binary
 //! framing of [`crate::binary`] — the server echoes the line and both
 //! directions speak frames from then on; every other connection is text
@@ -30,10 +28,11 @@
 //! with one `write_all` under one lock acquisition — out of submission
 //! order when a connection's requests landed in different groups. Every
 //! other response (an `ERR` line, a listing, a frame) is one write too.
-//! Nothing short of a socket error, poisoned framing or a line that is not
-//! UTF-8 drops a connection; on the last two the reader shuts the socket
-//! down. Because workers write to client sockets directly, a client that
-//! stops reading could otherwise pin a worker on its full send buffer and
+//! Nothing short of a socket error, poisoned framing, a line that is not
+//! UTF-8 or one longer than [`MAX_LINE`](crate::protocol::MAX_LINE) drops
+//! a connection; on the last three the reader shuts the socket down.
+//! Because workers write to client sockets directly, a client that stops
+//! reading could otherwise pin a worker on its full send buffer and
 //! head-of-line-block every other connection — so each accepted socket
 //! carries [`Server::WRITE_TIMEOUT`], after which the write fails, the
 //! socket is shut down (that client loses the chunk and its connection,
@@ -43,13 +42,6 @@
 //! sockets down (unblocking the readers), answer everything already
 //! accepted (worker writes to a shut-down socket are ignored), and join
 //! every thread.
-//!
-//! With the `reactor` cargo feature, the one-reader-thread-per-connection
-//! model is replaced by an `epoll(7)` reader pool feeding the same
-//! sessions (see the `reactor` module) — many idle connections, a handful
-//! of threads. Everything else — the service core, the wire protocols,
-//! the write path, the shutdown contract — is identical, and without the
-//! feature none of that code is even compiled.
 //!
 //! # Example
 //!
@@ -68,9 +60,7 @@
 //! ```
 
 use std::collections::HashMap;
-#[cfg(not(feature = "reactor"))]
-use std::io::Read;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,9 +69,7 @@ use std::time::Duration;
 
 use crate::protocol::Response;
 use crate::service::{ServeConfig, Service};
-#[cfg(not(feature = "reactor"))]
-use crate::session::{ByteSession, FeedOutcome};
-use crate::session::{FrameSink, OkBatch, ResponseSink};
+use crate::session::{ByteSession, FeedOutcome, FrameSink, OkBatch, ResponseSink};
 
 /// Writes `bytes` — a line, a frame, or a whole chunk of answers — to a
 /// shared socket with one `write_all` under one lock acquisition, and
@@ -130,16 +118,13 @@ impl FrameSink for Mutex<TcpStream> {
 /// Bytes one `read` may hand a connection's session — std's `BufReader`
 /// default. The buffer is zeroed per connection, so a larger one costs
 /// every connection setup time and memory, busy or not.
-#[cfg(not(feature = "reactor"))]
 const READ_BUF: usize = 8 * 1024;
 
 /// One connection's reader thread: feeds whatever each `read` delivers to
 /// the connection's [`ByteSession`], which answers errors inline and queues
 /// the read's requests before this loop blocks on the socket again.
 /// Returns when the client disconnects, the socket is shut down, or the
-/// session closes the stream — then it shuts the socket down, as the
-/// reactor does.
-#[cfg(not(feature = "reactor"))]
+/// session closes the stream — then it shuts the socket down.
 fn serve_connection(stream: TcpStream, service: &Service) {
     let Ok(writer) = stream.try_clone() else {
         return;
@@ -160,45 +145,6 @@ fn serve_connection(stream: TcpStream, service: &Service) {
     }
 }
 
-/// Hands one accepted connection to the epoll reactor: the original
-/// stream becomes the watched read half, a clone becomes the shared
-/// write half, and `on_close` keeps the server's connection registry in
-/// sync with the reactor's. On any setup failure the connection is
-/// dropped (and deregistered) — the same fate a failed `try_clone` has
-/// on the threaded path.
-#[cfg(feature = "reactor")]
-fn attach_to_reactor(
-    reactor: &crate::reactor::Reactor,
-    stream: TcpStream,
-    conn_id: u64,
-    connections: &Arc<Mutex<HashMap<u64, TcpStream>>>,
-) {
-    let deregister = |connections: &Mutex<HashMap<u64, TcpStream>>| {
-        connections
-            .lock()
-            .expect("connection registry lock")
-            .remove(&conn_id);
-    };
-    match stream.try_clone() {
-        Ok(writer) => {
-            let conns = Arc::clone(connections);
-            let on_close = Box::new(move || {
-                conns
-                    .lock()
-                    .expect("connection registry lock")
-                    .remove(&conn_id);
-            });
-            if reactor
-                .register(stream, Arc::new(Mutex::new(writer)), on_close)
-                .is_err()
-            {
-                deregister(connections);
-            }
-        }
-        Err(_) => deregister(connections),
-    }
-}
-
 /// The running TCP server — see the module docs and example.
 pub struct Server {
     addr: SocketAddr,
@@ -207,8 +153,6 @@ pub struct Server {
     accept_thread: Option<JoinHandle<()>>,
     connections: Arc<Mutex<HashMap<u64, TcpStream>>>,
     reader_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    #[cfg(feature = "reactor")]
-    reactor: Option<Arc<crate::reactor::Reactor>>,
 }
 
 impl Server {
@@ -235,29 +179,21 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the bind error (the feature-gated reactor build can also
-    /// surface an `epoll` setup error). The service is dropped — and
-    /// thereby drained — on the error path.
+    /// Returns the bind error. The service is dropped — and thereby
+    /// drained — on the error path.
     pub fn start_with_service(addr: impl ToSocketAddrs, service: Service) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let service = Arc::new(service);
-        #[cfg(feature = "reactor")]
-        let reactor =
-            crate::reactor::Reactor::start(Arc::clone(&service), Self::reactor_readers())?;
         let connections: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
         let reader_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let accept_thread = {
             let stop = Arc::clone(&stop);
-            #[cfg(not(feature = "reactor"))]
             let service = Arc::clone(&service);
             let connections = Arc::clone(&connections);
-            #[cfg(not(feature = "reactor"))]
             let reader_threads = Arc::clone(&reader_threads);
-            #[cfg(feature = "reactor")]
-            let reactor = Arc::clone(&reactor);
             std::thread::spawn(move || {
                 let mut next_conn_id = 0u64;
                 for stream in listener.incoming() {
@@ -279,35 +215,29 @@ impl Server {
                             .expect("connection registry lock")
                             .insert(conn_id, registered);
                     }
-                    #[cfg(not(feature = "reactor"))]
-                    {
-                        let service = Arc::clone(&service);
-                        let conns = Arc::clone(&connections);
-                        let handle = std::thread::spawn(move || {
-                            serve_connection(stream, &service);
-                            // Deregister on exit so a long-running server
-                            // does not accumulate one open fd per dead
-                            // connection.
-                            conns
-                                .lock()
-                                .expect("connection registry lock")
-                                .remove(&conn_id);
-                        });
-                        // Reap finished readers here, for the same reason.
-                        let finished: Vec<JoinHandle<()>> = {
-                            let mut handles = reader_threads.lock().expect("reader registry lock");
-                            let (done, live) = handles.drain(..).partition(|h| h.is_finished());
-                            *handles = live;
-                            handles.push(handle);
-                            done
-                        };
-                        for done in finished {
-                            // Already returned; join cannot block.
-                            let _ = done.join();
-                        }
+                    let service = Arc::clone(&service);
+                    let conns = Arc::clone(&connections);
+                    let handle = std::thread::spawn(move || {
+                        serve_connection(stream, &service);
+                        // Deregister on exit so a long-running server does
+                        // not accumulate one open fd per dead connection.
+                        conns
+                            .lock()
+                            .expect("connection registry lock")
+                            .remove(&conn_id);
+                    });
+                    // Reap finished readers here, for the same reason.
+                    let finished: Vec<JoinHandle<()>> = {
+                        let mut handles = reader_threads.lock().expect("reader registry lock");
+                        let (done, live) = handles.drain(..).partition(|h| h.is_finished());
+                        *handles = live;
+                        handles.push(handle);
+                        done
+                    };
+                    for done in finished {
+                        // Already returned; join cannot block.
+                        let _ = done.join();
                     }
-                    #[cfg(feature = "reactor")]
-                    attach_to_reactor(&reactor, stream, conn_id, &connections);
                 }
             })
         };
@@ -319,18 +249,7 @@ impl Server {
             accept_thread: Some(accept_thread),
             connections,
             reader_threads,
-            #[cfg(feature = "reactor")]
-            reactor: Some(reactor),
         })
-    }
-
-    /// Reader-pool size for the reactor build: a few threads overlap a
-    /// few concurrently-chatty connections; idle ones cost nothing.
-    #[cfg(feature = "reactor")]
-    fn reactor_readers() -> usize {
-        std::thread::available_parallelism()
-            .map_or(2, usize::from)
-            .clamp(1, 4)
     }
 
     /// The bound address (with the OS-assigned port resolved).
@@ -367,14 +286,8 @@ impl Server {
         {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        // With the sockets already shut down, every pool thread's next
-        // read returns, so the join inside is bounded; the reactor binding
-        // drops at the end of the block, releasing its `Arc<Service>`
-        // clone so `into_inner` below sees the last handle.
-        #[cfg(feature = "reactor")]
-        if let Some(reactor) = self.reactor.take() {
-            reactor.shutdown();
-        }
+        // With the sockets already shut down, every reader's next read
+        // returns, so these joins are bounded.
         let readers: Vec<_> = self
             .reader_threads
             .lock()
@@ -399,13 +312,6 @@ impl Drop for Server {
     /// listener thread cannot outlive the handle.
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // The pool threads notice within their wait timeout, exit, and
-        // drop their reactor handles — no join needed here, mirroring the
-        // reader threads being left to unblock on their own.
-        #[cfg(feature = "reactor")]
-        if let Some(reactor) = &self.reactor {
-            reactor.request_stop();
-        }
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();

@@ -1,14 +1,13 @@
 //! Transport-independent request dispatch: the per-connection protocol
-//! state of both wire protocols, and the per-request surface under it.
+//! state of both wire protocols.
 //!
-//! [`server`](crate::server) and the `reactor` feature own sockets and
-//! threads; both feed each connection's bytes to a [`ByteSession`], which
-//! owns framing, the `HELLO` upgrade, and what happens *between* a decoded
-//! request and the [`Service`] — validation-error mapping, staging each
-//! read's requests per lane until the caller would block, and reply
-//! routing. [`dispatch_text`] and [`dispatch_binary`] are the one-request
-//! form, which queues at once. Responses leave through a caller-supplied
-//! sink:
+//! [`server`](crate::server) owns sockets and threads; its reader threads
+//! feed each connection's bytes to a [`ByteSession`], the one way a wire
+//! request enters the runtime. The session owns framing, the `HELLO`
+//! upgrade, and what happens *between* a decoded request and the
+//! [`Service`] — validation-error mapping, staging each read's requests
+//! per lane until the caller would block, and reply routing. Responses
+//! leave through a caller-supplied sink:
 //!
 //! * [`ResponseSink`] receives parsed [`Response`] values (the text
 //!   protocol's unit of output);
@@ -24,14 +23,12 @@
 //! `send_frame`; the TCP server overrides them to encode the whole batch
 //! into the worker's reused buffer and write it with one syscall.
 //!
-//! The TCP server implements both sinks on `Mutex<TcpStream>`; the C ABI
-//! ([`vlcsa-ffi`]) and in-process tests implement them on plain
-//! collectors. Either way, worker threads call the sink directly when an
-//! issue group completes — possibly out of submission order, possibly
-//! concurrently — so sinks must be `Send + Sync` and serialize their own
-//! output.
-//!
-//! [`vlcsa-ffi`]: https://docs.rs/vlcsa-ffi
+//! The TCP server implements both sinks on `Mutex<TcpStream>`; in-process
+//! tests implement them on plain collectors. Either way, worker threads
+//! call the sink directly when an issue group completes — possibly out of
+//! submission order, possibly concurrently — so sinks must be
+//! `Send + Sync` and serialize their own output. (The C ABI, `vlcsa-ffi`,
+//! has no byte stream: it calls [`Service`]'s submit methods directly.)
 
 use std::sync::Arc;
 
@@ -160,21 +157,12 @@ pub fn submit_error(seq: u64, err: SubmitError) -> RequestError {
     }
 }
 
-/// Dispatches one text-protocol line: parse, validate, submit; answer
-/// errors inline through the sink. `ADD`/`SUM`/`PROG` replies arrive
-/// later, from a lane worker, once the request's issue group has run —
-/// the sink is retained (via `Arc`) until every in-flight reply has
-/// fired. The request is queued at once, as a batch of one; a
-/// [`ByteSession`] stages a whole read instead.
-pub fn dispatch_text<S: ResponseSink>(line: &str, service: &Service, sink: &Arc<S>) {
-    let mut staging = Staging::default();
-    text_request(line, service, sink, &mut staging);
-    staging.flush();
-}
-
-/// [`dispatch_text`], staging the request on `staging`. A command flushes
-/// what is staged first, so it sees every request before it on its
-/// connection.
+/// Dispatches one text-protocol line: parse, validate, stage on
+/// `staging`; answer errors inline through the sink. `ADD`/`SUM`/`PROG`
+/// replies arrive later, from a lane worker, once the request's issue
+/// group has run — the sink is retained (via `Arc`) until every in-flight
+/// reply has fired. A command flushes what is staged first, so it sees
+/// every request before it on its connection.
 fn text_request<S: ResponseSink>(
     line: &str,
     service: &Service,
@@ -235,28 +223,13 @@ fn text_request<S: ResponseSink>(
 }
 
 /// Dispatches one binary frame (already read and length-delimited):
-/// decode, validate, submit; answer errors as `ERR` frames through the
-/// sink. `names` is the width-independent engine listing frame ids index
-/// into — the caller computes it once per connection, not per frame.
-/// Body-level malformation is answered and absorbed here; only the
-/// *caller* can see header-level poison (bad version, oversized length),
-/// which is a close-the-stream event. The request is queued at once, as
-/// a batch of one; a [`ByteSession`] stages a whole read instead.
-pub fn dispatch_binary<S: FrameSink>(
-    opcode: u8,
-    body: &[u8],
-    names: &[&'static str],
-    service: &Service,
-    sink: &Arc<S>,
-) {
-    let mut staging = Staging::default();
-    frame_request(opcode, body, names, service, sink, &mut staging);
-    staging.flush();
-}
-
-/// [`dispatch_binary`], staging the request on `staging`. A command flushes
-/// what is staged first, so it sees every request before it on its
-/// connection.
+/// decode, validate, stage on `staging`; answer errors as `ERR` frames
+/// through the sink. `names` is the width-independent engine listing
+/// frame ids index into — computed once per connection, not per frame.
+/// Body-level malformation is answered and absorbed here; header-level
+/// poison (bad version, oversized length) is the session's to see, and
+/// closes the stream. A command flushes what is staged first, as in
+/// [`text_request`].
 fn frame_request<S: FrameSink>(
     opcode: u8,
     body: &[u8],
@@ -390,17 +363,15 @@ impl Staging {
 pub enum FeedOutcome {
     /// The stream is still healthy; feed more bytes as they arrive.
     Continue,
-    /// The stream is finished — poisoned framing or an undecodable line.
-    /// Any answerable error was already answered through the sink; the
-    /// caller should shut the connection down.
+    /// The stream is finished — poisoned framing, or an undecodable or
+    /// overlong line. Any answerable error was already answered through
+    /// the sink; the caller should shut the connection down.
     Close,
 }
 
 /// One connection's protocol state: an incremental byte-stream session
-/// that both TCP front-ends feed whatever each `read` delivers — the
-/// threaded server from its per-connection reader thread, the `reactor`
-/// feature from its epoll reader pool. They differ only in how they wait
-/// for bytes.
+/// that the server's per-connection reader thread feeds whatever each
+/// `read` delivers.
 ///
 /// * text lines are dispatched as they complete; blank lines are ignored
 ///   and do not burn the upgrade opportunity;
@@ -412,7 +383,9 @@ pub enum FeedOutcome {
 ///   header (unknown version byte, lying length prefix) answers one `ERR`
 ///   frame and reports [`FeedOutcome::Close`]; a malformed body is
 ///   answered and the stream stays in sync;
-/// * a line that is not valid UTF-8 reports [`FeedOutcome::Close`].
+/// * a line that is not valid UTF-8 reports [`FeedOutcome::Close`], and so
+///   does a line still unfinished after [`MAX_LINE`](protocol::MAX_LINE)
+///   bytes, once answered `ERR 0 bad-request`.
 ///
 /// **Flush before block.** Requests are parsed in place; only an
 /// incomplete tail is kept for the next call. Errors are answered inline,
@@ -472,7 +445,20 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
             tail.drain(..used);
             outcome
         };
-        // A healthy text stream keeps only what follows its last newline.
+        // A healthy text stream keeps only what follows its last newline,
+        // and no more of it than the longest request line.
+        let outcome = match (&self.mode, outcome) {
+            (SessionMode::Text, FeedOutcome::Continue) if tail.len() > protocol::MAX_LINE => {
+                service.note_text_request();
+                self.sink.send(&Response::Err(RequestError {
+                    seq: 0,
+                    code: ErrorCode::BadRequest,
+                    message: format!("line exceeds {} bytes", protocol::MAX_LINE),
+                }));
+                FeedOutcome::Close
+            }
+            (_, outcome) => outcome,
+        };
         self.scanned = match (&self.mode, outcome) {
             (SessionMode::Text, FeedOutcome::Continue) => tail.len(),
             _ => 0,
@@ -568,6 +554,7 @@ mod tests {
 
     use bitnum::rng::Xoshiro256;
     use bitnum::UBig;
+    use vlcsa::program::{Operand, Program, MAX_PROGRAM_INPUTS, MAX_PROGRAM_STEPS};
 
     use super::*;
     use crate::service::ServeConfig;
@@ -617,9 +604,14 @@ mod tests {
             ..ServeConfig::default()
         });
         let sink = Arc::new(Lines(Mutex::new(Vec::new())));
-        dispatch_text("ADD 7 carry-select 32 2 3", &service, &sink);
-        dispatch_text("SUM 8 ripple 32 4 1 2 3 4", &service, &sink);
-        dispatch_text("nonsense", &service, &sink);
+        let mut session = ByteSession::new(Arc::clone(&sink));
+        for line in [
+            "ADD 7 carry-select 32 2 3\n",
+            "SUM 8 ripple 32 4 1 2 3 4\n",
+            "nonsense\n",
+        ] {
+            session.feed(line.as_bytes(), &service);
+        }
         let mut lines = drain(&sink, 3);
         lines.sort();
         // Cycles may be 1 or 2 (a recovery stall), so match the prefix.
@@ -642,7 +634,8 @@ mod tests {
     fn text_dispatch_maps_submit_errors_inline() {
         let service = Service::start(ServeConfig::default());
         let sink = Arc::new(Lines(Mutex::new(Vec::new())));
-        dispatch_text("ADD 3 no-such-engine 32 1 2", &service, &sink);
+        let mut session = ByteSession::new(Arc::clone(&sink));
+        session.feed(b"ADD 3 no-such-engine 32 1 2\n", &service);
         let lines = drain(&sink, 1);
         assert!(
             lines[0].starts_with("ERR 3 unknown-engine"),
@@ -658,19 +651,14 @@ mod tests {
             max_wait: Duration::from_micros(200),
             ..ServeConfig::default()
         });
-        let names = service.registries().at(64).names();
         let sink = Arc::new(Lines(Mutex::new(Vec::new())));
+        let mut session = ByteSession::new(Arc::clone(&sink));
+        session.feed(format!("{HELLO_LINE}\n").as_bytes(), &service);
+        drain(&sink, 1);
+        sink.0.lock().expect("test sink lock").clear();
         // A STATS frame is opcode-only; an ADD frame carries real limbs.
-        let stats = binary::encode_stats_request();
-        dispatch_binary(
-            stats[1],
-            &stats[binary::HEADER_LEN..],
-            &names,
-            &service,
-            &sink,
-        );
-        let add = binary::encode_add(5, 0, 64, &[7], &[8]);
-        dispatch_binary(add[1], &add[binary::HEADER_LEN..], &names, &service, &sink);
+        session.feed(&binary::encode_stats_request(), &service);
+        session.feed(&binary::encode_add(5, 0, 64, &[7], &[8]), &service);
         let mut lines = drain(&sink, 2);
         lines.sort();
         assert!(
@@ -837,27 +825,27 @@ mod tests {
         })
     }
 
-    /// Submits `adds[i]` as `seq = base + i` over the text or binary
-    /// dispatch, and returns the bytes of those answers sent one by one.
+    /// Feeds `adds[i]` as `seq = base + i` to `session`, one request per
+    /// feed so each is queued on its own, and returns the bytes of those
+    /// answers sent one by one.
     fn submit_adds(
         adds: &[(UBig, UBig, UBig, bool, u8)],
         base: u64,
         binary_wire: bool,
         service: &Service,
-        sink: &Arc<Wire>,
+        session: &mut ByteSession<Wire>,
     ) -> Vec<u8> {
-        let names = service.registries().at(64).names();
-        let id = names.iter().position(|n| *n == "vlcsa1").expect("listed") as u8;
         let mut separate = Vec::new();
-        for (i, (a, b, sum, cout, cycles)) in adds.iter().enumerate() {
+        for (i, add) in adds.iter().enumerate() {
             let seq = base + i as u64;
+            session.feed(
+                &add_bytes(std::slice::from_ref(add), seq, binary_wire),
+                service,
+            );
+            let (_, _, sum, cout, cycles) = add;
             if binary_wire {
-                let frame = binary::encode_add(seq, id, 64, a.limbs(), b.limbs());
-                dispatch_binary(frame[1], &frame[HEADER_LEN..], &names, service, sink);
                 separate.extend(binary::encode_ok(seq, *cout, *cycles, sum.limbs()));
             } else {
-                let line = protocol::format_add(seq, "vlcsa1", a, b);
-                dispatch_text(&line, service, sink);
                 let ok = Response::Ok {
                     seq,
                     sum: sum.clone(),
@@ -877,8 +865,9 @@ mod tests {
         for binary_wire in [false, true] {
             let service = count_flushed(N);
             let sink = Arc::new(Wire(Mutex::new(Vec::new())));
+            let mut session = session(&sink, binary_wire, &service);
             let adds = adds_with_answers(11, N);
-            let separate = submit_adds(&adds, 100, binary_wire, &service, &sink);
+            let separate = submit_adds(&adds, 100, binary_wire, &service, &mut session);
             drain_wire(&sink, 1);
             // Joining the workers first makes "exactly one" exact.
             service.shutdown();
@@ -895,12 +884,26 @@ mod tests {
         let service = count_flushed(2 * N);
         let text = Arc::new(Wire(Mutex::new(Vec::new())));
         let framed = Arc::new(Wire(Mutex::new(Vec::new())));
+        let mut text_session = session(&text, false, &service);
+        let mut framed_session = session(&framed, true, &service);
         let adds = adds_with_answers(12, 2 * N);
         let (mut text_bytes, mut framed_bytes) = (Vec::new(), Vec::new());
         for (i, pair) in adds.chunks(2).enumerate() {
             let seq = 2 * i as u64;
-            text_bytes.extend(submit_adds(&pair[..1], seq, false, &service, &text));
-            framed_bytes.extend(submit_adds(&pair[1..], seq + 1, true, &service, &framed));
+            text_bytes.extend(submit_adds(
+                &pair[..1],
+                seq,
+                false,
+                &service,
+                &mut text_session,
+            ));
+            framed_bytes.extend(submit_adds(
+                &pair[1..],
+                seq + 1,
+                true,
+                &service,
+                &mut framed_session,
+            ));
         }
         drain_wire(&text, 1);
         drain_wire(&framed, 1);
@@ -1120,8 +1123,8 @@ mod tests {
     #[test]
     fn a_line_longer_than_a_read_is_parsed_whole() {
         // A SUM of 64 full-width operands is a line of about 64 KiB. Fed
-        // in the front-ends' 8 KiB reads, it and the short line after it
-        // are answered exactly as the same lines dispatched whole.
+        // in the server's 8 KiB reads, it and the short line after it are
+        // answered exactly as the same lines fed whole, one per feed.
         let mut rng = Xoshiro256::seed_from_u64(16);
         let operands: Vec<UBig> = (0..64).map(|_| UBig::random(MAX_WIDTH, &mut rng)).collect();
         let lines = [
@@ -1130,8 +1133,9 @@ mod tests {
         ];
         let service = Service::start(ServeConfig::default());
         let whole = Arc::new(Wire(Mutex::new(Vec::new())));
+        let mut reference = ByteSession::new(Arc::clone(&whole));
         for line in &lines {
-            dispatch_text(line, &service, &whole);
+            reference.feed(format!("{line}\n").as_bytes(), &service);
         }
         let sink = Arc::new(Wire(Mutex::new(Vec::new())));
         let mut session = ByteSession::new(Arc::clone(&sink));
@@ -1144,6 +1148,72 @@ mod tests {
         assert!(want[0].starts_with(b"OK 10 "), "{want:?}");
         assert!(want[1].starts_with(b"OK 9 "), "{want:?}");
         assert_eq!(replies(&sink, false, 2), want);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_line_without_a_newline_is_refused_past_the_bound() {
+        // 256 KiB with no newline, in 8 KiB reads: held until it passes
+        // MAX_LINE, then answered once and the stream closed.
+        let service = Service::start(ServeConfig::default());
+        let sink = Arc::new(Wire(Mutex::new(Vec::new())));
+        let mut session = ByteSession::new(Arc::clone(&sink));
+        let bytes = vec![b'a'; 256 * 1024];
+        let outcomes: Vec<FeedOutcome> = bytes
+            .chunks(8192)
+            .map(|read| session.feed(read, &service))
+            .take_while(|&outcome| outcome == FeedOutcome::Continue)
+            .collect();
+        // The read that takes the held bytes past the bound closes.
+        assert_eq!(outcomes.len(), protocol::MAX_LINE / 8192);
+        let out = sink.0.lock().expect("test sink lock").clone();
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].starts_with(b"ERR 0 bad-request "), "{out:?}");
+        assert_eq!(service.stats().proto_text, 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn the_longest_program_line_is_answered() {
+        // The longest line `format_program` emits: the largest seq, the
+        // longest engine name, 64 full-width inputs and a 64-step spec
+        // with two-digit operand indices where it can.
+        let mut rng = Xoshiro256::seed_from_u64(17);
+        let inputs: Vec<UBig> = (0..MAX_PROGRAM_INPUTS)
+            .map(|_| {
+                let mut v = UBig::random(MAX_WIDTH, &mut rng);
+                v.set_bit(MAX_WIDTH - 1, true);
+                v
+            })
+            .collect();
+        let last = Operand::Input(MAX_PROGRAM_INPUTS - 1);
+        let mut program = Program::new(MAX_PROGRAM_INPUTS).expect("inputs in range");
+        let mut acc = program.push(last, last).expect("first step");
+        for k in 1..MAX_PROGRAM_STEPS {
+            acc = program
+                .push(acc, Operand::Input(10 + k % (MAX_PROGRAM_INPUTS - 10)))
+                .expect("step in range");
+        }
+        let names = vlcsa::engine::Registry::for_width(64).names();
+        let engine = names.iter().max_by_key(|n| n.len()).expect("engines");
+        let line = protocol::format_program(u64::MAX, engine, &program, &inputs);
+        assert!(line.len() <= protocol::MAX_LINE, "{}", line.len());
+
+        let service = Service::start(ServeConfig::default());
+        let sink = Arc::new(Wire(Mutex::new(Vec::new())));
+        let mut session = ByteSession::new(Arc::clone(&sink));
+        for read in format!("{line}\n").as_bytes().chunks(8192) {
+            assert_eq!(session.feed(read, &service), FeedOutcome::Continue);
+        }
+        let out = replies(&sink, false, 1);
+        let reply = std::str::from_utf8(&out[0]).expect("text reply");
+        match protocol::parse_response(reply, MAX_WIDTH) {
+            Ok(Response::Ok { seq, sum, .. }) => {
+                assert_eq!(seq, u64::MAX);
+                assert_eq!(sum, program.eval_scalar(&inputs));
+            }
+            other => panic!("{other:?}"),
+        }
         service.shutdown();
     }
 
@@ -1161,17 +1231,23 @@ mod tests {
         }
     }
 
+    impl FrameSink for Named {
+        fn send_frame(&self, _: &[u8]) {
+            self.1.lock().expect("test log lock").push(self.0);
+        }
+    }
+
     #[test]
     fn connections_are_answered_in_the_order_of_their_first_lane() {
         let service = count_flushed(2);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let a = Arc::new(Named("a", Arc::clone(&log)));
-        let b = Arc::new(Named("b", Arc::clone(&log)));
+        let mut sessions =
+            ["a", "b"].map(|name| ByteSession::new(Arc::new(Named(name, Arc::clone(&log)))));
         // Each pair is one issue group. The connection holding lane 0 is
         // written first, whichever of the two sinks that is.
-        for (i, (first, second)) in [(&b, &a), (&a, &b)].into_iter().enumerate() {
-            dispatch_text(&format!("ADD {i} vlcsa1 64 1 2"), &service, first);
-            dispatch_text(&format!("ADD {i} vlcsa1 64 3 4"), &service, second);
+        for (i, (first, second)) in [(1, 0), (0, 1)].into_iter().enumerate() {
+            sessions[first].feed(format!("ADD {i} vlcsa1 64 1 2\n").as_bytes(), &service);
+            sessions[second].feed(format!("ADD {i} vlcsa1 64 3 4\n").as_bytes(), &service);
             let deadline = Instant::now() + Duration::from_secs(5);
             while log.lock().expect("test log lock").len() < 2 * (i + 1) {
                 assert!(Instant::now() < deadline, "timed out waiting for replies");

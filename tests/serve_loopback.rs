@@ -3,7 +3,7 @@
 //! scalar reference, and VLCSA cycle accounting checked against the batch
 //! outcome of the same operands.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -1057,4 +1057,41 @@ fn idle_windows_then_burst() {
     }
     client.close();
     shutdown_within(server, Duration::from_secs(10));
+}
+
+#[test]
+fn idle_connections_hold_neither_traffic_nor_shutdown() {
+    // Every connection has its own reader thread. 64 sockets that never
+    // send a byte must not slow a busy client, and shutdown must close
+    // them too.
+    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let addr = server.local_addr();
+    let idle: Vec<TcpStream> = (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let mut rng = Xoshiro256::seed_from_u64(0x1D1E);
+    let mut client = Client::connect(addr).unwrap();
+    let mut expected = std::collections::HashMap::new();
+    for _ in 0..256 {
+        let a = UBig::random(64, &mut rng);
+        let b = UBig::random(64, &mut rng);
+        let seq = client.submit("vlcsa1", &a, &b).unwrap();
+        expected.insert(seq, a.overflowing_add(&b));
+    }
+    for _ in 0..256 {
+        let (seq, response) = client.recv().unwrap();
+        let response = response.unwrap_or_else(|e| panic!("seq {seq}: {e:?}"));
+        let (sum, cout) = expected.remove(&seq).expect("known seq");
+        assert_eq!((response.sum, response.cout), (sum, cout), "seq {seq}");
+    }
+    // The listener accepts in order, so the idle sockets, connected
+    // first, are registered before the client that was just answered.
+    assert_eq!(server.open_connections(), 65);
+    client.close();
+    shutdown_within(server, Duration::from_secs(10));
+    for mut socket in idle {
+        socket
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(socket.read(&mut byte).unwrap(), 0, "EOF after shutdown");
+    }
 }
