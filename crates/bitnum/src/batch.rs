@@ -25,6 +25,11 @@
 //! per-word lane cap becomes an internal chunking detail and callers can
 //! issue groups of any size.
 //!
+//! Values cross into and out of the layout one way each:
+//! [`WideSlab::from_lane_limbs`] and [`WideSlab::lane_limbs_into`] move
+//! lane-major `u64` limbs 64 lanes at a time through a 64×64 bit
+//! transpose, and every `from_lanes`/`to_lanes` goes through them.
+//!
 //! # Example
 //!
 //! ```
@@ -121,146 +126,74 @@ impl<W: Word> BitSlab<W> {
     /// Panics if `values` is empty, holds more than [`Word::LANES`]
     /// values, or the values disagree on width.
     pub fn from_lanes(values: &[UBig]) -> Self {
-        assert!(!values.is_empty(), "a slab needs at least one lane");
-        let width = values[0].width();
-        let mut slab = Self::zero(width, values.len());
-        for (l, v) in values.iter().enumerate() {
-            assert_eq!(v.width(), width, "lane {l} width mismatch");
-            slab.set_lane_limbs(l, v.limbs());
+        let (width, limbs) = lane_major(values);
+        Self::ingress(&limbs, width)
+    }
+
+    /// Builds one chunk from lane-major limbs — lane `l` is
+    /// `limbs[l * nl..(l + 1) * nl]` with `nl = width.div_ceil(64)` — one
+    /// 64-lane block per word limb and operand limb. The caller has checked
+    /// the shape ([`WideSlab::from_lane_limbs`]); rows past a block's lane
+    /// count are zero, so the lane-mask invariant holds by construction.
+    fn ingress(limbs: &[u64], width: usize) -> Self {
+        let nl = width.div_ceil(64);
+        let mut slab = Self::zero(width, limbs.len() / nl);
+        let mut block = [0u64; 64];
+        for (b, rows) in limbs.chunks(64 * nl).enumerate() {
+            let n = rows.len() / nl;
+            for (li, words) in slab.words.chunks_mut(64).enumerate() {
+                let row = |r: usize| rows[r * nl + li];
+                if n < TRANSPOSE_MIN_LANES {
+                    for (i, w) in words.iter_mut().enumerate() {
+                        w.set_limb(b, (0..n).fold(0, |acc, r| acc | (row(r) >> i & 1) << r));
+                    }
+                } else {
+                    for (r, x) in block.iter_mut().enumerate() {
+                        *x = if r < n { row(r) } else { 0 };
+                    }
+                    transpose64(&mut block);
+                    for (w, &x) in words.iter_mut().zip(&block) {
+                        w.set_limb(b, x);
+                    }
+                }
+            }
         }
         slab
     }
 
-    /// Writes lane `l` directly from little-endian `u64` limbs — the
-    /// zero-copy ingest path of the binary wire protocol: a frame's limb
-    /// bytes scatter straight into the transposed layout with no
-    /// intermediate [`UBig`] and no per-digit parsing.
-    ///
-    /// The lane must currently be all-zero (as produced by
-    /// [`BitSlab::zero`]); the limbs are OR-ed in, and debug builds verify
-    /// the precondition. `limbs` must be exactly `width.div_ceil(64)`
-    /// limbs with no bits set at or above `width` — the caller (protocol
-    /// decoder or [`UBig::limbs`]) has already validated the value, so a
-    /// violation here is a bug, not bad input.
-    ///
-    /// ```
-    /// use bitnum::batch::BitSlab;
-    /// use bitnum::UBig;
-    /// let mut slab: BitSlab = BitSlab::zero(100, 2);
-    /// slab.set_lane_limbs(1, &[0xdead_beef, 0x7]);
-    /// assert_eq!(slab.lane(1), UBig::from_limbs(&[0xdead_beef, 0x7], 100));
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l >= lanes`, `limbs` is not exactly `width.div_ceil(64)`
-    /// limbs, or the top limb carries bits at or above `width`. Debug
-    /// builds also panic when the lane is not currently zero.
-    pub fn set_lane_limbs(&mut self, l: usize, limbs: &[u64]) {
-        assert!(
-            l < self.lanes,
-            "lane {l} out of range for {} lanes",
-            self.lanes
-        );
-        assert_eq!(
-            limbs.len(),
-            self.width.div_ceil(64),
-            "width {} needs {} limbs, got {}",
-            self.width,
-            self.width.div_ceil(64),
-            limbs.len()
-        );
-        let used = self.width % 64;
-        assert!(
-            used == 0 || limbs[limbs.len() - 1] >> used == 0,
-            "limbs carry bits at or above width {}",
-            self.width
-        );
-        debug_assert!(
-            self.words.iter().all(|w| !w.bit(l)),
-            "lane {l} is not zero before set_lane_limbs"
-        );
-        for (li, &limb) in limbs.iter().enumerate() {
-            let mut w = limb;
-            while w != 0 {
-                let i = li * 64 + w.trailing_zeros() as usize;
-                self.words[i].set_bit(l);
-                w &= w - 1;
-            }
-        }
-    }
-
-    /// Overwrites lane `l` from little-endian `u64` limbs — the dirty-slab
-    /// twin of [`BitSlab::set_lane_limbs`]: every bit of the lane is
-    /// written (set **or cleared**), so the lane needs no pre-zeroing and
-    /// whole slabs can be recycled across batches without a zeroing sweep
-    /// (see [`SlabBuilder::recycle`]).
-    ///
-    /// ```
-    /// use bitnum::batch::BitSlab;
-    /// use bitnum::UBig;
-    /// let mut slab: BitSlab = BitSlab::from_lanes(&[UBig::from_u128(0xffff, 100)]);
-    /// slab.overwrite_lane_limbs(0, &[0xdead_beef, 0x7]); // stale bits vanish
-    /// assert_eq!(slab.lane(0), UBig::from_limbs(&[0xdead_beef, 0x7], 100));
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l >= lanes`, `limbs` is not exactly `width.div_ceil(64)`
-    /// limbs, or the top limb carries bits at or above `width`.
-    pub fn overwrite_lane_limbs(&mut self, l: usize, limbs: &[u64]) {
-        assert!(
-            l < self.lanes,
-            "lane {l} out of range for {} lanes",
-            self.lanes
-        );
-        assert_eq!(
-            limbs.len(),
-            self.width.div_ceil(64),
-            "width {} needs {} limbs, got {}",
-            self.width,
-            self.width.div_ceil(64),
-            limbs.len()
-        );
-        let used = self.width % 64;
-        assert!(
-            used == 0 || limbs[limbs.len() - 1] >> used == 0,
-            "limbs carry bits at or above width {}",
-            self.width
-        );
-        for (li, &limb) in limbs.iter().enumerate() {
-            let base = li * 64;
-            let top = (base + 64).min(self.width);
-            for i in base..top {
-                if (limb >> (i - base)) & 1 == 1 {
-                    self.words[i].set_bit(l);
+    /// Writes every lane into `out`, lane-major (lane `l` is
+    /// `out[l * nl..(l + 1) * nl]`) — the inverse of [`BitSlab::ingress`].
+    fn egress(&self, out: &mut [u64]) {
+        let nl = self.width.div_ceil(64);
+        debug_assert_eq!(out.len(), self.lanes * nl);
+        let mut block = [0u64; 64];
+        for (b, rows) in out.chunks_mut(64 * nl).enumerate() {
+            let n = rows.len() / nl;
+            for (li, words) in self.words.chunks(64).enumerate() {
+                if n < TRANSPOSE_MIN_LANES {
+                    for r in 0..n {
+                        rows[r * nl + li] = words
+                            .iter()
+                            .enumerate()
+                            .fold(0, |acc, (i, w)| acc | (w.limb(b) >> r & 1) << i);
+                    }
                 } else {
-                    self.words[i].clear_bit(l);
+                    for (r, x) in block.iter_mut().enumerate() {
+                        *x = words.get(r).map_or(0, |w| w.limb(b));
+                    }
+                    transpose64(&mut block);
+                    for (r, &x) in block[..n].iter().enumerate() {
+                        rows[r * nl + li] = x;
+                    }
                 }
             }
         }
     }
 
-    /// Clears every bit of lane `l` — the lane-level eraser for callers
-    /// that retire a lane without immediately rewriting it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l >= lanes`.
-    pub fn clear_lane(&mut self, l: usize) {
-        assert!(
-            l < self.lanes,
-            "lane {l} out of range for {} lanes",
-            self.lanes
-        );
-        for w in &mut self.words {
-            w.clear_bit(l);
-        }
-    }
-
-    /// Gathers lane `l` into little-endian `u64` limbs — the egress twin
-    /// of [`BitSlab::set_lane_limbs`], filling a caller-provided buffer so
-    /// binary-mode responses need no [`UBig`] or hex formatting.
+    /// Gathers lane `l` into little-endian `u64` limbs, filling a
+    /// caller-provided buffer — the single-lane extraction behind
+    /// [`BitSlab::lane`], and the per-lane reference the block egress is
+    /// tested against.
     ///
     /// ```
     /// use bitnum::batch::BitSlab;
@@ -294,22 +227,6 @@ impl<W: Word> BitSlab<W> {
         for (i, w) in self.words.iter().enumerate() {
             out[i / 64] |= ((w.limb(limb) >> shift) & 1) << (i % 64);
         }
-    }
-
-    /// Shrinks the lane count to `lanes` and masks every word down to the
-    /// new lane mask — the builder's seal for a partial tail chunk. The
-    /// masking sweep makes the seal sound even when lanes at or beyond the
-    /// new count hold stale bits (a recycled chunk, see
-    /// [`SlabBuilder::recycle`]), restoring the slab invariant that no bit
-    /// above the lane count is set.
-    fn truncated(mut self, lanes: usize) -> Self {
-        debug_assert!((1..=self.lanes).contains(&lanes));
-        self.lanes = lanes;
-        let mask = self.lane_mask();
-        for w in &mut self.words {
-            *w = *w & mask;
-        }
-        self
     }
 
     /// Fills a slab with uniformly random lanes (equivalent to transposing
@@ -427,8 +344,71 @@ impl<W: Word> BitSlab<W> {
 
     /// Untransposes the slab back into one [`UBig`] per lane.
     pub fn to_lanes(&self) -> Vec<UBig> {
-        (0..self.lanes).map(|l| self.lane(l)).collect()
+        let mut limbs = vec![0; self.lanes * self.width.div_ceil(64)];
+        self.egress(&mut limbs);
+        split_lanes(&limbs, self.width)
     }
+}
+
+/// Below this many lanes, a 64-lane block crosses the slab boundary lane
+/// by lane instead of through [`transpose64`]. On a 2-vCPU AVX-512 host
+/// (`W256` slabs, widths 64 and 256, best of six) moving one lane bit by
+/// bit took a third of a transpose's time on the way out and two thirds
+/// on the way in, two lanes about break even, and from three lanes on the
+/// transpose was never slower. One-lane groups are the unloaded serve
+/// path's common case.
+const TRANSPOSE_MIN_LANES: usize = 3;
+
+/// Transposes a 64×64 bit matrix in place: bit `c` of row `r` becomes
+/// bit `r` of row `c`. Six rounds of masked swaps; each exchanges the
+/// upper-right and lower-left quarters of every diagonal block, halving
+/// the block size from 64 rows down to 2.
+fn transpose64(m: &mut [u64; 64]) {
+    swap_quarters::<32>(m, 0x0000_0000_ffff_ffff);
+    swap_quarters::<16>(m, 0x0000_ffff_0000_ffff);
+    swap_quarters::<8>(m, 0x00ff_00ff_00ff_00ff);
+    swap_quarters::<4>(m, 0x0f0f_0f0f_0f0f_0f0f);
+    swap_quarters::<2>(m, 0x3333_3333_3333_3333);
+    swap_quarters::<1>(m, 0x5555_5555_5555_5555);
+}
+
+/// One round of [`transpose64`] on its `2J`-row diagonal blocks: the bits
+/// of row `r` selected by `mask << J` trade places with the bits of row
+/// `r + J` selected by `mask`. A const `J` lets every round unroll.
+#[inline(always)]
+fn swap_quarters<const J: usize>(m: &mut [u64; 64], mask: u64) {
+    for block in m.chunks_exact_mut(2 * J) {
+        let (upper, lower) = block.split_at_mut(J);
+        for (a, b) in upper.iter_mut().zip(lower) {
+            let t = ((*a >> J) ^ *b) & mask;
+            *a ^= t << J;
+            *b ^= t;
+        }
+    }
+}
+
+/// The limbs of `values`, lane-major, and their common width.
+///
+/// # Panics
+///
+/// Panics if `values` is empty or the values disagree on width.
+fn lane_major(values: &[UBig]) -> (usize, Vec<u64>) {
+    assert!(!values.is_empty(), "a slab needs at least one lane");
+    let width = values[0].width();
+    let mut limbs = Vec::with_capacity(values.len() * width.div_ceil(64));
+    for (l, v) in values.iter().enumerate() {
+        assert_eq!(v.width(), width, "lane {l} width mismatch");
+        limbs.extend_from_slice(v.limbs());
+    }
+    (width, limbs)
+}
+
+/// One [`UBig`] per lane of lane-major `limbs`.
+fn split_lanes(limbs: &[u64], width: usize) -> Vec<UBig> {
+    limbs
+        .chunks(width.div_ceil(64))
+        .map(|lane| UBig::from_limbs(lane, width))
+        .collect()
 }
 
 /// Bit-sliced ripple-carry addition: adds `a` and `b` word-parallel across
@@ -554,18 +534,58 @@ impl<W: Word> WideSlab<W> {
     ///
     /// Panics if `values` is empty or the values disagree on width.
     pub fn from_lanes(values: &[UBig]) -> Self {
-        assert!(!values.is_empty(), "a wide slab needs at least one lane");
-        let width = values[0].width();
-        // BitSlab::from_lanes only checks widths within its own chunk, so
-        // enforce agreement across chunk boundaries here.
-        for (l, v) in values.iter().enumerate() {
-            assert_eq!(v.width(), width, "lane {l} width mismatch");
+        let (width, limbs) = lane_major(values);
+        Self::from_lane_limbs(&limbs, width)
+    }
+
+    /// Transposes lane-major limbs into chunked slabs — the slab layout's
+    /// one way in: lane `l` is `limbs[l * nl..(l + 1) * nl]`, little-endian,
+    /// with `nl = width.div_ceil(64)`. Each chunk is built one 64-lane
+    /// block per `u64` limb of the word and per operand limb, through a
+    /// 64×64 bit transpose (a block of only a few lanes is deposited lane
+    /// by lane instead).
+    ///
+    /// ```
+    /// use bitnum::batch::WideSlab;
+    /// use bitnum::UBig;
+    /// let slab: WideSlab = WideSlab::from_lane_limbs(&[u64::MAX, 0x5, 42, 0], 100);
+    /// assert_eq!(slab.lanes(), 2);
+    /// assert_eq!(slab.lane(0), UBig::from_limbs(&[u64::MAX, 0x5], 100));
+    /// assert_eq!(slab.lane(1).to_u128(), Some(42));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero or exceeds [`crate::MAX_WIDTH`], if
+    /// `limbs` is empty or not a whole number of `nl`-limb lanes, or if a
+    /// lane has bits set at or above `width` — the transpose would
+    /// silently drop them.
+    pub fn from_lane_limbs(limbs: &[u64], width: usize) -> Self {
+        assert!(
+            (1..=crate::MAX_WIDTH).contains(&width),
+            "unsupported width {width}"
+        );
+        let nl = width.div_ceil(64);
+        assert!(!limbs.is_empty(), "a wide slab needs at least one lane");
+        assert!(
+            limbs.len().is_multiple_of(nl),
+            "{} limbs are not whole lanes: width {width} needs {nl} limbs per lane",
+            limbs.len()
+        );
+        let used = width % 64;
+        if used != 0 {
+            let tops = limbs[nl - 1..].iter().step_by(nl);
+            if let Some(l) = tops.clone().position(|&top| top >> used != 0) {
+                panic!("lane {l} carries bits at or above width {width}");
+            }
         }
-        let chunks: Vec<BitSlab<W>> = values.chunks(W::LANES).map(BitSlab::from_lanes).collect();
         Self {
             width,
-            lanes: values.len(),
-            chunks,
+            lanes: limbs.len() / nl,
+            chunks: limbs
+                .chunks(W::LANES * nl)
+                .map(|chunk| BitSlab::ingress(chunk, width))
+                .collect(),
         }
     }
 
@@ -657,183 +677,32 @@ impl<W: Word> WideSlab<W> {
         self.chunks[l / W::LANES].lane(l % W::LANES)
     }
 
-    /// Gathers global lane `l` into little-endian `u64` limbs without
-    /// building a [`UBig`] — see [`BitSlab::write_lane_limbs`].
+    /// Untransposes every lane into `out`, lane-major as
+    /// [`WideSlab::from_lane_limbs`] reads them — the slab layout's one way
+    /// out. `out` is resized to `lanes * width.div_ceil(64)` limbs, so a
+    /// caller that reuses it allocates only when a group outgrows it.
     ///
-    /// # Panics
-    ///
-    /// Panics if `l >= lanes` or `out` is not exactly `width.div_ceil(64)`
-    /// limbs.
-    pub fn write_lane_limbs(&self, l: usize, out: &mut [u64]) {
-        assert!(
-            l < self.lanes,
-            "lane {l} out of range for {} lanes",
-            self.lanes
-        );
-        self.chunks[l / W::LANES].write_lane_limbs(l % W::LANES, out);
+    /// ```
+    /// use bitnum::batch::WideSlab;
+    /// use bitnum::UBig;
+    /// let slab: WideSlab = WideSlab::from_lanes(&[UBig::from_u128(7, 72), UBig::ones(72)]);
+    /// let mut limbs = vec![1u64; 9];
+    /// slab.lane_limbs_into(&mut limbs);
+    /// assert_eq!(limbs, [7, 0, u64::MAX, 0xff]);
+    /// ```
+    pub fn lane_limbs_into(&self, out: &mut Vec<u64>) {
+        let nl = self.width.div_ceil(64);
+        out.resize(self.lanes * nl, 0);
+        for (chunk, rows) in self.chunks.iter().zip(out.chunks_mut(W::LANES * nl)) {
+            chunk.egress(rows);
+        }
     }
 
     /// Untransposes the wide slab back into one [`UBig`] per lane.
     pub fn to_lanes(&self) -> Vec<UBig> {
-        self.chunks.iter().flat_map(|c| c.to_lanes()).collect()
-    }
-}
-
-/// Builds a [`WideSlab`] one lane at a time from raw limbs — the ingest
-/// side of the binary wire protocol, where operands arrive as
-/// little-endian `u64` limb runs and must land in transposed layout
-/// without ever becoming a [`UBig`].
-///
-/// Lanes are appended in arrival order with
-/// [`SlabBuilder::push_lane_limbs`] (or [`SlabBuilder::push_lane`] for
-/// callers that do hold a [`UBig`]); chunking at [`Word::LANES`] lanes is
-/// handled internally, and [`SlabBuilder::finish`] seals the possibly
-/// partial tail chunk into a well-formed [`WideSlab`].
-///
-/// # Example
-///
-/// ```
-/// use bitnum::batch::SlabBuilder;
-/// use bitnum::UBig;
-///
-/// let mut builder: SlabBuilder = SlabBuilder::new(100);
-/// builder.push_lane_limbs(&[u64::MAX, 0x5]);
-/// builder.push_lane(&UBig::from_u128(42, 100));
-/// let slab = builder.finish();
-/// assert_eq!(slab.lanes(), 2);
-/// assert_eq!(slab.lane(0), UBig::from_limbs(&[u64::MAX, 0x5], 100));
-/// assert_eq!(slab.lane(1).to_u128(), Some(42));
-/// ```
-#[derive(Debug)]
-pub struct SlabBuilder<W: Word = DefaultWord> {
-    width: usize,
-    lanes: usize,
-    chunks: Vec<BitSlab<W>>,
-    /// The open chunk, allocated at full [`Word::LANES`] capacity. Lanes
-    /// are written through the overwrite path
-    /// ([`BitSlab::overwrite_lane_limbs`]), so the chunk needs no
-    /// pre-zeroing and recycled (dirty) chunks are fine; sealing a partial
-    /// tail masks stale lanes away ([`BitSlab::truncated`]).
-    current: BitSlab<W>,
-    open_lanes: usize,
-    /// Dirty full-capacity chunks reclaimed by [`SlabBuilder::recycle`],
-    /// consumed on chunk rollover before any fresh allocation.
-    spare: Vec<BitSlab<W>>,
-}
-
-impl<W: Word> SlabBuilder<W> {
-    /// Creates an empty builder for lanes of `width` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or exceeds [`crate::MAX_WIDTH`].
-    pub fn new(width: usize) -> Self {
-        Self {
-            width,
-            lanes: 0,
-            chunks: Vec::new(),
-            current: BitSlab::zero(width, W::LANES),
-            open_lanes: 0,
-            spare: Vec::new(),
-        }
-    }
-
-    /// Reclaims a finished slab's chunk allocations for a new build at the
-    /// same width **without zeroing them** — the allocation-recycling loop
-    /// of a long-running batcher. Sound because every push overwrites its
-    /// lane bit-for-bit and [`SlabBuilder::finish`] masks the partial
-    /// tail, so stale bits from the previous batch can never leak into the
-    /// next one.
-    ///
-    /// ```
-    /// use bitnum::batch::SlabBuilder;
-    /// use bitnum::UBig;
-    ///
-    /// let mut builder: SlabBuilder = SlabBuilder::new(64);
-    /// builder.push_lane(&UBig::from_u128(u64::MAX as u128, 64));
-    /// let mut builder = SlabBuilder::recycle(builder.finish());
-    /// builder.push_lane_limbs(&[42]); // lane 0 reused, stale bits gone
-    /// assert_eq!(builder.finish().lane(0).to_u128(), Some(42));
-    /// ```
-    pub fn recycle(slab: WideSlab<W>) -> Self {
-        let width = slab.width;
-        let mut spare = slab.chunks;
-        for chunk in &mut spare {
-            // Reopen every harvested chunk at full capacity; the words
-            // keep their stale bits.
-            chunk.lanes = W::LANES;
-        }
-        let current = spare
-            .pop()
-            .unwrap_or_else(|| BitSlab::zero(width, W::LANES));
-        Self {
-            width,
-            lanes: 0,
-            chunks: Vec::new(),
-            current,
-            open_lanes: 0,
-            spare,
-        }
-    }
-
-    /// The bit width of each lane.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Lanes pushed so far.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Appends one lane from little-endian `u64` limbs — a direct
-    /// scatter into the transposed words via
-    /// [`BitSlab::overwrite_lane_limbs`]. The overwrite path writes every
-    /// bit of the lane, so the builder's chunks need no pre-zeroing and
-    /// recycled chunks ([`SlabBuilder::recycle`]) are ingested as-is.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the limb-shape conditions of
-    /// [`BitSlab::overwrite_lane_limbs`]: not exactly `width.div_ceil(64)`
-    /// limbs, or bits set at or above the width.
-    pub fn push_lane_limbs(&mut self, limbs: &[u64]) {
-        self.current.overwrite_lane_limbs(self.open_lanes, limbs);
-        self.open_lanes += 1;
-        self.lanes += 1;
-        if self.open_lanes == W::LANES {
-            let next = self
-                .spare
-                .pop()
-                .unwrap_or_else(|| BitSlab::zero(self.width, W::LANES));
-            let full = std::mem::replace(&mut self.current, next);
-            self.chunks.push(full);
-            self.open_lanes = 0;
-        }
-    }
-
-    /// Appends one lane from a [`UBig`] — the text-protocol path, same
-    /// scatter over [`UBig::limbs`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is not the builder's width.
-    pub fn push_lane(&mut self, value: &UBig) {
-        assert_eq!(value.width(), self.width, "lane width mismatch");
-        self.push_lane_limbs(value.limbs());
-    }
-
-    /// Seals the pending lanes into a [`WideSlab`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no lane was pushed — a slab needs at least one lane.
-    pub fn finish(mut self) -> WideSlab<W> {
-        assert!(self.lanes >= 1, "a wide slab needs at least one lane");
-        if self.open_lanes > 0 {
-            self.chunks.push(self.current.truncated(self.open_lanes));
-        }
-        WideSlab::from_chunks(self.chunks)
+        let mut limbs = Vec::new();
+        self.lane_limbs_into(&mut limbs);
+        split_lanes(&limbs, self.width)
     }
 }
 
@@ -1055,37 +924,84 @@ mod tests {
         let _ = BitSlab::<DefaultWord>::from_lanes(&[UBig::zero(8), UBig::zero(9)]);
     }
 
-    fn limb_ingest_matches_from_lanes_for<W: Word>() {
-        // The binary-protocol ingest contract: limbs scattered straight
-        // into the slab layout are bit-identical to the UBig transpose
-        // path, for widths with partial top limbs and lane counts with
-        // partial tail chunks.
-        let mut rng = Xoshiro256::seed_from_u64(31);
-        for (width, lanes) in [
-            (1usize, 1usize),
-            (64, 3),
-            (100, W::LANES),
-            (130, W::LANES + 9),
-            (64, 2 * W::LANES),
-            (24, 3 * W::LANES + 1),
-        ] {
-            let values: Vec<UBig> = (0..lanes).map(|_| UBig::random(width, &mut rng)).collect();
-            let mut builder = SlabBuilder::<W>::new(width);
-            for v in &values {
-                builder.push_lane_limbs(v.limbs());
+    #[test]
+    fn transpose64_moves_bit_c_of_row_r_to_bit_r_of_row_c() {
+        let mut rng = Xoshiro256::seed_from_u64(30);
+        let rows: [u64; 64] = std::array::from_fn(|_| rng.next_u64());
+        let mut m = rows;
+        transpose64(&mut m);
+        for (r, row) in rows.iter().enumerate() {
+            for (c, col) in m.iter().enumerate() {
+                assert_eq!(row >> c & 1, col >> r & 1, "row {r} bit {c}");
             }
-            let built = builder.finish();
-            assert_eq!(
-                built,
-                WideSlab::from_lanes(&values),
-                "width={width} lanes={lanes}"
-            );
-            // Egress round trip: gather each lane's limbs without a UBig
-            // and compare against the source limbs.
-            let mut limbs = vec![0u64; width.div_ceil(64)];
-            for (l, v) in values.iter().enumerate() {
-                built.write_lane_limbs(l, &mut limbs);
-                assert_eq!(limbs, v.limbs(), "lane {l}");
+        }
+        transpose64(&mut m);
+        assert_eq!(m, rows);
+    }
+
+    /// Widths with partial and whole top limbs, from one bit to 64 limbs.
+    const BOUNDARY_WIDTHS: [usize; 13] =
+        [1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300, 4096];
+
+    /// Lane counts on both sides of the small-block threshold, of a 64-lane
+    /// block, and of a `W256` and a `W512` chunk.
+    fn boundary_lane_counts() -> impl Iterator<Item = usize> {
+        let t = TRANSPOSE_MIN_LANES;
+        [1, 2, 3, 63, 64, 65, 255, 256, 257, 300, 600]
+            .into_iter()
+            .chain([t - 1, t, t + 1])
+    }
+
+    /// Lane-major limbs of `lanes` lanes: random, all ones, or only the top
+    /// bit set, in a rotation that gives lane 0 each kind across widths.
+    fn boundary_limbs(width: usize, lanes: usize, rng: &mut Xoshiro256) -> Vec<u64> {
+        let mut top = UBig::zero(width);
+        top.set_bit(width - 1, true);
+        let mut limbs = Vec::new();
+        for l in 0..lanes {
+            let v = match (l + width) % 5 {
+                0 => UBig::ones(width),
+                1 => top.clone(),
+                _ => UBig::random(width, rng),
+            };
+            limbs.extend_from_slice(v.limbs());
+        }
+        limbs
+    }
+
+    fn limb_ingest_matches_from_lanes_for<W: Word>() {
+        // The slab layout's one way in, against the per-lane gather: every
+        // lane reads back exactly, no bit lands beyond a chunk's lane mask,
+        // and the UBig constructors build the same slab.
+        let mut rng = Xoshiro256::seed_from_u64(31);
+        for width in BOUNDARY_WIDTHS {
+            for lanes in boundary_lane_counts() {
+                let limbs = boundary_limbs(width, lanes, &mut rng);
+                let slab = WideSlab::<W>::from_lane_limbs(&limbs, width);
+                assert_eq!(slab.lanes(), lanes);
+                for (l, want) in limbs.chunks(width.div_ceil(64)).enumerate() {
+                    assert_eq!(
+                        slab.lane(l).limbs(),
+                        want,
+                        "width={width} lanes={lanes} lane {l}"
+                    );
+                }
+                for chunk in slab.chunks() {
+                    let mask = chunk.lane_mask();
+                    assert!(
+                        chunk.words().iter().all(|&w| (w & !mask).is_zero()),
+                        "width={width} lanes={lanes}: a bit beyond the lane mask"
+                    );
+                }
+                let values = split_lanes(&limbs, width);
+                assert_eq!(
+                    WideSlab::from_lanes(&values),
+                    slab,
+                    "width={width} lanes={lanes}"
+                );
+                if lanes <= W::LANES {
+                    assert_eq!(BitSlab::from_lanes(&values), slab.chunks()[0]);
+                }
             }
         }
     }
@@ -1094,112 +1010,74 @@ mod tests {
     fn limb_ingest_matches_from_lanes() {
         limb_ingest_matches_from_lanes_for::<u64>();
         limb_ingest_matches_from_lanes_for::<W256>();
+        limb_ingest_matches_from_lanes_for::<W512>();
     }
 
-    fn set_lane_limbs_rejects_bad_shapes_for<W: Word>() {
-        let mut slab = BitSlab::<W>::zero(100, 2);
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            slab.set_lane_limbs(0, &[1]); // 100 bits need 2 limbs
-        }))
-        .is_err());
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            slab.set_lane_limbs(0, &[0, 1 << 36]); // bit 100 is out of range
-        }))
-        .is_err());
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            slab.set_lane_limbs(2, &[0, 0]); // lane out of range
-        }))
-        .is_err());
-        slab.set_lane_limbs(0, &[u64::MAX, (1 << 36) - 1]); // max value fits
-        assert_eq!(slab.lane(0), UBig::ones(100));
-    }
-
-    #[test]
-    fn set_lane_limbs_rejects_bad_shapes() {
-        set_lane_limbs_rejects_bad_shapes_for::<u64>();
-        set_lane_limbs_rejects_bad_shapes_for::<W256>();
-    }
-
-    fn overwrite_reuses_dirty_slab_for<W: Word>() {
-        // The PR 8 gotcha: set_lane_limbs OR-s into the lane and requires
-        // it zero. The overwrite path must rewrite a *dirty* lane exactly,
-        // clearing stale bits the new value does not set.
-        let mut rng = Xoshiro256::seed_from_u64(41);
-        let width = 100;
-        let lanes = W::LANES;
-        let first: Vec<UBig> = (0..lanes).map(|_| UBig::random(width, &mut rng)).collect();
-        let second: Vec<UBig> = (0..lanes).map(|_| UBig::random(width, &mut rng)).collect();
-        let mut slab = BitSlab::<W>::from_lanes(&first);
-        for (l, v) in second.iter().enumerate() {
-            slab.overwrite_lane_limbs(l, v.limbs());
-        }
-        assert_eq!(slab, BitSlab::from_lanes(&second));
-        // Same shape panics as the OR path.
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            slab.overwrite_lane_limbs(0, &[1]); // 100 bits need 2 limbs
-        }))
-        .is_err());
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            slab.overwrite_lane_limbs(0, &[0, 1 << 36]); // bit 100 out of range
-        }))
-        .is_err());
-        // clear_lane erases exactly one lane.
-        slab.clear_lane(1);
-        assert_eq!(slab.lane(1), UBig::zero(width));
-        assert_eq!(slab.lane(0), second[0]);
-    }
-
-    #[test]
-    fn overwrite_lane_limbs_reuses_dirty_slab() {
-        overwrite_reuses_dirty_slab_for::<u64>();
-        overwrite_reuses_dirty_slab_for::<W256>();
-    }
-
-    fn recycled_builder_matches_fresh_build_for<W: Word>() {
-        // A recycled (dirty, unzeroed) slab must rebuild bit-identically:
-        // pushes overwrite their lanes and the partial-tail seal masks the
-        // stale remainder — including the slab lane-mask invariant.
-        let mut rng = Xoshiro256::seed_from_u64(42);
-        let width = 72;
-        let mut builder = SlabBuilder::<W>::new(width);
-        for _ in 0..(2 * W::LANES) {
-            builder.push_lane(&UBig::random(width, &mut rng));
-        }
-        let dirty = builder.finish();
-
-        // Rebuild *fewer* lanes than the donor held, so both a partial
-        // tail over a dirty chunk and an unused spare chunk are exercised.
-        let fresh_lanes = W::LANES + W::LANES / 2 + 3;
-        let values: Vec<UBig> = (0..fresh_lanes)
-            .map(|_| UBig::random(width, &mut rng))
-            .collect();
-        let mut recycled = SlabBuilder::<W>::recycle(dirty);
-        let mut fresh = SlabBuilder::<W>::new(width);
-        for v in &values {
-            recycled.push_lane_limbs(v.limbs());
-            fresh.push_lane(v);
-        }
-        let (recycled, fresh) = (recycled.finish(), fresh.finish());
-        assert_eq!(recycled, fresh);
-        for chunk in recycled.chunks() {
-            let mask = chunk.lane_mask();
-            assert!(
-                chunk.words().iter().all(|&w| (w & !mask).is_zero()),
-                "stale bits above the lane count survived the seal"
-            );
+    fn egress_matches_per_lane_gather_for<W: Word>() {
+        // The slab layout's one way out, against the per-lane gather, on
+        // slabs the ingress did not build and on slabs it did, into one
+        // buffer reused dirty across every shape.
+        let mut rng = Xoshiro256::seed_from_u64(32);
+        let mut out = vec![u64::MAX; 3];
+        for width in BOUNDARY_WIDTHS {
+            let nl = width.div_ceil(64);
+            let mut lane = vec![0; nl];
+            for lanes in boundary_lane_counts() {
+                let limbs = boundary_limbs(width, lanes, &mut rng);
+                for slab in [
+                    WideSlab::<W>::random(width, lanes, &mut rng),
+                    WideSlab::<W>::from_lane_limbs(&limbs, width),
+                ] {
+                    slab.lane_limbs_into(&mut out);
+                    assert_eq!(out.len(), lanes * nl);
+                    for (l, got) in out.chunks(nl).enumerate() {
+                        slab.chunks()[l / W::LANES].write_lane_limbs(l % W::LANES, &mut lane);
+                        assert_eq!(got, lane, "width={width} lanes={lanes} lane {l}");
+                    }
+                    assert_eq!(slab.to_lanes(), split_lanes(&out, width));
+                }
+                assert_eq!(out, limbs, "width={width} lanes={lanes}");
+            }
         }
     }
 
     #[test]
-    fn recycled_builder_matches_fresh_build() {
-        recycled_builder_matches_fresh_build_for::<u64>();
-        recycled_builder_matches_fresh_build_for::<W256>();
+    fn egress_matches_per_lane_gather() {
+        egress_matches_per_lane_gather_for::<u64>();
+        egress_matches_per_lane_gather_for::<W256>();
+        egress_matches_per_lane_gather_for::<W512>();
+    }
+
+    fn from_lane_limbs_rejects_bad_shapes_for<W: Word>() {
+        let refusal = |limbs: &[u64], width: usize| {
+            let err = std::panic::catch_unwind(|| WideSlab::<W>::from_lane_limbs(limbs, width))
+                .expect_err("a bad shape must panic");
+            err.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        };
+        // 100 bits need 2 limbs per lane.
+        assert!(refusal(&[1], 100).contains("not whole lanes"));
+        assert!(refusal(&[0, 0, 1], 100).contains("not whole lanes"));
+        // Bit 100 of lane 1 is out of range.
+        assert!(refusal(&[0, 0, 0, 1 << 36], 100).contains("lane 1 carries bits"));
+        assert!(refusal(&[0], 0).contains("unsupported width"));
+        // The largest value fits.
+        let max = WideSlab::<W>::from_lane_limbs(&[u64::MAX, (1 << 36) - 1], 100);
+        assert_eq!(max.lane(0), UBig::ones(100));
+    }
+
+    #[test]
+    fn from_lane_limbs_rejects_bad_shapes() {
+        from_lane_limbs_rejects_bad_shapes_for::<u64>();
+        from_lane_limbs_rejects_bad_shapes_for::<W256>();
     }
 
     #[test]
     #[should_panic(expected = "at least one lane")]
-    fn empty_builder_finish_panics() {
-        let _ = SlabBuilder::<DefaultWord>::new(8).finish();
+    fn empty_ingress_panics() {
+        let _ = WideSlab::<DefaultWord>::from_lane_limbs(&[], 8);
     }
 
     #[test]

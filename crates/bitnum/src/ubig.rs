@@ -130,30 +130,36 @@ impl UBig {
             .or_else(|| s.strip_prefix("0X"))
             .unwrap_or(s);
         let mut v = Self::zero(width);
-        let last = v.limbs.len() - 1;
-        let top_bits = width % 64;
+        // Validate front to back, so the first fault in reading order wins:
+        // an invalid digit, or the digit at which the value read so far
+        // needs more than `width` bits.
         let mut digits = 0usize;
+        let mut bits = 0usize;
         for c in s.chars() {
             if c == '_' {
                 continue;
             }
             let d = c
                 .to_digit(16)
-                .ok_or_else(|| ParseUBigError::invalid_digit(c))? as u64;
-            // Shifting left by 4 must not lose set bits, and no bit may
-            // land at or above `width` in a partial top limb.
-            if !v.extract_top_nibble_is_zero() {
-                return Err(ParseUBigError::overflow());
-            }
-            v.shl_small_unmasked(4);
-            v.limbs[0] |= d;
-            if top_bits != 0 && v.limbs[last] >> top_bits != 0 {
+                .ok_or_else(|| ParseUBigError::invalid_digit(c))?;
+            bits = match bits {
+                0 => (u32::BITS - d.leading_zeros()) as usize,
+                _ => bits + 4,
+            };
+            if bits > width {
                 return Err(ParseUBigError::overflow());
             }
             digits += 1;
         }
         if digits == 0 {
             return Err(ParseUBigError::empty());
+        }
+        // Then place each nibble at its bit position, last digit first; the
+        // digits past the limbs are leading zeros.
+        let nibbles = s.bytes().rev().filter(|&b| b != b'_');
+        for (k, b) in nibbles.take(16 * v.limbs.len()).enumerate() {
+            let d = char::from(b).to_digit(16).expect("validated above");
+            v.limbs[k / 16] |= u64::from(d) << (4 * (k % 16));
         }
         Ok(v)
     }
@@ -496,24 +502,6 @@ impl UBig {
         }
     }
 
-    /// Shifts left by `k < 64` bits without masking the top limb, so the
-    /// caller can detect overflow. Used by the hex parser.
-    fn shl_small_unmasked(&mut self, k: usize) {
-        debug_assert!(k > 0 && k < 64);
-        let mut carry = 0u64;
-        for l in &mut self.limbs {
-            let new_carry = *l >> (64 - k);
-            *l = (*l << k) | carry;
-            carry = new_carry;
-        }
-    }
-
-    /// True if the top 4 bits of the top limb are zero (so a 4-bit shift is
-    /// lossless at limb granularity).
-    fn extract_top_nibble_is_zero(&self) -> bool {
-        self.limbs[self.limbs.len() - 1] >> 60 == 0
-    }
-
     #[allow(dead_code)]
     pub(crate) fn limbs_mut(&mut self) -> &mut [u64] {
         &mut self.limbs
@@ -565,9 +553,9 @@ impl fmt::LowerHex for UBig {
 
 /// Lower-case hex of a little-endian `u64` limb run, digit for digit as
 /// [`UBig`]'s `{:x}` prints the same limbs: no leading zeros, `0` for
-/// zero. Lets a caller that holds raw limbs — a slab lane gathered with
-/// [`WideSlab::write_lane_limbs`](crate::batch::WideSlab::write_lane_limbs)
-/// — print them without building a [`UBig`].
+/// zero. Lets a caller that holds raw limbs — a lane of the sums
+/// [`WideSlab::lane_limbs_into`](crate::batch::WideSlab::lane_limbs_into)
+/// untransposes — print them without building a [`UBig`].
 ///
 /// ```
 /// use bitnum::{HexLimbs, UBig};
@@ -763,7 +751,7 @@ mod tests {
         // the leading zeros, less the top digit's leading zero bits.
         let mut rng = Xoshiro256::seed_from_u64(0x4e5);
         let mut pick = |n: u64| (rng.next_u64() % n) as usize;
-        for width in 1..=300usize {
+        for width in (1..=300usize).chain([511, 512, 513, 4095, 4096]) {
             for _ in 0..24 {
                 // Up to two nibbles past the width, behind 0–2 zeros.
                 let nibbles = width.div_ceil(4) + pick(3);
@@ -803,6 +791,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn from_hex_reports_the_first_fault_in_reading_order() {
+        // A string with an invalid digit and too many bits fails on
+        // whichever comes first, reading left to right.
+        let invalid = |c| Err(ParseUBigError::invalid_digit(c));
+        assert_eq!(UBig::from_hex("1ffz", 8), Err(ParseUBigError::overflow()));
+        assert_eq!(UBig::from_hex("z1ff", 8), invalid('z'));
+        assert_eq!(UBig::from_hex("ff_z", 8), invalid('z'));
+        assert_eq!(UBig::from_hex("0x00ffé1", 8), invalid('é'));
+        assert_eq!(
+            UBig::from_hex("0x1_00é", 8),
+            Err(ParseUBigError::overflow())
+        );
+        assert_eq!(UBig::from_hex("0x", 8), Err(ParseUBigError::empty()));
+        assert_eq!(UBig::from_hex("__", 8), Err(ParseUBigError::empty()));
+        assert_eq!(UBig::from_hex("_z", 8), invalid('z'));
+        // Leading zeros past the last limb cost nothing.
+        let padded = format!("{}ff", "0".repeat(100));
+        assert_eq!(UBig::from_hex(&padded, 8), Ok(UBig::from_u128(0xff, 8)));
     }
 
     #[test]

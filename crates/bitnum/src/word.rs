@@ -94,19 +94,6 @@ pub trait Word:
     /// Panics if `lane >= LANES`.
     fn set_bit(&mut self, lane: usize);
 
-    /// Clears lane `lane`'s bit — the lane-overwrite primitive: together
-    /// with [`Word::set_bit`] it lets a slab lane be rewritten in place
-    /// without requiring the lane to be zero first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= LANES`.
-    fn clear_bit(&mut self, lane: usize) {
-        let li = lane / 64;
-        let limb = self.limb(li) & !(1u64 << (lane % 64));
-        self.set_limb(li, limb);
-    }
-
     /// Number of set bits (lanes at 1) — the stall-count primitive.
     fn count_ones(self) -> u32;
 
@@ -165,11 +152,6 @@ impl Word for u64 {
     fn set_bit(&mut self, lane: usize) {
         assert!(lane < Self::LANES, "lane {lane} out of range");
         *self |= 1 << lane;
-    }
-
-    fn clear_bit(&mut self, lane: usize) {
-        assert!(lane < Self::LANES, "lane {lane} out of range");
-        *self &= !(1 << lane);
     }
 
     fn count_ones(self) -> u32 {
@@ -274,11 +256,6 @@ impl Word for W256 {
     fn set_bit(&mut self, lane: usize) {
         assert!(lane < Self::LANES, "lane {lane} out of range");
         self.0[lane / 64] |= 1 << (lane % 64);
-    }
-
-    fn clear_bit(&mut self, lane: usize) {
-        assert!(lane < Self::LANES, "lane {lane} out of range");
-        self.0[lane / 64] &= !(1 << (lane % 64));
     }
 
     fn count_ones(self) -> u32 {
@@ -392,11 +369,6 @@ impl Word for W512 {
     fn set_bit(&mut self, lane: usize) {
         assert!(lane < Self::LANES, "lane {lane} out of range");
         self.0[lane / 64] |= 1 << (lane % 64);
-    }
-
-    fn clear_bit(&mut self, lane: usize) {
-        assert!(lane < Self::LANES, "lane {lane} out of range");
-        self.0[lane / 64] &= !(1 << (lane % 64));
     }
 
     fn count_ones(self) -> u32 {

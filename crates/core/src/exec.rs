@@ -141,11 +141,11 @@ impl Executor {
     /// Threads are spawned only when there is enough work for more than
     /// one shard: a single-chunk workload (at most one lane word's worth
     /// of lanes) always runs inline on the calling thread. The zero-lane case cannot reach here at all —
-    /// [`WideSlab`] holds at least one lane, and a batching window that
-    /// expires with no requests drains to no groups
-    /// ([`GroupBuilder::drain`](crate::group::GroupBuilder::drain) returns
-    /// an empty vector), so a 0-request expiry never constructs a slab,
-    /// never calls `run`, and never spawns a thread.
+    /// [`WideSlab`] holds at least one lane, and a batching window with no
+    /// requests drains to no group
+    /// ([`LaneBuilder::drain`](crate::group::LaneBuilder::drain) returns
+    /// `None`), so an empty window never constructs a slab, never calls
+    /// `run`, and never spawns a thread.
     ///
     /// # Panics
     ///

@@ -1,41 +1,39 @@
-//! Packing heterogeneous addition requests into per-engine issue groups.
+//! Packing addition requests into homogeneous issue groups.
 //!
 //! A serving front-end receives a stream of independent requests, each
-//! naming an engine and a width and carrying its own operands. The batch
-//! kernels, by contrast, want homogeneous [`WideSlab`] issue groups — one
-//! engine, one width, as many lanes as arrived. [`GroupBuilder`] is the
-//! adapter between the two shapes: requests of any mix are `push`ed in
-//! arrival order, the builder buckets them by `(engine, width)`, and
-//! [`GroupBuilder::drain`] transposes each bucket into an [`IssueGroup`]
-//! whose `tags[l]` remembers which request became lane `l`, so whatever
-//! routing token the caller attached (a connection handle, a sequence
-//! number, a oneshot channel) comes back out aligned with the lane data of
+//! carrying its own operands; the batch kernels want homogeneous
+//! [`WideSlab`] issue groups — one engine, one width, as many lanes as
+//! arrived. A serve lane already is one `(engine, width)` pair, so its
+//! [`LaneBuilder`] is the adapter between the two shapes: requests are
+//! `push`ed in arrival order as lane-major limbs, and
+//! [`LaneBuilder::drain`] transposes them into an [`IssueGroup`] whose
+//! `tags[l]` remembers which request became lane `l`, so whatever routing
+//! token the caller attached (a connection handle, a sequence number, a
+//! oneshot channel) comes back out aligned with the lane data of
 //! [`Executor::run`](crate::exec::Executor::run).
 //!
-//! The empty-batch edge is explicit: a batching window that expires with
-//! nothing pending drains to **no groups at all** — no slab is built, no
-//! executor is invoked, no thread is spawned. `drain` on an empty builder
-//! is just `Vec::new()`.
+//! The empty-batch edge is explicit: a window with nothing pending drains
+//! to `None` — no slab is built, no executor is invoked.
 //!
 //! # Example
 //!
 //! ```
 //! use bitnum::UBig;
-//! use vlcsa::group::GroupBuilder;
+//! use vlcsa::group::LaneBuilder;
 //!
-//! let mut builder: GroupBuilder<&str> = GroupBuilder::new();
-//! builder.push("ripple", UBig::from_u128(1, 8), UBig::from_u128(2, 8), "r0");
-//! builder.push("vlcsa1", UBig::from_u128(3, 16), UBig::from_u128(4, 16), "v0");
-//! builder.push("ripple", UBig::from_u128(5, 8), UBig::from_u128(6, 8), "r1");
-//! let groups = builder.drain();
-//! assert_eq!(groups.len(), 2); // (ripple, 8) and (vlcsa1, 16)
-//! assert_eq!(groups[0].engine, "ripple");
-//! assert_eq!(groups[0].tags, vec!["r0", "r1"]);
-//! assert_eq!(groups[0].a.lane(1).to_u128(), Some(5));
-//! assert!(builder.is_empty());
+//! let mut lane: LaneBuilder<&str> = LaneBuilder::new("ripple", 8);
+//! lane.push(UBig::from_u128(1, 8), UBig::from_u128(2, 8), "r0");
+//! lane.push_limbs(&[5], &[6], "r1");
+//! let group = lane.drain().expect("two pending lanes");
+//! assert_eq!(group.engine, "ripple");
+//! assert_eq!(group.tags, vec!["r0", "r1"]);
+//! assert_eq!(group.a.lane(1).to_u128(), Some(5));
+//! assert!(lane.is_empty());
 //! ```
 
-use bitnum::batch::{DefaultWord, SlabBuilder, WideSlab, Word};
+use std::marker::PhantomData;
+
+use bitnum::batch::{DefaultWord, WideSlab, Word};
 use bitnum::UBig;
 
 /// One homogeneous issue group ready for
@@ -48,7 +46,7 @@ pub struct IssueGroup<T, W: Word = DefaultWord> {
     pub engine: String,
     /// The operand width every lane of this group asked for.
     pub width: usize,
-    /// First operands, lane `l` = the `l`-th request of this bucket.
+    /// First operands, lane `l` = the `l`-th request pushed.
     pub a: WideSlab<W>,
     /// Second operands, aligned with `a`.
     pub b: WideSlab<W>,
@@ -63,146 +61,14 @@ impl<T, W: Word> IssueGroup<T, W> {
     }
 }
 
-/// One `(engine, width)` bucket of pending requests, in arrival order.
-/// Operands land in incrementally-built slabs ([`SlabBuilder`]) the moment
-/// they are pushed, so draining is a seal, not a transpose — and limb-level
-/// submitters (the binary wire protocol) write straight into the slab
-/// layout with no intermediate [`UBig`].
-#[derive(Debug)]
-struct Bucket<T, W: Word> {
-    engine: String,
-    width: usize,
-    a: SlabBuilder<W>,
-    b: SlabBuilder<W>,
-    tags: Vec<T>,
-}
-
-/// Accumulates heterogeneous addition requests and drains them as
-/// homogeneous [`IssueGroup`]s — see the module docs for the shape of the
-/// adapter and the example.
+/// The batching window of one `(engine, width)` worker lane.
 ///
-/// Buckets keep arrival order both across groups (first-request order) and
-/// within a group (lane `l` is the bucket's `l`-th request), so draining is
-/// deterministic for any interleaving of pushes.
-#[derive(Debug)]
-pub struct GroupBuilder<T, W: Word = DefaultWord> {
-    buckets: Vec<Bucket<T, W>>,
-    lanes: usize,
-}
-
-impl<T, W: Word> GroupBuilder<T, W> {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self {
-            buckets: Vec::new(),
-            lanes: 0,
-        }
-    }
-
-    /// The bucket of `(engine, width)`, created on first use.
-    fn bucket(&mut self, engine: &str, width: usize) -> &mut Bucket<T, W> {
-        match self
-            .buckets
-            .iter_mut()
-            .position(|g| g.width == width && g.engine == engine)
-        {
-            Some(i) => &mut self.buckets[i],
-            None => {
-                self.buckets.push(Bucket {
-                    engine: engine.to_string(),
-                    width,
-                    a: SlabBuilder::new(width),
-                    b: SlabBuilder::new(width),
-                    tags: Vec::new(),
-                });
-                self.buckets.last_mut().expect("just pushed")
-            }
-        }
-    }
-
-    /// Queues one request under its `(engine, width)` bucket. The width is
-    /// taken from the operands; `engine` is not validated here — resolve it
-    /// against a [`Registry`](crate::engine::Registry) *before* queueing so
-    /// a bad name fails the one request instead of a whole group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` disagree on width.
-    pub fn push(&mut self, engine: &str, a: UBig, b: UBig, tag: T) {
-        assert_eq!(a.width(), b.width(), "operand width mismatch");
-        let bucket = self.bucket(engine, a.width());
-        bucket.a.push_lane(&a);
-        bucket.b.push_lane(&b);
-        bucket.tags.push(tag);
-        self.lanes += 1;
-    }
-
-    /// Queues one request whose operands are raw little-endian `u64` limb
-    /// runs — the binary wire protocol's zero-copy path: the limbs scatter
-    /// straight into the bucket's slab layout
-    /// ([`SlabBuilder::push_lane_limbs`]) without ever becoming a
-    /// [`UBig`]. Mixes freely with [`GroupBuilder::push`] in the same
-    /// bucket; lane order is arrival order either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not exactly `width.div_ceil(64)` limbs
-    /// or carries bits at or above `width` — limb-level submitters
-    /// validate frames *before* queueing, so a malformed operand here is a
-    /// transport bug, not bad input.
-    pub fn push_limbs(&mut self, engine: &str, width: usize, a: &[u64], b: &[u64], tag: T) {
-        let bucket = self.bucket(engine, width);
-        bucket.a.push_lane_limbs(a);
-        bucket.b.push_lane_limbs(b);
-        bucket.tags.push(tag);
-        self.lanes += 1;
-    }
-
-    /// Total pending lanes across all buckets — the quantity a batching
-    /// window compares against its max-lanes bound.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.lanes == 0
-    }
-
-    /// Seals every bucket into an [`IssueGroup`] and resets the builder —
-    /// the lanes were transposed as they arrived, so this is a chunk seal,
-    /// not a batch-wide transpose. An empty builder drains to an empty
-    /// vector — the 0-request window expiry costs nothing and must never
-    /// reach an executor.
-    pub fn drain(&mut self) -> Vec<IssueGroup<T, W>> {
-        self.lanes = 0;
-        std::mem::take(&mut self.buckets)
-            .into_iter()
-            .map(|bucket| IssueGroup {
-                engine: bucket.engine,
-                width: bucket.width,
-                a: bucket.a.finish(),
-                b: bucket.b.finish(),
-                tags: bucket.tags,
-            })
-            .collect()
-    }
-}
-
-impl<T, W: Word> Default for GroupBuilder<T, W> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The single-bucket batching window of one `(engine, width)` worker lane.
-///
-/// A per-lane serving pipeline already knows every request it sees shares
-/// one engine and one width — the lane *is* that bucket — so the
-/// per-push bucket search of [`GroupBuilder`] (a linear scan plus a string
-/// compare) is pure overhead on its hot path. `LaneBuilder` drops it:
-/// pushes append straight onto the lane's two [`SlabBuilder`]s, and
-/// [`LaneBuilder::drain`] seals at most one [`IssueGroup`].
+/// Pushes append each operand's limbs to a lane-major buffer, and
+/// [`LaneBuilder::drain`] moves both buffers into the slab layout with one
+/// block transpose each ([`WideSlab::from_lane_limbs`]), sealing at most
+/// one [`IssueGroup`]. The buffers are kept across windows, so a lane that
+/// keeps its builder allocates only when a group outgrows every earlier
+/// one.
 ///
 /// ```
 /// use bitnum::UBig;
@@ -219,9 +85,12 @@ impl<T, W: Word> Default for GroupBuilder<T, W> {
 pub struct LaneBuilder<T, W: Word = DefaultWord> {
     engine: String,
     width: usize,
-    a: SlabBuilder<W>,
-    b: SlabBuilder<W>,
+    /// First operands, lane-major: lane `l` is `a[l * nl..(l + 1) * nl]`.
+    a: Vec<u64>,
+    /// Second operands, aligned with `a`.
+    b: Vec<u64>,
     tags: Vec<T>,
+    word: PhantomData<fn() -> W>,
 }
 
 impl<T, W: Word> LaneBuilder<T, W> {
@@ -229,15 +98,19 @@ impl<T, W: Word> LaneBuilder<T, W> {
     ///
     /// # Panics
     ///
-    /// Panics if `width` is zero or exceeds [`bitnum::MAX_WIDTH`]
-    /// (the [`SlabBuilder`] contract).
+    /// Panics if `width` is zero or exceeds [`bitnum::MAX_WIDTH`].
     pub fn new(engine: impl Into<String>, width: usize) -> Self {
+        assert!(
+            (1..=bitnum::MAX_WIDTH).contains(&width),
+            "unsupported width {width}"
+        );
         Self {
             engine: engine.into(),
             width,
-            a: SlabBuilder::new(width),
-            b: SlabBuilder::new(width),
+            a: Vec::new(),
+            b: Vec::new(),
             tags: Vec::new(),
+            word: PhantomData,
         }
     }
 
@@ -260,22 +133,30 @@ impl<T, W: Word> LaneBuilder<T, W> {
     pub fn push(&mut self, a: UBig, b: UBig, tag: T) {
         assert_eq!(a.width(), self.width, "operand width off the lane width");
         assert_eq!(b.width(), self.width, "operand width off the lane width");
-        self.a.push_lane(&a);
-        self.b.push_lane(&b);
-        self.tags.push(tag);
+        self.push_limbs(a.limbs(), b.limbs(), tag);
     }
 
     /// Queues one request whose operands are raw little-endian limb runs —
-    /// the zero-copy path of [`GroupBuilder::push_limbs`], minus the
-    /// bucket search.
+    /// the binary wire protocol's path, which never builds a [`UBig`].
+    /// Mixes freely with [`LaneBuilder::push`]; lane order is arrival
+    /// order either way.
     ///
     /// # Panics
     ///
-    /// Panics if either operand is not exactly `width.div_ceil(64)` limbs
-    /// or carries bits at or above the lane width.
+    /// Panics if either operand is not exactly `width.div_ceil(64)` limbs.
+    /// An operand with bits set at or above the lane width panics at
+    /// [`LaneBuilder::drain`], where the transpose checks every lane.
     pub fn push_limbs(&mut self, a: &[u64], b: &[u64], tag: T) {
-        self.a.push_lane_limbs(a);
-        self.b.push_lane_limbs(b);
+        let nl = self.width.div_ceil(64);
+        assert!(
+            a.len() == nl && b.len() == nl,
+            "width {} needs {nl} limbs per operand, got {} and {}",
+            self.width,
+            a.len(),
+            b.len()
+        );
+        self.a.extend_from_slice(a);
+        self.b.extend_from_slice(b);
         self.tags.push(tag);
     }
 
@@ -289,22 +170,28 @@ impl<T, W: Word> LaneBuilder<T, W> {
         self.tags.is_empty()
     }
 
-    /// Seals the window into its [`IssueGroup`] and resets the builder.
-    /// An empty window drains to `None` — no slab, no executor, no thread,
-    /// exactly like [`GroupBuilder::drain`]'s empty vector.
+    /// Transposes the window into its [`IssueGroup`] and empties the
+    /// builder, keeping its buffers. An empty window drains to `None` — no
+    /// slab, no executor, no thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pushed operand has bits set at or above the lane width
+    /// ([`WideSlab::from_lane_limbs`]).
     pub fn drain(&mut self) -> Option<IssueGroup<T, W>> {
         if self.tags.is_empty() {
             return None;
         }
-        let a = std::mem::replace(&mut self.a, SlabBuilder::new(self.width));
-        let b = std::mem::replace(&mut self.b, SlabBuilder::new(self.width));
-        Some(IssueGroup {
+        let group = IssueGroup {
             engine: self.engine.clone(),
             width: self.width,
-            a: a.finish(),
-            b: b.finish(),
+            a: WideSlab::from_lane_limbs(&self.a, self.width),
+            b: WideSlab::from_lane_limbs(&self.b, self.width),
             tags: std::mem::take(&mut self.tags),
-        })
+        };
+        self.a.clear();
+        self.b.clear();
+        Some(group)
     }
 }
 
@@ -313,44 +200,51 @@ mod tests {
     use super::*;
     use crate::engine::Registry;
     use crate::exec::Executor;
+    use bitnum::batch::W256;
     use bitnum::rng::Xoshiro256;
 
     #[test]
     fn empty_drain_yields_no_groups() {
-        // The 0-requests-at-window-expiry edge: no slabs, no groups, and
+        // The 0-requests-at-window-expiry edge: no slabs, no group, and
         // nothing for a worker to run — the executor is never invoked.
-        let mut builder: GroupBuilder<u32> = GroupBuilder::new();
-        assert!(builder.is_empty());
-        assert_eq!(builder.lanes(), 0);
-        assert_eq!(builder.drain(), Vec::new());
+        let mut lane: LaneBuilder<u32> = LaneBuilder::new("ripple", 8);
+        assert!(lane.is_empty());
+        assert_eq!(lane.lanes(), 0);
+        assert!(lane.drain().is_none());
         // Draining again is still free, and the builder is reusable.
-        assert_eq!(builder.drain(), Vec::new());
-        builder.push("ripple", UBig::from_u128(1, 8), UBig::from_u128(2, 8), 7);
-        assert_eq!(builder.drain().len(), 1);
-        assert!(builder.is_empty());
+        assert!(lane.drain().is_none());
+        lane.push(UBig::from_u128(1, 8), UBig::from_u128(2, 8), 7);
+        assert_eq!(lane.drain().map(|g| g.tags), Some(vec![7]));
+        assert!(lane.is_empty());
+        assert!(lane.drain().is_none());
     }
 
     #[test]
     fn buckets_preserve_arrival_order_and_lane_mapping() {
+        // 150 requests round-robined over three lanes, two of which share
+        // an engine but not a width; the 50-lane groups leave partial
+        // 64-lane blocks.
         let mut rng = Xoshiro256::seed_from_u64(21);
-        let mut builder: GroupBuilder<usize> = GroupBuilder::new();
-        // 150 requests round-robined over three buckets, two of which share
-        // a name but not a width — groups must not merge across widths, and
-        // the 50-lane buckets exercise partial (<64-lane) chunks.
-        let shapes = [("ripple", 64usize), ("vlcsa1", 64), ("ripple", 40)];
-        let mut expect: Vec<Vec<(UBig, UBig, usize)>> = vec![Vec::new(); shapes.len()];
+        let mut lanes: Vec<LaneBuilder<usize>> = [("ripple", 64), ("vlcsa1", 64), ("ripple", 40)]
+            .into_iter()
+            .map(|(engine, width)| LaneBuilder::new(engine, width))
+            .collect();
+        let mut expect: Vec<Vec<(UBig, UBig, usize)>> = vec![Vec::new(); lanes.len()];
         for i in 0..150 {
-            let (engine, width) = shapes[i % shapes.len()];
-            let a = UBig::random(width, &mut rng);
-            let b = UBig::random(width, &mut rng);
-            expect[i % shapes.len()].push((a.clone(), b.clone(), i));
-            builder.push(engine, a, b, i);
+            let lane = &mut lanes[i % 3];
+            let a = UBig::random(lane.width(), &mut rng);
+            let b = UBig::random(lane.width(), &mut rng);
+            expect[i % 3].push((a.clone(), b.clone(), i));
+            lane.push(a, b, i);
         }
-        assert_eq!(builder.lanes(), 150);
-        let groups = builder.drain();
-        assert!(builder.is_empty());
-        assert_eq!(groups.len(), 3);
-        for (group, expect) in groups.iter().zip(&expect) {
+        for (lane, expect) in lanes.iter_mut().zip(&expect) {
+            assert_eq!(lane.lanes(), 50);
+            let group = lane.drain().expect("50 pending lanes");
+            assert!(lane.is_empty());
+            assert_eq!(
+                (group.engine.as_str(), group.width),
+                (lane.engine(), lane.width())
+            );
             assert_eq!(group.lanes(), 50);
             assert_eq!(group.a.lanes(), 50);
             for (l, (a, b, tag)) in expect.iter().enumerate() {
@@ -366,19 +260,18 @@ mod tests {
         // The end-to-end shape a serving worker uses: drain, resolve the
         // engine, run, and read outcome lane `l` for `tags[l]`.
         let mut rng = Xoshiro256::seed_from_u64(22);
-        let mut builder = GroupBuilder::new();
+        let mut lanes = [
+            LaneBuilder::new("carry-select", 32),
+            LaneBuilder::new("vlcsa2", 32),
+        ];
         for i in 0..70 {
-            let engine = if i % 2 == 0 { "carry-select" } else { "vlcsa2" };
-            builder.push(
-                engine,
-                UBig::random(32, &mut rng),
-                UBig::random(32, &mut rng),
-                i,
-            );
+            let a = UBig::random(32, &mut rng);
+            let b = UBig::random(32, &mut rng);
+            lanes[i % 2].push(a, b, i);
         }
         let registry = Registry::for_width(32);
         let exec = Executor::new(2);
-        for group in builder.drain() {
+        for group in lanes.iter_mut().filter_map(LaneBuilder::drain) {
             let engine = registry.lookup(&group.engine).expect("validated name");
             let out = exec.run(engine, &group.a, &group.b);
             assert_eq!(out.lanes(), group.lanes());
@@ -392,70 +285,97 @@ mod tests {
 
     #[test]
     fn limb_pushes_mix_with_ubig_pushes_bit_identically() {
-        // The binary protocol's zero-copy ingest and the text protocol's
-        // UBig path land interleaved in the same bucket; the drained group
+        // The binary protocol's limb pushes and the text protocol's UBig
+        // pushes land interleaved in the same window; the drained group
         // must be identical to an all-UBig build of the same stream.
         let mut rng = Xoshiro256::seed_from_u64(23);
-        let mut mixed: GroupBuilder<usize> = GroupBuilder::new();
-        let mut reference: GroupBuilder<usize> = GroupBuilder::new();
-        for i in 0..150 {
-            let width = if i % 3 == 0 { 100 } else { 64 };
-            let a = UBig::random(width, &mut rng);
-            let b = UBig::random(width, &mut rng);
-            if i % 2 == 0 {
-                mixed.push_limbs("vlcsa1", width, a.limbs(), b.limbs(), i);
-            } else {
-                mixed.push("vlcsa1", a.clone(), b.clone(), i);
+        for width in [64, 100] {
+            let mut mixed: LaneBuilder<usize> = LaneBuilder::new("vlcsa1", width);
+            let mut reference: LaneBuilder<usize> = LaneBuilder::new("vlcsa1", width);
+            for i in 0..150 {
+                let a = UBig::random(width, &mut rng);
+                let b = UBig::random(width, &mut rng);
+                if i % 2 == 0 {
+                    mixed.push_limbs(a.limbs(), b.limbs(), i);
+                } else {
+                    mixed.push(a.clone(), b.clone(), i);
+                }
+                reference.push(a, b, i);
             }
-            reference.push("vlcsa1", a, b, i);
+            assert_eq!(mixed.drain(), reference.drain(), "width {width}");
         }
-        let (mixed, reference) = (mixed.drain(), reference.drain());
-        assert_eq!(mixed.len(), 2); // widths 100 and 64
-        assert_eq!(mixed, reference);
     }
 
     #[test]
-    #[should_panic(expected = "operand width mismatch")]
+    #[should_panic(expected = "off the lane width")]
     fn mismatched_operand_widths_panic() {
-        GroupBuilder::<(), bitnum::batch::DefaultWord>::new().push(
-            "ripple",
-            UBig::zero(8),
+        LaneBuilder::<(), bitnum::batch::DefaultWord>::new("ripple", 8).push(
             UBig::zero(16),
+            UBig::zero(8),
             (),
         );
     }
 
     #[test]
-    fn lane_builder_equals_group_builder_single_bucket() {
-        // The lane window is observationally the one-bucket GroupBuilder:
-        // same group, same lane order, same tags, for mixed value/limb
-        // pushes — and it resets cleanly across windows.
-        let mut rng = Xoshiro256::seed_from_u64(0xA11E);
-        let mut lane: LaneBuilder<usize> = LaneBuilder::new("vlcsa2", 100);
-        let mut reference: GroupBuilder<usize> = GroupBuilder::new();
-        assert_eq!(lane.engine(), "vlcsa2");
-        assert_eq!(lane.width(), 100);
-        for window in 0..3 {
-            for i in 0..70usize {
-                let a = UBig::random(100, &mut rng);
-                let b = UBig::random(100, &mut rng);
+    fn push_limbs_rejects_bad_shapes() {
+        let refused = |push: &dyn Fn(&mut LaneBuilder<()>)| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut lane: LaneBuilder<()> = LaneBuilder::new("ripple", 100);
+                push(&mut lane);
+                lane.drain()
+            }))
+            .is_err()
+        };
+        // 100 bits need 2 limbs per operand.
+        assert!(refused(&|lane| lane.push_limbs(&[1], &[0, 0], ())));
+        assert!(refused(&|lane| lane.push_limbs(&[0, 0], &[0, 0, 0], ())));
+        // Bit 100 is out of range; the drain's transpose refuses it.
+        assert!(refused(&|lane| lane.push_limbs(&[0, 0], &[0, 1 << 36], ())));
+        assert!(!refused(&|lane| lane.push_limbs(
+            &[u64::MAX, (1 << 36) - 1],
+            &[0, 0],
+            ()
+        )));
+    }
+
+    fn recycled_builder_matches_fresh_build_for<W: Word>() {
+        // One builder reused across groups of 300, 5 and 70 lanes, the
+        // first all ones: every group equals a fresh build of its own
+        // lanes, so no stale bit survives from a larger earlier group, and
+        // no bit lands beyond a chunk's lane mask.
+        let mut rng = Xoshiro256::seed_from_u64(24);
+        let width = 100;
+        let mut lane: LaneBuilder<usize, W> = LaneBuilder::new("vlcsa2", width);
+        for (window, lanes) in [300usize, 5, 70].into_iter().enumerate() {
+            let values: Vec<(UBig, UBig)> = (0..lanes)
+                .map(|_| match window {
+                    0 => (UBig::ones(width), UBig::ones(width)),
+                    _ => (UBig::random(width, &mut rng), UBig::random(width, &mut rng)),
+                })
+                .collect();
+            for (i, (a, b)) in values.iter().enumerate() {
                 if i % 3 == 0 {
-                    lane.push_limbs(a.limbs(), b.limbs(), window * 100 + i);
-                    reference.push_limbs("vlcsa2", 100, a.limbs(), b.limbs(), window * 100 + i);
+                    lane.push_limbs(a.limbs(), b.limbs(), i);
                 } else {
-                    lane.push(a.clone(), b.clone(), window * 100 + i);
-                    reference.push("vlcsa2", a, b, window * 100 + i);
+                    lane.push(a.clone(), b.clone(), i);
                 }
             }
-            assert_eq!(lane.lanes(), 70);
-            assert!(!lane.is_empty());
-            let group = lane.drain().expect("70 pending lanes");
-            let mut expect = reference.drain();
-            assert_eq!(expect.len(), 1);
-            assert_eq!(group, expect.remove(0), "window {window}");
-            assert!(lane.is_empty());
-            assert!(lane.drain().is_none());
+            let group = lane.drain().expect("pending lanes");
+            let (a, b): (Vec<UBig>, Vec<UBig>) = values.into_iter().unzip();
+            assert_eq!(group.a, WideSlab::from_lanes(&a), "window {window}");
+            assert_eq!(group.b, WideSlab::from_lanes(&b), "window {window}");
+            assert_eq!(group.tags, (0..lanes).collect::<Vec<_>>());
+            for chunk in group.a.chunks().iter().chain(group.b.chunks()) {
+                let mask = chunk.lane_mask();
+                assert!(chunk.words().iter().all(|&w| (w & !mask).is_zero()));
+            }
         }
+    }
+
+    #[test]
+    fn recycled_builder_matches_fresh_build() {
+        recycled_builder_matches_fresh_build_for::<u64>();
+        recycled_builder_matches_fresh_build_for::<W256>();
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod window;
 pub use batch::{Batch2Spec, BatchOutcome, BatchSpec, WindowPgWords};
 pub use engine::{Engine, EngineLookupError, FixedLatency, Registry, VlsaBaseline};
 pub use exec::{Executor, WideOutcome};
-pub use group::{GroupBuilder, IssueGroup};
+pub use group::IssueGroup;
 pub use program::{Operand, Program, ProgramError, ProgramOutcome};
 pub use route::{RouteConfig, Router, AUTO_ENGINE};
 pub use scsa::{Scsa, SpecResult, WindowPg};

@@ -42,9 +42,10 @@
 //! ```
 //!
 //! Each operand is exactly `width.div_ceil(64)` limbs of 8 bytes,
-//! little-endian limb first — precisely the [`UBig::limbs`] /
-//! [`BitSlab::set_lane_limbs`](bitnum::batch::BitSlab::set_lane_limbs)
-//! layout, so a well-formed `ADD` operand is copied, never parsed.
+//! little-endian limb first — precisely the [`UBig::limbs`] layout, which
+//! is also one lane of
+//! [`WideSlab::from_lane_limbs`](bitnum::batch::WideSlab::from_lane_limbs),
+//! so a well-formed `ADD` operand is copied, never parsed.
 //! `engine` is the index of the server's `ENGINES` listing (ids are
 //! assigned in listing order), with [`ENGINE_ID_AUTO`] for the `auto`
 //! pseudo-engine.

@@ -237,10 +237,14 @@ impl Conn {
 }
 
 /// A lane worker's reply state, reused from group to group: the group's
-/// wire answers sorted into per-connection runs, and the buffer a run is
-/// encoded into before its one write.
+/// sums out of the slab layout, its wire answers sorted into
+/// per-connection runs, and the buffer a run is encoded into before its
+/// one write.
 #[derive(Default)]
 struct Delivery {
+    /// The group's sums, lane-major: lane `l` is
+    /// `sums[l * nl..(l + 1) * nl]`, `nl` limbs per sum.
+    sums: Vec<u64>,
     /// `(connection, seq, lane)` of each wire answer of the group.
     wire: Vec<(Conn, u64, usize)>,
     /// Each connection's run of `wire` as `(first lane, start, end)`.
@@ -253,21 +257,27 @@ struct Delivery {
 
 impl Delivery {
     /// Answers every lane of one issue group: closures one by one, wire
-    /// answers as one [`OkBatch`] per connection, in lane order. The
-    /// connections are answered in the order of their first lane in the
-    /// group, so which one goes first follows the traffic, not where the
-    /// sinks happen to sit in memory.
+    /// answers as one [`OkBatch`] per connection, in lane order. The sums
+    /// leave the slab layout once, for the whole group
+    /// ([`WideSlab::lane_limbs_into`](bitnum::batch::WideSlab::lane_limbs_into)),
+    /// and every reply reads its sum from there. The connections are
+    /// answered in the order of their first lane in the group, so which
+    /// one goes first follows the traffic, not where the sinks happen to
+    /// sit in memory.
     fn deliver(&mut self, out: &WideOutcome, tags: Vec<ReplyTo>) {
         let Self {
+            sums,
             wire,
             runs,
             run,
             buf,
         } = self;
+        out.sum.lane_limbs_into(sums);
+        let (width, nl) = (out.sum.width(), out.sum.width().div_ceil(64));
         for (lane, reply) in tags.into_iter().enumerate() {
             match reply {
                 ReplyTo::Call(reply) => reply(AddResult {
-                    sum: out.sum.lane(lane),
+                    sum: UBig::from_limbs(&sums[lane * nl..(lane + 1) * nl], width),
                     cout: out.cout(lane),
                     cycles: out.cycles(lane),
                 }),
@@ -285,7 +295,7 @@ impl Delivery {
         for &(_, start, end) in runs.iter() {
             run.clear();
             run.extend(wire[start..end].iter().map(|&(_, seq, lane)| (seq, lane)));
-            wire[start].0.send(&OkBatch::new(out, run), buf);
+            wire[start].0.send(&OkBatch::new(out, sums, run), buf);
         }
         runs.clear();
         // Releases the group's connection handles.
@@ -295,8 +305,8 @@ impl Delivery {
 
 /// A validated request body: parsed values (the text protocol, and every
 /// reduction once lowered) or raw little-endian limb runs (the binary
-/// `ADD`), which the lane worker scatters straight into the slab layout via
-/// [`LaneBuilder::push_limbs`] — no intermediate [`UBig`] anywhere on
+/// `ADD`), which the lane worker copies into its group's lane-major buffer
+/// via [`LaneBuilder::push_limbs`] — no intermediate [`UBig`] anywhere on
 /// the limb path. The constructors are the validation every submit path
 /// shares.
 pub(crate) enum Operands {
@@ -861,8 +871,9 @@ impl Service {
     /// Validates and queues one addition whose operands are raw
     /// little-endian limb runs — the zero-copy ingress of the binary
     /// protocol. No [`UBig`] is built anywhere on this path: the limbs are
-    /// validated in place here and the lane's worker scatters them
-    /// straight into the slab layout ([`LaneBuilder::push_limbs`]).
+    /// validated in place here, and the lane's worker copies them into its
+    /// group's lane-major buffer ([`LaneBuilder::push_limbs`]), which
+    /// enters the slab layout with one block transpose per group.
     ///
     /// # Errors
     ///

@@ -32,7 +32,7 @@
 
 use std::sync::Arc;
 
-use bitnum::MAX_WIDTH;
+use bitnum::UBig;
 use vlcsa::exec::WideOutcome;
 use vlcsa::route::AUTO_ENGINE;
 
@@ -88,18 +88,38 @@ pub trait FrameSink: Send + Sync + 'static {
 
 /// One issue group's `OK` answers bound for one sink: lanes of the
 /// group's outcome, each with the `seq` of the request it answers, in
-/// lane order. The encoders read every answer straight from the
-/// outcome's slab — no [`UBig`](bitnum::UBig) per answer.
+/// lane order. The encoders read every sum straight from the group's
+/// untransposed sums — no [`UBig`] per answer.
 pub struct OkBatch<'a> {
     out: &'a WideOutcome,
+    sums: &'a [u64],
     lanes: &'a [(u64, usize)],
 }
 
 impl<'a> OkBatch<'a> {
     /// The answers of `lanes` — `(seq, lane)` pairs, in delivery order —
-    /// of the group whose outcome is `out`.
-    pub fn new(out: &'a WideOutcome, lanes: &'a [(u64, usize)]) -> Self {
-        Self { out, lanes }
+    /// of the group whose outcome is `out`. `sums` is `out.sum` out of the
+    /// slab layout, lane-major, as
+    /// [`WideSlab::lane_limbs_into`](bitnum::batch::WideSlab::lane_limbs_into)
+    /// writes it; the lane worker untransposes each group once and shares
+    /// the buffer across the group's batches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sums` does not hold exactly `out`'s lanes.
+    pub fn new(out: &'a WideOutcome, sums: &'a [u64], lanes: &'a [(u64, usize)]) -> Self {
+        assert_eq!(
+            sums.len(),
+            out.lanes() * out.sum.width().div_ceil(64),
+            "sums must hold every lane of the outcome"
+        );
+        Self { out, sums, lanes }
+    }
+
+    /// Lane `l`'s sum limbs.
+    fn sum(&self, l: usize) -> &'a [u64] {
+        let nl = self.out.sum.width().div_ceil(64);
+        &self.sums[l * nl..(l + 1) * nl]
     }
 
     /// The answers as [`Response::Ok`] values, one sum each — the
@@ -107,7 +127,7 @@ impl<'a> OkBatch<'a> {
     fn responses(&self) -> impl Iterator<Item = Response> + '_ {
         self.lanes.iter().map(|&(seq, l)| Response::Ok {
             seq,
-            sum: self.out.sum.lane(l),
+            sum: UBig::from_limbs(self.sum(l), self.out.sum.width()),
             cout: self.out.cout(l),
             cycles: self.out.cycles(l),
         })
@@ -126,14 +146,10 @@ impl<'a> OkBatch<'a> {
         self.for_each(|seq, cout, cycles, sum| binary::push_ok(out, seq, cout, cycles, sum));
     }
 
-    /// Calls `f(seq, cout, cycles, sum_limbs)` per answer, in order,
-    /// gathering each sum from the slab into one stack buffer.
+    /// Calls `f(seq, cout, cycles, sum_limbs)` per answer, in order.
     fn for_each(&self, mut f: impl FnMut(u64, bool, u8, &[u64])) {
-        let mut limbs = [0u64; MAX_WIDTH.div_ceil(64)];
-        let limbs = &mut limbs[..self.out.sum.width().div_ceil(64)];
         for &(seq, l) in self.lanes {
-            self.out.sum.write_lane_limbs(l, limbs);
-            f(seq, self.out.cout(l), self.out.cycles(l), limbs);
+            f(seq, self.out.cout(l), self.out.cycles(l), self.sum(l));
         }
     }
 }
@@ -239,8 +255,9 @@ fn frame_request<S: FrameSink>(
     staging: &mut Staging,
 ) {
     let (seq, engine, operands) = match binary::decode_request(opcode, body, names) {
-        // The limbs go straight from the frame into the slab layout; the
-        // reply's limbs come straight out of it.
+        // The limbs are copied from the frame into the lane's group
+        // buffer, never parsed; the reply's limbs are the group's
+        // untransposed sums.
         Ok(BinRequest::Add {
             seq,
             engine,
@@ -553,7 +570,7 @@ mod tests {
     use std::time::{Duration, Instant};
 
     use bitnum::rng::Xoshiro256;
-    use bitnum::UBig;
+    use bitnum::MAX_WIDTH;
     use vlcsa::program::{Operand, Program, MAX_PROGRAM_INPUTS, MAX_PROGRAM_STEPS};
 
     use super::*;

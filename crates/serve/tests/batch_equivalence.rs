@@ -3,14 +3,16 @@
 //! calling `Executor::run` directly on the same operands.
 //!
 //! The service layer may split one client's stream across many issue
-//! groups (the batching window), pack many engines' requests into one
-//! window, and complete groups on different workers in any order. None of
-//! that may change a single lane: every per-request answer is a pure
-//! function of `(engine, a, b)`. The reference below buckets the same
-//! requests per `(engine, width)` — in submission order, like the
-//! `GroupBuilder` does — and runs each bucket through the executor in one
-//! shot; bucket sizes are arbitrary, so partial (<64-lane) final chunks
-//! are exercised constantly.
+//! groups, run many engines' lanes side by side, and complete groups on
+//! different workers in any order. None of that may change a single lane:
+//! every per-request answer is a pure function of `(engine, a, b)`. The
+//! reference below buckets the same requests per `(engine, width)` — in
+//! submission order, as each lane's `LaneBuilder` receives them — and runs
+//! each bucket through the executor in one shot; bucket sizes are
+//! arbitrary, so partial (<64-lane) final chunks are exercised constantly.
+//! Since the executor reference enters the slab layout through the same
+//! transpose as the served path, every served sum and carry-out is also
+//! checked against `UBig::overflowing_add`, which never touches a slab.
 
 use std::collections::HashMap;
 use std::sync::{mpsc, Mutex};
@@ -128,6 +130,13 @@ proptest! {
             let direct = executor.run(engine, &WideSlab::from_lanes(&a), &WideSlab::from_lanes(&b));
             for (lane, &i) in idxs.iter().enumerate() {
                 let served = answers[i].as_ref().expect("answered above");
+                let (sum, cout) = requests[i].a.overflowing_add(&requests[i].b);
+                prop_assert_eq!(
+                    &served.sum,
+                    &sum,
+                    "sum of request {} ({} w{})", i, engine.name(), width
+                );
+                prop_assert_eq!(served.cout, cout, "cout of request {}", i);
                 prop_assert_eq!(
                     &served.sum,
                     &direct.sum.lane(lane),
@@ -464,7 +473,9 @@ fn slab_direct_ok_encoders_equal_per_answer_encodings() {
             want_lines.push(b'\n');
         }
 
-        let oks = OkBatch::new(&out, &answers);
+        let mut sum_limbs = Vec::new();
+        out.sum.lane_limbs_into(&mut sum_limbs);
+        let oks = OkBatch::new(&out, &sum_limbs, &answers);
         let (mut lines, mut frames) = (Vec::new(), Vec::new());
         oks.encode_lines(&mut lines);
         oks.encode_frames(&mut frames);
