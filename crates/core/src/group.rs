@@ -136,10 +136,9 @@ impl<T, W: Word> LaneBuilder<T, W> {
         self.push_limbs(a.limbs(), b.limbs(), tag);
     }
 
-    /// Queues one request whose operands are raw little-endian limb runs —
-    /// the binary wire protocol's path, which never builds a [`UBig`].
-    /// Mixes freely with [`LaneBuilder::push`]; lane order is arrival
-    /// order either way.
+    /// Queues one request whose operands are raw little-endian limb runs,
+    /// with no [`UBig`] built. Mixes freely with [`LaneBuilder::push`];
+    /// lane order is arrival order either way.
     ///
     /// # Panics
     ///

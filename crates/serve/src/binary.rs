@@ -1,6 +1,11 @@
-//! Wire protocol v2: versioned, length-prefixed binary frames whose
-//! operands are little-endian `u64` limbs — the zero-copy ingress of the
-//! serve front-end.
+//! Wire protocol v2, the binary codec of the request model: versioned,
+//! length-prefixed frames whose operands are little-endian `u64` limbs.
+//!
+//! [`decode_request`] turns a request frame into the same
+//! [`Request`] that [`protocol::parse_request`](crate::protocol::parse_request)
+//! makes of a text line, and [`encode_response`] / [`decode_response`]
+//! spell the same [`Response`] that the text codec spells as a line. Only
+//! the bytes differ.
 //!
 //! A connection starts in the text protocol ([`crate::protocol`]). A
 //! client that wants binary framing sends [`HELLO_LINE`] as its **first**
@@ -42,13 +47,13 @@
 //! ```
 //!
 //! Each operand is exactly `width.div_ceil(64)` limbs of 8 bytes,
-//! little-endian limb first — precisely the [`UBig::limbs`] layout, which
-//! is also one lane of
-//! [`WideSlab::from_lane_limbs`](bitnum::batch::WideSlab::from_lane_limbs),
-//! so a well-formed `ADD` operand is copied, never parsed.
-//! `engine` is the index of the server's `ENGINES` listing (ids are
-//! assigned in listing order), with [`ENGINE_ID_AUTO`] for the `auto`
-//! pseudo-engine.
+//! little-endian limb first — precisely the [`UBig::limbs`] layout, so an
+//! operand is copied from the frame into its value, never parsed.
+//! `engine` is an engine's id in the server's `ENGINES` listing: its index
+//! in the listing, and [`ENGINE_ID_AUTO`] for the `auto` pseudo-engine,
+//! which the listing names last. [`encode_response`] assigns the ids by
+//! that rule, [`decode_response`] refuses a listing that breaks it, and
+//! [`engine_id`] looks a name's id up by it.
 //!
 //! Response bodies mirror the shape:
 //!
@@ -72,7 +77,10 @@ use bitnum::UBig;
 use vlcsa::program::Program;
 use vlcsa::route::AUTO_ENGINE;
 
-use crate::protocol::{ErrorCode, RequestError, SloAction, OPERAND_RANGE, WIDTH_RANGE};
+use crate::protocol::{
+    check_operand_count, check_width, format_response, parse_response, ErrorCode, Request,
+    RequestError, Response, SloAction,
+};
 
 /// The one protocol version this build speaks.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -124,83 +132,6 @@ pub mod resp {
     pub const SLO: u8 = 0x92;
 }
 
-/// One decoded binary request, ready for the service. `Add` carries its
-/// operands as raw limb runs — the zero-copy path; `Sum`/`Prog` operands
-/// become [`UBig`]s at decode time (one limb copy each, still no hex),
-/// because the carry-save compression downstream works on values anyway.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BinRequest {
-    /// An `ADD` frame. `engine` is already resolved to its registry name
-    /// (or [`AUTO_ENGINE`]); `a`/`b` are the frame's limb bytes, verbatim.
-    Add {
-        /// Client-chosen sequence number, echoed in the response.
-        seq: u64,
-        /// Resolved engine name.
-        engine: &'static str,
-        /// Operand width in bits.
-        width: usize,
-        /// First operand, as `width.div_ceil(64)` little-endian limbs.
-        a: Vec<u64>,
-        /// Second operand, same shape.
-        b: Vec<u64>,
-    },
-    /// A `SUM` frame.
-    Sum {
-        /// Client-chosen sequence number, echoed in the response.
-        seq: u64,
-        /// Resolved engine name.
-        engine: &'static str,
-        /// Operand width in bits.
-        width: usize,
-        /// The operands, in wire order.
-        operands: Vec<UBig>,
-    },
-    /// A `PROG` frame.
-    Prog {
-        /// Client-chosen sequence number, echoed in the response.
-        seq: u64,
-        /// Resolved engine name.
-        engine: &'static str,
-        /// Operand width in bits.
-        width: usize,
-        /// The parsed, validated program shape.
-        program: Program,
-        /// The program's inputs, in wire order.
-        inputs: Vec<UBig>,
-    },
-    /// An `ENGINES` frame.
-    Engines,
-    /// A `STATS` frame.
-    Stats,
-    /// An `SLO` frame.
-    Slo(SloAction),
-}
-
-/// One decoded binary response, client side.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BinResponse {
-    /// An `OK` frame; the sum still in limb form (the caller knows the
-    /// request's width).
-    Ok {
-        /// Echoed request sequence number.
-        seq: u64,
-        /// Carry out of the most significant bit.
-        cout: bool,
-        /// Cycles the lane consumed (1, or 2 after a recovery stall).
-        cycles: u8,
-        /// The sum's little-endian limbs.
-        sum_limbs: Vec<u64>,
-    },
-    /// An `ERR` frame.
-    Err(RequestError),
-    /// The `(id, name)` listing of an `ENGINES` frame.
-    Engines(Vec<(u8, String)>),
-    /// The text `STATS` line a `STATS` frame carries.
-    Stats(String),
-    /// The budget of an `SLO` frame.
-    Slo(Option<u64>),
-}
-
 fn code_byte(code: ErrorCode) -> u8 {
     match code {
         ErrorCode::BadRequest => 1,
@@ -220,6 +151,23 @@ fn code_from_byte(byte: u8) -> Option<ErrorCode> {
         5 => ErrorCode::Shutdown,
         _ => return None,
     })
+}
+
+/// The id of the engine named `name` at `index` of an `ENGINES` listing:
+/// its index, or [`ENGINE_ID_AUTO`] for `auto`.
+fn listing_id(index: usize, name: &str) -> u8 {
+    if name == AUTO_ENGINE {
+        ENGINE_ID_AUTO
+    } else {
+        index as u8
+    }
+}
+
+/// The wire id of `engine` in an `ENGINES` listing — the client's side of
+/// the id rule. `None` if the listing does not name it.
+pub fn engine_id(listing: &[String], engine: &str) -> Option<u8> {
+    let index = listing.iter().position(|name| name == engine)?;
+    Some(listing_id(index, engine))
 }
 
 /// Appends the header of an `opcode` frame whose body is `body_len`
@@ -274,23 +222,9 @@ impl<'a> Cursor<'a> {
             .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    /// `n` little-endian limbs.
-    fn limbs(&mut self, n: usize) -> Option<Vec<u64>> {
-        let bytes = self.take(n * 8)?;
-        Some(
-            bytes
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect(),
-        )
-    }
-}
-
-fn bad(seq: u64, code: ErrorCode, message: impl Into<String>) -> RequestError {
-    RequestError {
-        seq,
-        code,
-        message: message.into(),
+    /// The rest of the body, which must be whole limbs.
+    fn rest(&mut self) -> &'a [u8] {
+        self.take(self.remaining()).expect("the rest is in range")
     }
 }
 
@@ -301,7 +235,7 @@ fn peek_seq(body: &[u8]) -> u64 {
     Cursor::new(body).u64().unwrap_or(0)
 }
 
-/// Resolves a frame's engine id against the listing order. `names` is the
+/// Resolves a frame's engine id by the listing rule. `names` is the
 /// server's `ENGINES` listing without `auto` (ids in slice order).
 fn resolve_engine(id: u8, seq: u64, names: &[&'static str]) -> Result<&'static str, RequestError> {
     if id == ENGINE_ID_AUTO {
@@ -310,11 +244,11 @@ fn resolve_engine(id: u8, seq: u64, names: &[&'static str]) -> Result<&'static s
     names.get(id as usize).copied().ok_or_else(|| {
         let known: Vec<String> = names
             .iter()
+            .chain(std::iter::once(&AUTO_ENGINE))
             .enumerate()
-            .map(|(i, n)| format!("{i}={n}"))
-            .chain(std::iter::once(format!("{ENGINE_ID_AUTO}={AUTO_ENGINE}")))
+            .map(|(i, n)| format!("{}={n}", listing_id(i, n)))
             .collect();
-        bad(
+        RequestError::new(
             seq,
             ErrorCode::UnknownEngine,
             format!("unknown engine id {id}; known ids: {}", known.join(" ")),
@@ -322,22 +256,25 @@ fn resolve_engine(id: u8, seq: u64, names: &[&'static str]) -> Result<&'static s
     })
 }
 
-/// Limbs per operand at `width`.
-fn limbs_for(width: usize) -> usize {
-    width.div_ceil(64)
-}
-
-/// Validates that an operand's top limb has no bits at or above `width`.
-fn check_operand(seq: u64, width: usize, k: usize, limbs: &[u64]) -> Result<(), RequestError> {
+/// Operand `k` as a value, from its `width.div_ceil(64)` limbs of frame
+/// bytes: the limbs are gathered on the stack and the value is built
+/// with one allocation, once its top limb has been checked for bits at or
+/// above `width`.
+fn operand(seq: u64, width: usize, k: usize, bytes: &[u8]) -> Result<UBig, RequestError> {
+    let mut limbs = [0u64; bitnum::MAX_WIDTH / 64];
+    let limbs = &mut limbs[..bytes.len() / 8];
+    for (limb, le) in limbs.iter_mut().zip(bytes.chunks_exact(8)) {
+        *limb = u64::from_le_bytes(le.try_into().expect("8 bytes"));
+    }
     let used = width % 64;
     if used != 0 && limbs[limbs.len() - 1] >> used != 0 {
-        return Err(bad(
+        return Err(RequestError::new(
             seq,
             ErrorCode::BadOperand,
             format!("operand {k}: bits set at or above width {width}"),
         ));
     }
-    Ok(())
+    Ok(UBig::from_limbs(limbs, width))
 }
 
 /// The shared `seq | engine | width | nops` head of a computing request.
@@ -346,35 +283,23 @@ fn decode_head(
     cursor: &mut Cursor<'_>,
     names: &[&'static str],
 ) -> Result<(u64, &'static str, usize, usize), RequestError> {
-    let seq = cursor
-        .u64()
-        .ok_or_else(|| bad(0, ErrorCode::BadRequest, format!("{cmd} body is truncated")))?;
-    let truncated = || {
-        bad(
+    let truncated = |seq| {
+        RequestError::new(
             seq,
             ErrorCode::BadRequest,
             format!("{cmd} body is truncated"),
         )
     };
-    let engine_id = cursor.u8().ok_or_else(truncated)?;
-    let width = cursor.u16().ok_or_else(truncated)? as usize;
-    let nops = cursor.u16().ok_or_else(truncated)? as usize;
-    if !WIDTH_RANGE.contains(&width) {
-        return Err(bad(
-            seq,
-            ErrorCode::BadWidth,
-            format!(
-                "width {width} outside {}..={}",
-                WIDTH_RANGE.start(),
-                WIDTH_RANGE.end()
-            ),
-        ));
-    }
+    let seq = cursor.u64().ok_or_else(|| truncated(0))?;
+    let engine_id = cursor.u8().ok_or_else(|| truncated(seq))?;
+    let width = cursor.u16().ok_or_else(|| truncated(seq))? as usize;
+    let nops = cursor.u16().ok_or_else(|| truncated(seq))? as usize;
+    check_width(seq, width)?;
     let engine = resolve_engine(engine_id, seq, names)?;
     Ok((seq, engine, width, nops))
 }
 
-/// Exactly `n` limb operands at `width`, as values, then end of body.
+/// Exactly `n` operands at `width`, as values, then end of body.
 fn decode_values(
     cmd: &str,
     seq: u64,
@@ -382,21 +307,20 @@ fn decode_values(
     n: usize,
     cursor: &mut Cursor<'_>,
 ) -> Result<Vec<UBig>, RequestError> {
-    let nl = limbs_for(width);
+    let bytes = width.div_ceil(64) * 8;
     let mut operands = Vec::with_capacity(n);
     for k in 0..n {
-        let limbs = cursor.limbs(nl).ok_or_else(|| {
-            bad(
+        let limbs = cursor.take(bytes).ok_or_else(|| {
+            RequestError::new(
                 seq,
                 ErrorCode::BadRequest,
                 format!("{cmd} is missing operand {k} of {n}"),
             )
         })?;
-        check_operand(seq, width, k, &limbs)?;
-        operands.push(UBig::from_limbs(&limbs, width));
+        operands.push(operand(seq, width, k, limbs)?);
     }
     if cursor.remaining() != 0 {
-        return Err(bad(
+        return Err(RequestError::new(
             seq,
             ErrorCode::BadRequest,
             format!("{cmd} body has {} trailing bytes", cursor.remaining()),
@@ -405,8 +329,9 @@ fn decode_values(
     Ok(operands)
 }
 
-/// Decodes one request frame body. `names` is the server's engine listing
-/// (ids in slice order, `auto` excluded).
+/// Decodes one request frame body into the request model. `names` is the
+/// server's engine listing (ids in slice order, `auto` excluded), so the
+/// request's engine is the registry's own name.
 ///
 /// # Errors
 ///
@@ -416,115 +341,82 @@ pub fn decode_request(
     opcode: u8,
     body: &[u8],
     names: &[&'static str],
-) -> Result<BinRequest, RequestError> {
+) -> Result<Request<'static>, RequestError> {
     let mut cursor = Cursor::new(body);
     match opcode {
         op::ADD => {
             let (seq, engine, width, nops) = decode_head("ADD", &mut cursor, names)?;
             if nops != 2 {
-                return Err(bad(
+                return Err(RequestError::new(
                     seq,
                     ErrorCode::BadRequest,
                     format!("ADD carries exactly 2 operands, got {nops}"),
                 ));
             }
-            let nl = limbs_for(width);
-            let truncated = || {
-                bad(
-                    seq,
-                    ErrorCode::BadRequest,
-                    "ADD body is truncated".to_string(),
-                )
-            };
-            let a = cursor.limbs(nl).ok_or_else(truncated)?;
-            let b = cursor.limbs(nl).ok_or_else(truncated)?;
+            let bytes = width.div_ceil(64) * 8;
+            let truncated =
+                || RequestError::new(seq, ErrorCode::BadRequest, "ADD body is truncated");
+            let a = cursor.take(bytes).ok_or_else(truncated)?;
+            let b = cursor.take(bytes).ok_or_else(truncated)?;
             if cursor.remaining() != 0 {
-                return Err(bad(
+                return Err(RequestError::new(
                     seq,
                     ErrorCode::BadRequest,
                     format!("ADD body has {} trailing bytes", cursor.remaining()),
                 ));
             }
-            check_operand(seq, width, 0, &a)?;
-            check_operand(seq, width, 1, &b)?;
-            Ok(BinRequest::Add {
+            Ok(Request::Add {
                 seq,
                 engine,
-                width,
-                a,
-                b,
+                a: operand(seq, width, 0, a)?,
+                b: operand(seq, width, 1, b)?,
             })
         }
-        op::SUM => {
-            let (seq, engine, width, nops) = decode_head("SUM", &mut cursor, names)?;
-            if !OPERAND_RANGE.contains(&nops) {
-                return Err(bad(
+        op::SUM | op::PROG => {
+            let cmd = if opcode == op::SUM { "SUM" } else { "PROG" };
+            let (seq, engine, width, nops) = decode_head(cmd, &mut cursor, names)?;
+            check_operand_count(seq, nops)?;
+            if opcode == op::SUM {
+                let operands = decode_values(cmd, seq, width, nops, &mut cursor)?;
+                return Ok(Request::Sum {
                     seq,
-                    ErrorCode::BadRequest,
-                    format!(
-                        "operand count {nops} outside {}..={}",
-                        OPERAND_RANGE.start(),
-                        OPERAND_RANGE.end()
-                    ),
-                ));
+                    engine,
+                    operands,
+                });
             }
-            let operands = decode_values("SUM", seq, width, nops, &mut cursor)?;
-            Ok(BinRequest::Sum {
-                seq,
-                engine,
-                width,
-                operands,
-            })
-        }
-        op::PROG => {
-            let (seq, engine, width, nops) = decode_head("PROG", &mut cursor, names)?;
-            if !OPERAND_RANGE.contains(&nops) {
-                return Err(bad(
-                    seq,
-                    ErrorCode::BadRequest,
-                    format!(
-                        "operand count {nops} outside {}..={}",
-                        OPERAND_RANGE.start(),
-                        OPERAND_RANGE.end()
-                    ),
-                ));
-            }
-            let spec_len = cursor
-                .u16()
-                .ok_or_else(|| bad(seq, ErrorCode::BadRequest, "PROG body is truncated"))?;
+            let bad = |message: &str| RequestError::new(seq, ErrorCode::BadRequest, message);
+            let spec_len = cursor.u16().ok_or_else(|| bad("PROG body is truncated"))?;
             let spec = cursor
                 .take(spec_len as usize)
-                .ok_or_else(|| bad(seq, ErrorCode::BadRequest, "PROG spec is truncated"))?;
-            let spec = std::str::from_utf8(spec)
-                .map_err(|_| bad(seq, ErrorCode::BadRequest, "PROG spec is not utf-8"))?;
-            let program = Program::from_spec(spec, nops)
-                .map_err(|e| bad(seq, ErrorCode::BadRequest, format!("program spec: {e}")))?;
-            let inputs = decode_values("PROG", seq, width, nops, &mut cursor)?;
-            Ok(BinRequest::Prog {
+                .ok_or_else(|| bad("PROG spec is truncated"))?;
+            let spec = std::str::from_utf8(spec).map_err(|_| bad("PROG spec is not utf-8"))?;
+            let program =
+                Program::from_spec(spec, nops).map_err(|e| bad(&format!("program spec: {e}")))?;
+            let inputs = decode_values(cmd, seq, width, nops, &mut cursor)?;
+            Ok(Request::Program {
                 seq,
                 engine,
-                width,
                 program,
                 inputs,
             })
         }
         op::ENGINES | op::STATS => {
             if !body.is_empty() {
-                return Err(bad(
+                return Err(RequestError::new(
                     0,
                     ErrorCode::BadRequest,
                     "ENGINES/STATS frames carry no body",
                 ));
             }
             Ok(if opcode == op::ENGINES {
-                BinRequest::Engines
+                Request::Engines
             } else {
-                BinRequest::Stats
+                Request::Stats
             })
         }
         op::SLO => {
             let malformed = || {
-                bad(
+                RequestError::new(
                     0,
                     ErrorCode::BadRequest,
                     "SLO frames are action u8 + micros u64",
@@ -540,16 +432,16 @@ pub fn decode_request(
                 (1, m) if m >= 1 => SloAction::Set(m),
                 (2, 0) => SloAction::Clear,
                 _ => {
-                    return Err(bad(
+                    return Err(RequestError::new(
                         0,
                         ErrorCode::BadRequest,
                         format!("SLO action {action} with micros {micros} is invalid"),
                     ))
                 }
             };
-            Ok(BinRequest::Slo(action))
+            Ok(Request::Slo(action))
         }
-        other => Err(bad(
+        other => Err(RequestError::new(
             peek_seq(body),
             ErrorCode::BadRequest,
             format!("unknown opcode {other:#04x}"),
@@ -659,58 +551,58 @@ pub fn push_ok(out: &mut Vec<u8>, seq: u64, cout: bool, cycles: u8, sum_limbs: &
     push_limbs(out, sum_limbs);
 }
 
-/// Encodes an `ERR` response frame.
-pub fn encode_err(err: &RequestError) -> Vec<u8> {
-    let mut body = Vec::with_capacity(9 + err.message.len());
-    body.extend_from_slice(&err.seq.to_le_bytes());
-    body.push(code_byte(err.code));
-    body.extend_from_slice(err.message.as_bytes());
-    frame(resp::ERR, &body)
-}
-
-/// Encodes the `ENGINES` response listing.
+/// Encodes one response as its frame — the binary twin of
+/// [`format_response`]. An `ENGINES` listing gets its ids by the listing
+/// rule, and a `STATS` frame carries the snapshot's text line: one
+/// format, one parser, whatever the transport.
 ///
 /// # Panics
 ///
-/// Panics if an entry's name exceeds 255 bytes or there are more than 255
-/// entries (registry names are short; the id space is a `u8`).
-pub fn encode_engines(entries: &[(u8, &str)]) -> Vec<u8> {
-    let mut body = vec![u8::try_from(entries.len()).expect("at most 255 engines")];
-    for (id, name) in entries {
-        body.push(*id);
-        body.push(u8::try_from(name.len()).expect("engine names fit a u8 length"));
-        body.extend_from_slice(name.as_bytes());
-    }
-    frame(resp::ENGINES, &body)
-}
-
-/// Encodes the `STATS` response frame around the text snapshot line.
-pub fn encode_stats(line: &str) -> Vec<u8> {
-    frame(resp::STATS, line.as_bytes())
-}
-
-/// Encodes the `SLO` response frame.
-pub fn encode_slo(budget: Option<u64>) -> Vec<u8> {
-    let mut body = Vec::with_capacity(9);
-    match budget {
-        Some(micros) => {
-            body.push(1);
-            body.extend_from_slice(&micros.to_le_bytes());
+/// Panics if an `ENGINES` listing has more than 255 entries or a name
+/// longer than 255 bytes (registry names are short; the id space is a
+/// `u8`).
+pub fn encode_response(response: &Response) -> Vec<u8> {
+    match response {
+        Response::Ok {
+            seq,
+            sum,
+            cout,
+            cycles,
+        } => encode_ok(*seq, *cout, *cycles, sum.limbs()),
+        Response::Err(err) => {
+            let mut body = Vec::with_capacity(9 + err.message.len());
+            body.extend_from_slice(&err.seq.to_le_bytes());
+            body.push(code_byte(err.code));
+            body.extend_from_slice(err.message.as_bytes());
+            frame(resp::ERR, &body)
         }
-        None => {
-            body.push(0);
-            body.extend_from_slice(&0u64.to_le_bytes());
+        Response::Engines(names) => {
+            let mut body = vec![u8::try_from(names.len()).expect("at most 255 engines")];
+            for (i, name) in names.iter().enumerate() {
+                body.push(listing_id(i, name));
+                body.push(u8::try_from(name.len()).expect("engine names fit a u8 length"));
+                body.extend_from_slice(name.as_bytes());
+            }
+            frame(resp::ENGINES, &body)
+        }
+        Response::Stats(_) => frame(resp::STATS, format_response(response).as_bytes()),
+        Response::Slo(budget) => {
+            let mut body = vec![u8::from(budget.is_some())];
+            body.extend_from_slice(&budget.unwrap_or(0).to_le_bytes());
+            frame(resp::SLO, &body)
         }
     }
-    frame(resp::SLO, &body)
 }
 
-/// Decodes one response frame body, client side.
+/// Decodes one response frame body, client side — the binary twin of
+/// [`parse_response`]. `width` is the width of the request an `OK`
+/// answers: its sum must be exactly `width.div_ceil(64)` limbs.
 ///
 /// # Errors
 ///
-/// Returns a description of the malformed frame.
-pub fn decode_response(opcode: u8, body: &[u8]) -> Result<BinResponse, String> {
+/// Returns a description of the malformed frame, including an `ENGINES`
+/// listing whose ids break the listing rule.
+pub fn decode_response(opcode: u8, body: &[u8], width: usize) -> Result<Response, String> {
     let mut cursor = Cursor::new(body);
     match opcode {
         resp::OK => {
@@ -721,19 +613,23 @@ pub fn decode_response(opcode: u8, body: &[u8]) -> Result<BinResponse, String> {
                 other => return Err(format!("OK cout must be 0|1, got {other}")),
             };
             let cycles = cursor.u8().ok_or("OK frame is truncated")?;
-            if !cursor.remaining().is_multiple_of(8) {
+            let sum = cursor.rest();
+            if sum.len() != width.div_ceil(64) * 8 {
                 return Err(format!(
-                    "OK sum is {} bytes, not whole limbs",
-                    cursor.remaining()
+                    "OK sum is {} bytes, width {width} needs {} limbs",
+                    sum.len(),
+                    width.div_ceil(64)
                 ));
             }
-            let n = cursor.remaining() / 8;
-            let sum_limbs = cursor.limbs(n).expect("sized above");
-            Ok(BinResponse::Ok {
+            let limbs: Vec<u64> = sum
+                .chunks_exact(8)
+                .map(|le| u64::from_le_bytes(le.try_into().expect("8 bytes")))
+                .collect();
+            Ok(Response::Ok {
                 seq,
+                sum: UBig::from_limbs(&limbs, width),
                 cout,
                 cycles,
-                sum_limbs,
             })
         }
         resp::ERR => {
@@ -742,34 +638,36 @@ pub fn decode_response(opcode: u8, body: &[u8]) -> Result<BinResponse, String> {
                 .u8()
                 .and_then(code_from_byte)
                 .ok_or("ERR frame needs a known code byte")?;
-            let message = std::str::from_utf8(cursor.take(cursor.remaining()).expect("rest"))
-                .map_err(|_| "ERR message is not utf-8")?
-                .to_string();
-            Ok(BinResponse::Err(RequestError { seq, code, message }))
+            let message = text(cursor.rest(), "ERR message")?.to_string();
+            Ok(Response::Err(RequestError { seq, code, message }))
         }
         resp::ENGINES => {
             let count = cursor.u8().ok_or("ENGINES frame is truncated")?;
-            let mut entries = Vec::with_capacity(count as usize);
-            for _ in 0..count {
+            let mut names = Vec::with_capacity(count as usize);
+            for i in 0..count as usize {
                 let id = cursor.u8().ok_or("ENGINES entry is truncated")?;
                 let len = cursor.u8().ok_or("ENGINES entry is truncated")?;
-                let name = std::str::from_utf8(
-                    cursor
-                        .take(len as usize)
-                        .ok_or("ENGINES entry is truncated")?,
-                )
-                .map_err(|_| "ENGINES name is not utf-8")?;
-                entries.push((id, name.to_string()));
+                let name = cursor
+                    .take(len as usize)
+                    .ok_or("ENGINES entry is truncated")?;
+                let name = text(name, "ENGINES name")?;
+                if id != listing_id(i, name) {
+                    return Err(format!(
+                        "ENGINES entry {i} `{name}` has id {id}, not {}",
+                        listing_id(i, name)
+                    ));
+                }
+                names.push(name.to_string());
             }
             if cursor.remaining() != 0 {
                 return Err("ENGINES frame has trailing bytes".into());
             }
-            Ok(BinResponse::Engines(entries))
+            Ok(Response::Engines(names))
         }
-        resp::STATS => {
-            let line = std::str::from_utf8(body).map_err(|_| "STATS payload is not utf-8")?;
-            Ok(BinResponse::Stats(line.to_string()))
-        }
+        resp::STATS => match parse_response(text(body, "STATS payload")?, width)? {
+            stats @ Response::Stats(_) => Ok(stats),
+            other => Err(format!("STATS payload is not a STATS line: {other:?}")),
+        },
         resp::SLO => {
             let flag = cursor.u8().ok_or("SLO frame is truncated")?;
             let micros = cursor.u64().ok_or("SLO frame is truncated")?;
@@ -777,13 +675,18 @@ pub fn decode_response(opcode: u8, body: &[u8]) -> Result<BinResponse, String> {
                 return Err("SLO frame has trailing bytes".into());
             }
             match flag {
-                0 => Ok(BinResponse::Slo(None)),
-                1 => Ok(BinResponse::Slo(Some(micros))),
+                0 => Ok(Response::Slo(None)),
+                1 => Ok(Response::Slo(Some(micros))),
                 other => Err(format!("SLO flag must be 0|1, got {other}")),
             }
         }
         other => Err(format!("unknown response opcode {other:#04x}")),
     }
+}
+
+/// `bytes` as text, or an error naming `what` they are.
+fn text<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str, String> {
+    std::str::from_utf8(bytes).map_err(|_| format!("{what} is not utf-8"))
 }
 
 /// Reads one frame — `(opcode, body)` — from a buffered stream.
@@ -856,6 +759,7 @@ impl std::error::Error for FrameReadError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::StatsReport;
 
     const NAMES: [&str; 4] = ["ripple", "carry-select", "vlcsa1", "vlcsa2"];
 
@@ -874,16 +778,15 @@ mod tests {
         let (opcode, body) = body_of(&encoded);
         assert_eq!(opcode, op::ADD);
         match decode_request(opcode, body, &NAMES).unwrap() {
-            BinRequest::Add {
+            Request::Add {
                 seq,
                 engine,
-                width,
                 a: da,
                 b: db,
             } => {
-                assert_eq!((seq, engine, width), (42, "vlcsa1", 100));
-                assert_eq!(da, a);
-                assert_eq!(db, b);
+                assert_eq!((seq, engine, da.width()), (42, "vlcsa1", 100));
+                assert_eq!(da.limbs(), a);
+                assert_eq!(db.limbs(), b);
             }
             other => panic!("decoded {other:?}"),
         }
@@ -894,7 +797,7 @@ mod tests {
         let encoded = encode_add(1, ENGINE_ID_AUTO, 64, &[5], &[6]);
         let (opcode, body) = body_of(&encoded);
         match decode_request(opcode, body, &NAMES).unwrap() {
-            BinRequest::Add { engine, .. } => assert_eq!(engine, AUTO_ENGINE),
+            Request::Add { engine, .. } => assert_eq!(engine, AUTO_ENGINE),
             other => panic!("decoded {other:?}"),
         }
         // An out-of-range id answers with the id ↔ name listing, code
@@ -920,13 +823,12 @@ mod tests {
             (o, b.to_vec())
         };
         match decode_request(opcode, &body_owned, &NAMES).unwrap() {
-            BinRequest::Sum {
+            Request::Sum {
                 seq,
                 engine,
-                width,
                 operands,
             } => {
-                assert_eq!((seq, engine, width), (9, "ripple", 48));
+                assert_eq!((seq, engine, operands[0].width()), (9, "ripple", 48));
                 assert_eq!(operands, ops);
             }
             other => panic!("decoded {other:?}"),
@@ -935,14 +837,13 @@ mod tests {
         let f = encode_program(3, 1, &program, &ops);
         let (opcode, body) = body_of(&f);
         match decode_request(opcode, body, &NAMES).unwrap() {
-            BinRequest::Prog {
+            Request::Program {
                 seq,
                 engine,
-                width,
                 program: p,
                 inputs,
             } => {
-                assert_eq!((seq, engine, width), (3, "carry-select", 48));
+                assert_eq!((seq, engine, inputs[0].width()), (3, "carry-select", 48));
                 assert_eq!(p, program);
                 assert_eq!(inputs, ops);
             }
@@ -953,19 +854,19 @@ mod tests {
     #[test]
     fn control_frames_roundtrip() {
         for (frame_bytes, want) in [
-            (encode_engines_request(), BinRequest::Engines),
-            (encode_stats_request(), BinRequest::Stats),
+            (encode_engines_request(), Request::Engines),
+            (encode_stats_request(), Request::Stats),
             (
                 encode_slo_request(SloAction::Query),
-                BinRequest::Slo(SloAction::Query),
+                Request::Slo(SloAction::Query),
             ),
             (
                 encode_slo_request(SloAction::Set(750)),
-                BinRequest::Slo(SloAction::Set(750)),
+                Request::Slo(SloAction::Set(750)),
             ),
             (
                 encode_slo_request(SloAction::Clear),
-                BinRequest::Slo(SloAction::Clear),
+                Request::Slo(SloAction::Clear),
             ),
         ] {
             let (opcode, body) = body_of(&frame_bytes);
@@ -975,41 +876,104 @@ mod tests {
 
     #[test]
     fn responses_roundtrip() {
-        for (frame_bytes, want) in [
+        // Each response leaves as a frame and comes back equal, and goes
+        // through the text codec too: one model, two codecs.
+        let stats = StatsReport {
+            queue_depth: 0,
+            window_lanes: 0,
+            max_lanes: 256,
+            word_bits: 256,
+            slo_micros: None,
+            proto_text: 1,
+            proto_bin: 2,
+            lanes: Vec::new(),
+            engines: Vec::new(),
+            routes: Vec::new(),
+        };
+        for (response, width) in [
             (
-                encode_ok(11, true, 2, &[0xffff_0001, 0x9]),
-                BinResponse::Ok {
+                Response::Ok {
                     seq: 11,
+                    sum: UBig::from_limbs(&[0xffff_0001, 0x9], 100),
                     cout: true,
                     cycles: 2,
-                    sum_limbs: vec![0xffff_0001, 0x9],
                 },
+                100,
             ),
             (
-                encode_err(&RequestError {
+                Response::Err(RequestError {
                     seq: 3,
                     code: ErrorCode::BadWidth,
                     message: "width 0 outside 1..=4096".into(),
                 }),
-                BinResponse::Err(RequestError {
-                    seq: 3,
-                    code: ErrorCode::BadWidth,
-                    message: "width 0 outside 1..=4096".into(),
-                }),
+                1,
             ),
+            (Response::Engines(vec!["ripple".into(), "auto".into()]), 1),
             (
-                encode_engines(&[(0, "ripple"), (ENGINE_ID_AUTO, "auto")]),
-                BinResponse::Engines(vec![(0, "ripple".into()), (ENGINE_ID_AUTO, "auto".into())]),
+                Response::Engines(
+                    NAMES
+                        .iter()
+                        .chain(std::iter::once(&AUTO_ENGINE))
+                        .map(|n| n.to_string())
+                        .collect(),
+                ),
+                1,
             ),
-            (
-                encode_stats("STATS queue_depth=0"),
-                BinResponse::Stats("STATS queue_depth=0".into()),
-            ),
-            (encode_slo(Some(500)), BinResponse::Slo(Some(500))),
-            (encode_slo(None), BinResponse::Slo(None)),
+            (Response::Stats(stats), 1),
+            (Response::Slo(Some(500)), 1),
+            (Response::Slo(None), 1),
         ] {
-            let (opcode, body) = body_of(&frame_bytes);
-            assert_eq!(decode_response(opcode, body).unwrap(), want, "{opcode:#x}");
+            crate::protocol::tests::roundtrip_both(&response, width);
+        }
+        // The listing's ids follow the rule: index, and 0xff for `auto`.
+        let listing = encode_response(&Response::Engines(vec!["ripple".into(), "auto".into()]));
+        assert_eq!(&listing[HEADER_LEN..HEADER_LEN + 3], &[2, 0, 6]);
+        assert_eq!(
+            &listing[HEADER_LEN + 9..HEADER_LEN + 11],
+            &[ENGINE_ID_AUTO, 4]
+        );
+    }
+
+    #[test]
+    fn an_engines_listing_that_breaks_the_id_rule_is_refused() {
+        // A hand-built listing per case: `(id, name)` entries.
+        let listing = |entries: &[(u8, &str)]| {
+            let mut body = vec![entries.len() as u8];
+            for (id, name) in entries {
+                body.extend_from_slice(&[*id, name.len() as u8]);
+                body.extend_from_slice(name.as_bytes());
+            }
+            body
+        };
+        let good = listing(&[(0, "ripple"), (1, "cla4"), (ENGINE_ID_AUTO, "auto")]);
+        assert_eq!(
+            decode_response(resp::ENGINES, &good, 1).unwrap(),
+            Response::Engines(vec!["ripple".into(), "cla4".into(), "auto".into()])
+        );
+        for entries in [
+            &[(1, "ripple"), (ENGINE_ID_AUTO, "auto")][..],
+            &[(0, "ripple"), (2, "cla4")],
+            &[(0, "ripple"), (1, "auto")],
+            &[(ENGINE_ID_AUTO, "ripple")],
+        ] {
+            let err = decode_response(resp::ENGINES, &listing(entries), 1).unwrap_err();
+            assert!(err.contains("has id"), "{entries:?}: {err}");
+        }
+        // The client's lookup follows the same rule.
+        let names: Vec<String> = ["ripple", "cla4", "auto"].map(String::from).to_vec();
+        assert_eq!(engine_id(&names, "cla4"), Some(1));
+        assert_eq!(engine_id(&names, "auto"), Some(ENGINE_ID_AUTO));
+        assert_eq!(engine_id(&names, "vlcsa1"), None);
+    }
+
+    #[test]
+    fn an_ok_sum_must_have_the_width_s_limbs() {
+        let frame_bytes = encode_ok(4, false, 1, &[1, 2]);
+        let (opcode, body) = body_of(&frame_bytes);
+        assert!(decode_response(opcode, body, 65).is_ok());
+        for width in [64, 129] {
+            let err = decode_response(opcode, body, width).unwrap_err();
+            assert!(err.contains("needs"), "{err}");
         }
     }
 

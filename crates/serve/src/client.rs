@@ -12,7 +12,9 @@
 //! (one `HELLO` line, then frames forever) and every method transparently
 //! uses frames instead — operands travel as raw little-endian limbs, no
 //! hex on either side. The API is identical across the two; only the
-//! bytes differ.
+//! bytes differ. Every reply, in either framing, is read the same way:
+//! one line or one frame, its `seq` peeked to find the pending request's
+//! width, then decoded into one [`Response`].
 //!
 //! # Flush before block
 //!
@@ -46,13 +48,13 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 
 use bitnum::UBig;
 use vlcsa::program::Program;
 
-use crate::binary::{self, BinResponse, FrameReadError, HEADER_LEN, HELLO_LINE};
+use crate::binary::{self, FrameReadError, HEADER_LEN, HELLO_LINE};
 use crate::protocol::{
     format_add, format_program, format_sum, parse_response, RequestError, Response, SloAction,
     StatsReport, OPERAND_RANGE,
@@ -107,21 +109,35 @@ enum Wire {
     /// Newline-delimited text ([`crate::protocol`]).
     Text,
     /// Binary frames ([`crate::binary`]); engine names map to the wire's
-    /// ids via the listing fetched during the upgrade handshake.
-    Binary { ids: HashMap<String, u8> },
+    /// ids through the listing fetched during the upgrade handshake.
+    Binary { listing: Vec<String> },
 }
 
-/// Resolves an engine name to its binary wire id. Unlike text mode —
-/// where unknown names go to the server and come back as structured
-/// `ERR`s — binary frames carry ids, so a name the listing doesn't have
-/// is unsendable and fails here, before any bytes move.
-fn engine_id(ids: &HashMap<String, u8>, engine: &str) -> std::io::Result<u8> {
-    ids.get(engine).copied().ok_or_else(|| {
+/// Resolves an engine name to its binary wire id
+/// ([`binary::engine_id`]). Unlike text mode — where unknown names go to
+/// the server and come back as structured `ERR`s — binary frames carry
+/// ids, so a name the listing doesn't have is unsendable and fails here,
+/// before any bytes move.
+fn engine_id(listing: &[String], engine: &str) -> std::io::Result<u8> {
+    binary::engine_id(listing, engine).ok_or_else(|| {
         std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
+            ErrorKind::InvalidInput,
             format!("engine `{engine}` is not in the server's listing"),
         )
     })
+}
+
+/// The error for a reply that is not the one the call waits for.
+fn unexpected(want: &str, got: &Response) -> ClientError {
+    ClientError::Protocol(format!("expected {want} response, got {got:?}"))
+}
+
+/// The error for a connection the server closed.
+fn closed() -> ClientError {
+    ClientError::Io(std::io::Error::new(
+        ErrorKind::UnexpectedEof,
+        "server closed the connection",
+    ))
 }
 
 /// Held request bytes past which a submit writes anyway, so a caller
@@ -181,14 +197,10 @@ impl Client {
             )));
         }
         client.wire = Wire::Binary {
-            ids: HashMap::new(),
+            listing: Vec::new(),
         };
-        let ids = client
-            .engines_entries()?
-            .into_iter()
-            .map(|(id, name)| (name, id))
-            .collect();
-        client.wire = Wire::Binary { ids };
+        let listing = client.engines()?;
+        client.wire = Wire::Binary { listing };
         Ok(client)
     }
 
@@ -249,20 +261,6 @@ impl Client {
         self.flush()
     }
 
-    /// Reads one response frame (binary mode only).
-    fn read_response_frame(&mut self) -> Result<(u8, Vec<u8>), ClientError> {
-        self.flush_before_read()?;
-        match binary::read_frame(&mut self.reader) {
-            Ok(Some(frame)) => Ok(frame),
-            Ok(None) => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ))),
-            Err(FrameReadError::Io(e)) => Err(ClientError::Io(e)),
-            Err(poison) => Err(ClientError::Protocol(poison.to_string())),
-        }
-    }
-
     /// Queues one text line and its newline; see [`Client::send`].
     fn send_line(&mut self, mut line: String) -> std::io::Result<()> {
         line.push('\n');
@@ -273,12 +271,54 @@ impl Client {
         self.flush_before_read()?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )));
+            return Err(closed());
         }
         Ok(line)
+    }
+
+    /// Reads the next reply — one line or one frame — and decodes it. An
+    /// `OK` sum decodes at the width of the pending request its `seq`
+    /// names; a reply that carries no sum decodes at any width.
+    fn read_response(&mut self) -> Result<Response, ClientError> {
+        let response = if self.is_binary() {
+            self.flush_before_read()?;
+            let (opcode, body) = match binary::read_frame(&mut self.reader) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return Err(closed()),
+                Err(FrameReadError::Io(e)) => return Err(ClientError::Io(e)),
+                Err(poison) => return Err(ClientError::Protocol(poison.to_string())),
+            };
+            let seq = body
+                .get(..8)
+                .map(|le| u64::from_le_bytes(le.try_into().expect("8 bytes")));
+            binary::decode_response(opcode, &body, self.pending_width(seq))
+        } else {
+            let line = self.read_line()?;
+            let seq = line
+                .split_ascii_whitespace()
+                .nth(1)
+                .and_then(|t| t.parse::<u64>().ok());
+            parse_response(&line, self.pending_width(seq))
+        };
+        response.map_err(ClientError::Protocol)
+    }
+
+    /// The width of the pending request `seq` names, or 1 for none.
+    fn pending_width(&self, seq: Option<u64>) -> usize {
+        seq.and_then(|seq| self.pending.get(&seq))
+            .copied()
+            .unwrap_or(1)
+    }
+
+    /// Sends one command — its text line, or its frame — and reads the
+    /// reply.
+    fn command(&mut self, line: String, frame: Vec<u8>) -> Result<Response, ClientError> {
+        if self.is_binary() {
+            self.send(&frame)?;
+        } else {
+            self.send_line(line)?;
+        }
+        self.read_response()
     }
 
     /// Queues one `ADD` without waiting and returns its sequence number.
@@ -304,21 +344,12 @@ impl Client {
     /// the server answers it with a structured `ERR`.)
     pub fn submit(&mut self, engine: &str, a: &UBig, b: &UBig) -> std::io::Result<u64> {
         assert_eq!(a.width(), b.width(), "operand width mismatch");
-        self.check_engine_token(engine);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match &self.wire {
-            Wire::Text => {
-                self.send_line(format_add(seq, engine, a, b))?;
-            }
-            Wire::Binary { ids } => {
-                let id = engine_id(ids, engine)?;
-                let frame = binary::encode_add(seq, id, a.width(), a.limbs(), b.limbs());
-                self.send(&frame)?;
-            }
-        }
-        self.pending.insert(seq, a.width());
-        Ok(seq)
+        self.submit_request(
+            engine,
+            a.width(),
+            |seq| format_add(seq, engine, a, b),
+            |seq, id| binary::encode_add(seq, id, a.width(), a.limbs(), b.limbs()),
+        )
     }
 
     /// Queues one `SUM` — a whole n-operand reduction in one request —
@@ -345,21 +376,12 @@ impl Client {
         for op in operands {
             assert_eq!(op.width(), operands[0].width(), "operand width mismatch");
         }
-        self.check_engine_token(engine);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match &self.wire {
-            Wire::Text => {
-                self.send_line(format_sum(seq, engine, operands))?;
-            }
-            Wire::Binary { ids } => {
-                let id = engine_id(ids, engine)?;
-                let frame = binary::encode_sum(seq, id, operands);
-                self.send(&frame)?;
-            }
-        }
-        self.pending.insert(seq, operands[0].width());
-        Ok(seq)
+        self.submit_request(
+            engine,
+            operands[0].width(),
+            |seq| format_sum(seq, engine, operands),
+            |seq, id| binary::encode_sum(seq, id, operands),
+        )
     }
 
     /// One full `SUM` round trip: submit the reduction, wait for *that*
@@ -412,21 +434,12 @@ impl Client {
                 program.inputs()
             )));
         }
-        self.check_engine_token(engine);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match &self.wire {
-            Wire::Text => {
-                self.send_line(format_program(seq, engine, program, inputs))?;
-            }
-            Wire::Binary { ids } => {
-                let id = engine_id(ids, engine)?;
-                let frame = binary::encode_program(seq, id, program, inputs);
-                self.send(&frame)?;
-            }
-        }
-        self.pending.insert(seq, inputs[0].width());
-        Ok(seq)
+        Ok(self.submit_request(
+            engine,
+            inputs[0].width(),
+            |seq| format_program(seq, engine, program, inputs),
+            |seq, id| binary::encode_program(seq, id, program, inputs),
+        )?)
     }
 
     /// One full `PROG` round trip: submit the program, wait for *that*
@@ -449,11 +462,31 @@ impl Client {
         self.recv_expecting(seq)
     }
 
-    fn check_engine_token(&self, engine: &str) {
+    /// Takes the next sequence number for one `ADD`/`SUM`/`PROG` at
+    /// `width`, queues the request — its text `line`, or its `frame`
+    /// under the engine's wire id — and records it as pending.
+    fn submit_request(
+        &mut self,
+        engine: &str,
+        width: usize,
+        line: impl FnOnce(u64) -> String,
+        frame: impl FnOnce(u64, u8) -> Vec<u8>,
+    ) -> std::io::Result<u64> {
         assert!(
             !engine.is_empty() && !engine.contains(char::is_whitespace),
             "engine name `{engine}` is not a single protocol token"
         );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        match &self.wire {
+            Wire::Text => self.send_line(line(seq))?,
+            Wire::Binary { listing } => {
+                let frame = frame(seq, engine_id(listing, engine)?);
+                self.send(&frame)?;
+            }
+        }
+        self.pending.insert(seq, width);
+        Ok(seq)
     }
 
     fn recv_expecting(&mut self, seq: u64) -> Result<AddResponse, ClientError> {
@@ -473,69 +506,23 @@ impl Client {
     /// # Errors
     ///
     /// Fails on socket errors — a held request's write error included —
-    /// on unparseable lines, and on responses that answer no in-flight
+    /// on undecodable replies, and on responses that answer no in-flight
     /// sequence number.
     pub fn recv(&mut self) -> Result<(u64, Result<AddResponse, RequestError>), ClientError> {
-        if self.is_binary() {
-            return self.recv_binary();
-        }
-        let line = self.read_line()?;
-        // Peek the seq token to find the request (and its width) first.
-        let seq = line
-            .split_ascii_whitespace()
-            .nth(1)
-            .and_then(|t| t.parse::<u64>().ok())
-            .ok_or_else(|| ClientError::Protocol(format!("no sequence in `{}`", line.trim())))?;
-        let width = self
-            .pending
-            .remove(&seq)
-            .ok_or_else(|| ClientError::Protocol(format!("response to unknown request {seq}")))?;
-        match parse_response(&line, width).map_err(ClientError::Protocol)? {
+        let (seq, answer) = match self.read_response()? {
             Response::Ok {
-                sum, cout, cycles, ..
-            } => Ok((seq, Ok(AddResponse { sum, cout, cycles }))),
-            Response::Err(err) => Ok((seq, Err(err))),
-            Response::Engines(_) | Response::Stats(_) | Response::Slo(_) => Err(
-                ClientError::Protocol("non-ADD response while waiting for ADD".into()),
-            ),
-        }
-    }
-
-    /// The binary half of [`Client::recv`]: one frame in, the sum rebuilt
-    /// from its limbs at the pending request's width.
-    fn recv_binary(&mut self) -> Result<(u64, Result<AddResponse, RequestError>), ClientError> {
-        let (opcode, body) = self.read_response_frame()?;
-        match binary::decode_response(opcode, &body).map_err(ClientError::Protocol)? {
-            BinResponse::Ok {
                 seq,
+                sum,
                 cout,
                 cycles,
-                sum_limbs,
-            } => {
-                let width = self.pending.remove(&seq).ok_or_else(|| {
-                    ClientError::Protocol(format!("response to unknown request {seq}"))
-                })?;
-                if sum_limbs.len() != width.div_ceil(64) {
-                    return Err(ClientError::Protocol(format!(
-                        "OK sum is {} limbs, width {width} needs {}",
-                        sum_limbs.len(),
-                        width.div_ceil(64)
-                    )));
-                }
-                let sum = UBig::from_limbs(&sum_limbs, width);
-                Ok((seq, Ok(AddResponse { sum, cout, cycles })))
-            }
-            BinResponse::Err(err) => {
-                let seq = err.seq;
-                self.pending.remove(&seq).ok_or_else(|| {
-                    ClientError::Protocol(format!("response to unknown request {seq}"))
-                })?;
-                Ok((seq, Err(err)))
-            }
-            other => Err(ClientError::Protocol(format!(
-                "non-ADD frame while waiting for ADD: {other:?}"
-            ))),
-        }
+            } => (seq, Ok(AddResponse { sum, cout, cycles })),
+            Response::Err(err) => (err.seq, Err(err)),
+            other => return Err(unexpected("OK or ERR", &other)),
+        };
+        self.pending
+            .remove(&seq)
+            .ok_or_else(|| ClientError::Protocol(format!("response to unknown request {seq}")))?;
+        Ok((seq, answer))
     }
 
     /// One full round trip: submit, then wait for *that* request (other
@@ -558,33 +545,9 @@ impl Client {
     /// Fails on socket errors or an unparseable reply. Call with no
     /// in-flight requests — an `OK` arriving first is a protocol error.
     pub fn engines(&mut self) -> Result<Vec<String>, ClientError> {
-        if self.is_binary() {
-            return Ok(self
-                .engines_entries()?
-                .into_iter()
-                .map(|(_, name)| name)
-                .collect());
-        }
-        self.send(b"ENGINES\n")?;
-        let line = self.read_line()?;
-        match parse_response(&line, 1).map_err(ClientError::Protocol)? {
+        match self.command("ENGINES".into(), binary::encode_engines_request())? {
             Response::Engines(names) => Ok(names),
-            other => Err(ClientError::Protocol(format!(
-                "expected ENGINES response, got {other:?}"
-            ))),
-        }
-    }
-
-    /// The binary `ENGINES` round trip, ids included — what the upgrade
-    /// handshake builds the name→id map from.
-    fn engines_entries(&mut self) -> Result<Vec<(u8, String)>, ClientError> {
-        self.send(&binary::encode_engines_request())?;
-        let (opcode, body) = self.read_response_frame()?;
-        match binary::decode_response(opcode, &body).map_err(ClientError::Protocol)? {
-            BinResponse::Engines(entries) => Ok(entries),
-            other => Err(ClientError::Protocol(format!(
-                "expected ENGINES frame, got {other:?}"
-            ))),
+            other => Err(unexpected("ENGINES", &other)),
         }
     }
 
@@ -596,28 +559,9 @@ impl Client {
     /// Fails on socket errors or an unparseable reply. Call with no
     /// in-flight requests — an `OK` arriving first is a protocol error.
     pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
-        let line = if self.is_binary() {
-            self.send(&binary::encode_stats_request())?;
-            let (opcode, body) = self.read_response_frame()?;
-            match binary::decode_response(opcode, &body).map_err(ClientError::Protocol)? {
-                // The frame carries the text snapshot line verbatim: one
-                // format, one parser, whatever the transport.
-                BinResponse::Stats(line) => line,
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected STATS frame, got {other:?}"
-                    )))
-                }
-            }
-        } else {
-            self.send(b"STATS\n")?;
-            self.read_line()?
-        };
-        match parse_response(&line, 1).map_err(ClientError::Protocol)? {
+        match self.command("STATS".into(), binary::encode_stats_request())? {
             Response::Stats(stats) => Ok(stats),
-            other => Err(ClientError::Protocol(format!(
-                "expected STATS response, got {other:?}"
-            ))),
+            other => Err(unexpected("STATS", &other)),
         }
     }
 
@@ -655,28 +599,14 @@ impl Client {
     }
 
     fn slo_command(&mut self, action: SloAction) -> Result<Option<u64>, ClientError> {
-        if self.is_binary() {
-            self.send(&binary::encode_slo_request(action))?;
-            let (opcode, body) = self.read_response_frame()?;
-            return match binary::decode_response(opcode, &body).map_err(ClientError::Protocol)? {
-                BinResponse::Slo(budget) => Ok(budget),
-                other => Err(ClientError::Protocol(format!(
-                    "expected SLO frame, got {other:?}"
-                ))),
-            };
-        }
         let line = match action {
-            SloAction::Query => "SLO\n".to_string(),
-            SloAction::Set(micros) => format!("SLO {micros}\n"),
-            SloAction::Clear => "SLO off\n".to_string(),
+            SloAction::Query => "SLO".to_string(),
+            SloAction::Set(micros) => format!("SLO {micros}"),
+            SloAction::Clear => "SLO off".to_string(),
         };
-        self.send(line.as_bytes())?;
-        let line = self.read_line()?;
-        match parse_response(&line, 1).map_err(ClientError::Protocol)? {
+        match self.command(line, binary::encode_slo_request(action))? {
             Response::Slo(budget) => Ok(budget),
-            other => Err(ClientError::Protocol(format!(
-                "expected SLO response, got {other:?}"
-            ))),
+            other => Err(unexpected("SLO", &other)),
         }
     }
 

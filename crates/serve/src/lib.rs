@@ -18,18 +18,21 @@
 //!
 //! * [`queue`] — the bounded MPMC queue with a batch take
 //!   (backpressure + clean shutdown);
-//! * [`protocol`] — the newline-delimited text wire format;
-//! * [`binary`] — wire protocol v2: length-prefixed frames whose operands
-//!   are raw little-endian limbs, negotiated per connection via a `HELLO`
-//!   line ([`Client::connect_binary`]) — the zero-copy ingress path;
+//! * [`protocol`] — the one request model ([`Request`], [`Response`])
+//!   and its newline-delimited text codec;
+//! * [`binary`] — the same model's binary codec, wire protocol v2:
+//!   length-prefixed frames whose operands are raw little-endian limbs,
+//!   negotiated per connection via a `HELLO` line
+//!   ([`Client::connect_binary`]);
 //! * [`service`] — the transport-independent core: validation and
 //!   routing, then per-`(engine, width)` worker lanes, each owning an
 //!   ingress queue and its own workers, which build their issue groups
 //!   with [`vlcsa::group::LaneBuilder`] — a stalling engine
 //!   head-of-line-blocks only its own lane;
 //! * [`session`] — the per-connection byte-stream state machine over
-//!   sink traits: framing, the `HELLO` upgrade, and staging each read's
-//!   requests per lane — no socket required;
+//!   sink traits: framing, the `HELLO` upgrade, one dispatcher for both
+//!   framings' requests, and staging each read's requests per lane — no
+//!   socket required;
 //! * [`server`] / [`client`] — the TCP front-end and the client library.
 //!
 //! Requests may also name the pseudo-engine `auto`: submitters resolve it

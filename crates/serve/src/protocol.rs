@@ -1,4 +1,12 @@
-//! The newline-delimited wire protocol between clients and the server.
+//! The request model and its text codec: the newline-delimited wire
+//! protocol between clients and the server.
+//!
+//! [`Request`] and [`Response`] are the one request and response model
+//! of both framings. This module spells them as text lines
+//! ([`parse_request`], [`format_response`] and the `format_*` request
+//! builders); [`crate::binary`] spells the same values as frames, and
+//! [`crate::session`] dispatches a decoded [`Request`] the same way
+//! whichever codec produced it.
 //!
 //! One request or response per line, tokens separated by single spaces,
 //! operands and sums as bare lowercase hex (the [`UBig`] `{:x}` /
@@ -72,8 +80,8 @@
 //!
 //! let req = parse_request("ADD 7 vlcsa1 64 1f 3").unwrap();
 //! match req {
-//!     Request::Add { seq, engine, width, a, b } => {
-//!         assert_eq!((seq, engine.as_str(), width), (7, "vlcsa1", 64));
+//!     Request::Add { seq, engine, a, b } => {
+//!         assert_eq!((seq, engine, a.width()), (7, "vlcsa1", 64));
 //!         assert_eq!(a.to_u128(), Some(0x1f));
 //!         assert_eq!(b.to_u128(), Some(3));
 //!     }
@@ -114,20 +122,23 @@ pub const MAX_LINE: usize = {
     head + spec + operands
 };
 
-/// One parsed client request.
+/// One decoded client request, from either framing: [`parse_request`]
+/// reads it from a text line, [`binary::decode_request`](crate::binary::decode_request)
+/// from a frame. Every operand is a [`UBig`] of the request's width, so
+/// the width is not stored twice.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+pub enum Request<'a> {
     /// `ADD <seq> <engine> <width> <a-hex> <b-hex>`.
     Add {
         /// Client-chosen sequence number, echoed in the response.
         seq: u64,
-        /// Engine display name (a [`Registry`](vlcsa::engine::Registry) name).
-        engine: String,
-        /// Operand width in bits.
-        width: usize,
+        /// Engine name (a [`Registry`](vlcsa::engine::Registry) name, or
+        /// `auto`): the line's own token, or the registry's name for a
+        /// frame's engine id.
+        engine: &'a str,
         /// First operand.
         a: UBig,
-        /// Second operand.
+        /// Second operand, at the same width.
         b: UBig,
     },
     /// `SUM <seq> <engine> <width> <n> <hex>…` — one n-operand reduction,
@@ -135,11 +146,10 @@ pub enum Request {
     Sum {
         /// Client-chosen sequence number, echoed in the response.
         seq: u64,
-        /// Engine display name (a [`Registry`](vlcsa::engine::Registry) name).
-        engine: String,
-        /// Operand width in bits.
-        width: usize,
-        /// The operands, in wire order (1..=[`MAX_PROGRAM_INPUTS`]).
+        /// Engine name, as in [`Request::Add`].
+        engine: &'a str,
+        /// The operands, in wire order (1..=[`MAX_PROGRAM_INPUTS`]), all
+        /// at the request's width.
         operands: Vec<UBig>,
     },
     /// `PROG <seq> <engine> <width> <n> <spec> <hex>…` — one dataflow
@@ -147,10 +157,8 @@ pub enum Request {
     Program {
         /// Client-chosen sequence number, echoed in the response.
         seq: u64,
-        /// Engine display name (a [`Registry`](vlcsa::engine::Registry) name).
-        engine: String,
-        /// Operand width in bits.
-        width: usize,
+        /// Engine name, as in [`Request::Add`].
+        engine: &'a str,
         /// The parsed, validated program shape.
         program: Program,
         /// The program's inputs, in wire order.
@@ -238,7 +246,7 @@ pub struct RequestError {
 }
 
 impl RequestError {
-    fn new(seq: u64, code: ErrorCode, message: impl Into<String>) -> Self {
+    pub(crate) fn new(seq: u64, code: ErrorCode, message: impl Into<String>) -> Self {
         Self {
             seq,
             code,
@@ -247,12 +255,47 @@ impl RequestError {
     }
 }
 
+/// Checks a request's width against [`WIDTH_RANGE`] — the same check,
+/// code and message in both codecs.
+pub(crate) fn check_width(seq: u64, width: usize) -> Result<(), RequestError> {
+    if WIDTH_RANGE.contains(&width) {
+        return Ok(());
+    }
+    Err(RequestError::new(
+        seq,
+        ErrorCode::BadWidth,
+        format!(
+            "width {width} outside {}..={}",
+            WIDTH_RANGE.start(),
+            WIDTH_RANGE.end()
+        ),
+    ))
+}
+
+/// Checks a `SUM`/`PROG` operand count against [`OPERAND_RANGE`] — the
+/// same check, code and message in both codecs.
+pub(crate) fn check_operand_count(seq: u64, n: usize) -> Result<(), RequestError> {
+    if OPERAND_RANGE.contains(&n) {
+        return Ok(());
+    }
+    Err(RequestError::new(
+        seq,
+        ErrorCode::BadRequest,
+        format!(
+            "operand count {n} outside {}..={}",
+            OPERAND_RANGE.start(),
+            OPERAND_RANGE.end()
+        ),
+    ))
+}
+
 /// The `<seq> <engine> <width>` prefix every computing request starts
-/// with, parsed with the command name in the error messages.
+/// with, parsed with the command name in the error messages. The engine
+/// is the line's own token.
 fn parse_head<'a>(
     cmd: &str,
     tokens: &mut impl Iterator<Item = &'a str>,
-) -> Result<(u64, String, usize), RequestError> {
+) -> Result<(u64, &'a str, usize), RequestError> {
     let seq = tokens
         .next()
         .and_then(|t| t.parse::<u64>().ok())
@@ -263,16 +306,13 @@ fn parse_head<'a>(
                 format!("{cmd} needs a numeric sequence"),
             )
         })?;
-    let engine = tokens
-        .next()
-        .ok_or_else(|| {
-            RequestError::new(
-                seq,
-                ErrorCode::BadRequest,
-                format!("{cmd} is missing the engine"),
-            )
-        })?
-        .to_string();
+    let engine = tokens.next().ok_or_else(|| {
+        RequestError::new(
+            seq,
+            ErrorCode::BadRequest,
+            format!("{cmd} is missing the engine"),
+        )
+    })?;
     let width = tokens
         .next()
         .and_then(|t| t.parse::<usize>().ok())
@@ -283,17 +323,7 @@ fn parse_head<'a>(
                 format!("{cmd} needs a numeric width"),
             )
         })?;
-    if !WIDTH_RANGE.contains(&width) {
-        return Err(RequestError::new(
-            seq,
-            ErrorCode::BadWidth,
-            format!(
-                "width {width} outside {}..={}",
-                WIDTH_RANGE.start(),
-                WIDTH_RANGE.end()
-            ),
-        ));
-    }
+    check_width(seq, width)?;
     Ok((seq, engine, width))
 }
 
@@ -314,17 +344,7 @@ fn parse_operand_count<'a>(
                 format!("{cmd} needs a numeric operand count"),
             )
         })?;
-    if !OPERAND_RANGE.contains(&n) {
-        return Err(RequestError::new(
-            seq,
-            ErrorCode::BadRequest,
-            format!(
-                "operand count {n} outside {}..={}",
-                OPERAND_RANGE.start(),
-                OPERAND_RANGE.end()
-            ),
-        ));
-    }
+    check_operand_count(seq, n)?;
     Ok(n)
 }
 
@@ -359,12 +379,13 @@ fn parse_operands<'a>(
     Ok(operands)
 }
 
-/// Parses one request line.
+/// Parses one request line. The request borrows its engine name from
+/// the line.
 ///
 /// # Errors
 ///
 /// Returns the [`RequestError`] to answer with; the connection stays up.
-pub fn parse_request(line: &str) -> Result<Request, RequestError> {
+pub fn parse_request(line: &str) -> Result<Request<'_>, RequestError> {
     let mut tokens = line.split_ascii_whitespace();
     match tokens.next() {
         Some("ENGINES") => match tokens.next() {
@@ -412,13 +433,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             let mut operands = parse_operands("ADD", seq, width, 2, &mut tokens)?;
             let b = operands.pop().expect("two operands");
             let a = operands.pop().expect("two operands");
-            Ok(Request::Add {
-                seq,
-                engine,
-                width,
-                a,
-                b,
-            })
+            Ok(Request::Add { seq, engine, a, b })
         }
         Some("SUM") => {
             let (seq, engine, width) = parse_head("SUM", &mut tokens)?;
@@ -427,7 +442,6 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             Ok(Request::Sum {
                 seq,
                 engine,
-                width,
                 operands,
             })
         }
@@ -444,7 +458,6 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             Ok(Request::Program {
                 seq,
                 engine,
-                width,
                 program,
                 inputs,
             })
@@ -621,7 +634,11 @@ impl StatsReport {
     }
 }
 
-/// One parsed server response.
+/// One server response, in either framing: [`format_response`] and
+/// [`parse_response`] spell it as a line,
+/// [`binary::encode_response`](crate::binary::encode_response) and
+/// [`binary::decode_response`](crate::binary::decode_response) as a
+/// frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// `OK <seq> <sum-hex> <cout> <cycles>`.
@@ -973,8 +990,24 @@ pub fn parse_response(line: &str, width: usize) -> Result<Response, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::binary::{self, HEADER_LEN};
+
+    /// Sends `response` through the text codec and the binary codec, and
+    /// requires each to give it back equal.
+    pub(crate) fn roundtrip_both(response: &Response, width: usize) {
+        let line = format_response(response);
+        assert_eq!(parse_response(&line, width).unwrap(), *response, "{line}");
+        let frame = binary::encode_response(response);
+        let len = u32::from_le_bytes(frame[2..HEADER_LEN].try_into().unwrap()) as usize;
+        assert_eq!(frame.len(), HEADER_LEN + len, "length prefix lies");
+        assert_eq!(
+            binary::decode_response(frame[1], &frame[HEADER_LEN..], width).unwrap(),
+            *response,
+            "{frame:?}"
+        );
+    }
 
     #[test]
     fn add_roundtrip() {
@@ -986,13 +1019,12 @@ mod tests {
             Request::Add {
                 seq,
                 engine,
-                width,
                 a: pa,
                 b: pb,
             } => {
                 assert_eq!(seq, 42);
                 assert_eq!(engine, "carry-select");
-                assert_eq!(width, 64);
+                assert_eq!(pa.width(), 64);
                 assert_eq!(pa, a);
                 assert_eq!(pb, b);
             }
@@ -1012,10 +1044,9 @@ mod tests {
             Request::Sum {
                 seq,
                 engine,
-                width,
                 operands: parsed,
             } => {
-                assert_eq!((seq, engine.as_str(), width), (9, "vlcsa1", 48));
+                assert_eq!((seq, engine, parsed[0].width()), (9, "vlcsa1", 48));
                 assert_eq!(parsed, operands);
             }
             other => panic!("parsed {other:?}"),
@@ -1035,11 +1066,10 @@ mod tests {
             Request::Program {
                 seq,
                 engine,
-                width,
                 program: parsed,
                 inputs: parsed_inputs,
             } => {
-                assert_eq!((seq, engine.as_str(), width), (3, "ripple", 16));
+                assert_eq!((seq, engine, parsed_inputs[0].width()), (3, "ripple", 16));
                 assert_eq!(parsed, program);
                 assert_eq!(parsed_inputs, inputs);
             }
@@ -1081,22 +1111,62 @@ mod tests {
     #[test]
     fn response_roundtrip() {
         let sum = UBig::from_u128(0xffff_0001, 48);
-        for response in [
-            Response::Ok {
-                seq: 9,
-                sum,
-                cout: true,
-                cycles: 2,
-            },
-            Response::Err(RequestError {
-                seq: 3,
-                code: ErrorCode::UnknownEngine,
-                message: "unknown engine `x`; known engines: ripple, cla4".into(),
-            }),
-            Response::Engines(vec!["ripple".into(), "vlcsa1".into()]),
-        ] {
-            let line = format_response(&response);
-            assert_eq!(parse_response(&line, 48).unwrap(), response, "{line}");
+        let mut cases = vec![
+            (
+                Response::Ok {
+                    seq: 9,
+                    sum,
+                    cout: true,
+                    cycles: 2,
+                },
+                48,
+            ),
+            (
+                Response::Err(RequestError {
+                    seq: 3,
+                    code: ErrorCode::UnknownEngine,
+                    message: "unknown engine `x`; known engines: ripple, cla4".into(),
+                }),
+                48,
+            ),
+            (
+                Response::Engines(vec!["ripple".into(), "vlcsa1".into()]),
+                48,
+            ),
+        ];
+        // `OK` at the widths around limb boundaries, and both ends.
+        for width in [1, 63, 64, 65, bitnum::MAX_WIDTH] {
+            let mut sum = UBig::ones(width);
+            sum.set_bit(width / 2, false);
+            cases.push((
+                Response::Ok {
+                    seq: width as u64,
+                    sum,
+                    cout: width % 2 == 1,
+                    cycles: 1,
+                },
+                width,
+            ));
+        }
+        // `ERR` with every code.
+        for (seq, code) in [
+            ErrorCode::BadRequest,
+            ErrorCode::UnknownEngine,
+            ErrorCode::BadWidth,
+            ErrorCode::BadOperand,
+            ErrorCode::Shutdown,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let message = format!("a {code} message");
+            cases.push((
+                Response::Err(RequestError::new(seq as u64, code, message)),
+                1,
+            ));
+        }
+        for (response, width) in cases {
+            roundtrip_both(&response, width);
         }
     }
 

@@ -79,7 +79,7 @@ use vlcsa::route::{RouteConfig, Router, AUTO_ENGINE};
 
 use crate::protocol::{EngineStats, LaneStats, StatsReport, OPERAND_RANGE, WIDTH_RANGE};
 use crate::queue::Queue;
-use crate::session::{FrameSink, OkBatch, ResponseSink};
+use crate::session::{Conn, OkBatch};
 
 /// Tuning knobs of the service core. Each knob applies **per lane** (a
 /// lane is one `(engine, width)` pair traffic has spun up): lanes are
@@ -209,33 +209,6 @@ pub(crate) enum ReplyTo {
     },
 }
 
-/// A wire connection's reply side, in the framing it speaks.
-pub(crate) enum Conn {
-    /// Answers are text `OK` lines.
-    Text(Arc<dyn ResponseSink>),
-    /// Answers are `OK` frames.
-    Frame(Arc<dyn FrameSink>),
-}
-
-impl Conn {
-    /// Identifies the connection: its sink's address plus its framing.
-    fn key(&self) -> (usize, bool) {
-        match self {
-            Conn::Text(sink) => (Arc::as_ptr(sink).cast::<()>() as usize, false),
-            Conn::Frame(sink) => (Arc::as_ptr(sink).cast::<()>() as usize, true),
-        }
-    }
-
-    /// Hands the connection its answers from one issue group.
-    fn send(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
-        buf.clear();
-        match self {
-            Conn::Text(sink) => sink.send_oks(oks, buf),
-            Conn::Frame(sink) => sink.send_ok_frames(oks, buf),
-        }
-    }
-}
-
 /// A lane worker's reply state, reused from group to group: the group's
 /// sums out of the slab layout, its wire answers sorted into
 /// per-connection runs, and the buffer a run is encoded into before its
@@ -295,7 +268,7 @@ impl Delivery {
         for &(_, start, end) in runs.iter() {
             run.clear();
             run.extend(wire[start..end].iter().map(|&(_, seq, lane)| (seq, lane)));
-            wire[start].0.send(&OkBatch::new(out, sums, run), buf);
+            wire[start].0.send_oks(&OkBatch::new(out, sums, run), buf);
         }
         runs.clear();
         // Releases the group's connection handles.
@@ -303,25 +276,19 @@ impl Delivery {
     }
 }
 
-/// A validated request body: parsed values (the text protocol, and every
-/// reduction once lowered) or raw little-endian limb runs (the binary
-/// `ADD`), which the lane worker copies into its group's lane-major buffer
-/// via [`LaneBuilder::push_limbs`] — no intermediate [`UBig`] anywhere on
-/// the limb path. The constructors are the validation every submit path
-/// shares.
-pub(crate) enum Operands {
-    /// Two parsed operands of equal width.
-    Values { a: UBig, b: UBig },
-    /// Two validated limb runs of `width.div_ceil(64)` limbs each.
-    Limbs {
-        width: usize,
-        a: Vec<u64>,
-        b: Vec<u64>,
-    },
+/// A validated request body in the one form every request reaches its
+/// lane in: the two operands of one addition — a reduction's once it is
+/// lowered to its carry-save pair — which the lane worker pushes into its
+/// group with [`LaneBuilder::push`]. The constructors are the validation
+/// every submit path shares; a wire request's decoder has already made
+/// the same checks, so on that path they cannot fail.
+pub(crate) struct Operands {
+    a: UBig,
+    b: UBig,
 }
 
 impl Operands {
-    /// One addition of parsed operands.
+    /// One addition.
     ///
     /// # Errors
     ///
@@ -333,36 +300,7 @@ impl Operands {
         if !WIDTH_RANGE.contains(&a.width()) {
             return Err(SubmitError::BadWidth(a.width()));
         }
-        Ok(Self::Values { a, b })
-    }
-
-    /// One addition of raw limb runs, validated in place.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::BadWidth`], or [`SubmitError::BadLimbs`] when either
-    /// operand is not exactly `width.div_ceil(64)` limbs or has bits set
-    /// at or above `width`.
-    pub(crate) fn limbs(width: usize, a: Vec<u64>, b: Vec<u64>) -> Result<Self, SubmitError> {
-        if !WIDTH_RANGE.contains(&width) {
-            return Err(SubmitError::BadWidth(width));
-        }
-        let nl = width.div_ceil(64);
-        for (name, limbs) in [("a", &a), ("b", &b)] {
-            if limbs.len() != nl {
-                return Err(SubmitError::BadLimbs(format!(
-                    "operand {name} is {} limbs, width {width} needs {nl}",
-                    limbs.len()
-                )));
-            }
-            let used = width % 64;
-            if used != 0 && limbs[nl - 1] >> used != 0 {
-                return Err(SubmitError::BadLimbs(format!(
-                    "operand {name} has bits set at or above width {width}"
-                )));
-            }
-        }
-        Ok(Self::Limbs { width, a, b })
+        Ok(Self { a, b })
     }
 
     /// One whole program, lowered here — in the submitter — to its
@@ -388,7 +326,7 @@ impl Operands {
             return Err(SubmitError::BadWidth(width));
         }
         let (a, b) = program.csa_pair_scalar(inputs);
-        Ok(Self::Values { a, b })
+        Ok(Self { a, b })
     }
 
     /// One n-operand sum — [`Operands::program`] of the [`Program::sum`]
@@ -405,10 +343,7 @@ impl Operands {
     }
 
     pub(crate) fn width(&self) -> usize {
-        match self {
-            Self::Values { a, .. } => a.width(),
-            Self::Limbs { width, .. } => *width,
-        }
+        self.a.width()
     }
 }
 
@@ -421,16 +356,6 @@ pub(crate) struct Job {
     /// Where the answer goes.
     pub(crate) reply: ReplyTo,
     submitted: u64,
-}
-
-/// Moves one job into the issue group being built, whichever operand form
-/// it carries, and returns its submit stamp.
-fn push_job(builder: &mut LaneBuilder<ReplyTo>, job: Job) -> u64 {
-    match job.operands {
-        Operands::Values { a, b } => builder.push(a, b, job.reply),
-        Operands::Limbs { a, b, .. } => builder.push_limbs(&a, &b, job.reply),
-    }
-    job.submitted
 }
 
 /// A lazily-built, shared cache of [`Registry`] instances, one per
@@ -583,7 +508,10 @@ impl Lane {
             let taken = jobs.len();
             let oldest = jobs
                 .drain(..)
-                .map(|job| push_job(&mut builder, job))
+                .map(|job| {
+                    builder.push(job.operands.a, job.operands.b, job.reply);
+                    job.submitted
+                })
                 .min()
                 .expect("a take moves at least one job");
             let group = builder.drain().expect("a taken job is a lane");
@@ -840,7 +768,8 @@ impl Service {
     /// Routes one validated request to its `(engine, width)` lane —
     /// spinning the lane up on first use — stamps it and queues it at
     /// once, as a batch of one: the shared tail of every in-process
-    /// submit path and of the one-request dispatches.
+    /// submit path. (A connection's session stages a read's requests per
+    /// lane instead, and queues each lane's run with one push.)
     pub(crate) fn submit_to(
         &self,
         engine: &str,
@@ -869,11 +798,9 @@ impl Service {
     }
 
     /// Validates and queues one addition whose operands are raw
-    /// little-endian limb runs — the zero-copy ingress of the binary
-    /// protocol. No [`UBig`] is built anywhere on this path: the limbs are
-    /// validated in place here, and the lane's worker copies them into its
-    /// group's lane-major buffer ([`LaneBuilder::push_limbs`]), which
-    /// enters the slab layout with one block transpose per group.
+    /// little-endian limb runs — the C ABI's entry point. The limbs are
+    /// checked here, then copied into the operands' values, and the
+    /// request continues as [`Service::submit`]'s does.
     ///
     /// # Errors
     ///
@@ -888,7 +815,26 @@ impl Service {
         b: Vec<u64>,
         reply: Reply,
     ) -> Result<(), SubmitError> {
-        self.submit_to(engine, Operands::limbs(width, a, b)?, ReplyTo::Call(reply))
+        if !WIDTH_RANGE.contains(&width) {
+            return Err(SubmitError::BadWidth(width));
+        }
+        let nl = width.div_ceil(64);
+        for (name, limbs) in [("a", &a), ("b", &b)] {
+            if limbs.len() != nl {
+                return Err(SubmitError::BadLimbs(format!(
+                    "operand {name} is {} limbs, width {width} needs {nl}",
+                    limbs.len()
+                )));
+            }
+            let used = width % 64;
+            if used != 0 && limbs[nl - 1] >> used != 0 {
+                return Err(SubmitError::BadLimbs(format!(
+                    "operand {name} has bits set at or above width {width}"
+                )));
+            }
+        }
+        let (a, b) = (UBig::from_limbs(&a, width), UBig::from_limbs(&b, width));
+        self.submit(engine, a, b, reply)
     }
 
     /// Validates and queues one whole reduction program: the program's

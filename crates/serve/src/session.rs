@@ -1,23 +1,29 @@
 //! Transport-independent request dispatch: the per-connection protocol
-//! state of both wire protocols.
+//! state of both wire framings.
 //!
 //! [`server`](crate::server) owns sockets and threads; its reader threads
 //! feed each connection's bytes to a [`ByteSession`], the one way a wire
-//! request enters the runtime. The session owns framing, the `HELLO`
-//! upgrade, and what happens *between* a decoded request and the
-//! [`Service`] — validation-error mapping, staging each read's requests
-//! per lane until the caller would block, and reply routing. Responses
-//! leave through a caller-supplied sink:
+//! request enters the runtime. The session owns framing and the `HELLO`
+//! upgrade. Past the codec, a request is one [`Request`] whichever
+//! framing carried it, and one dispatcher validates it, stages each
+//! read's requests per lane until the caller would block, and answers
+//! it. Responses leave through a caller-supplied sink:
 //!
-//! * [`ResponseSink`] receives parsed [`Response`] values (the text
-//!   protocol's unit of output);
+//! * [`ResponseSink`] receives [`Response`] values (the text protocol's
+//!   unit of output);
 //! * [`FrameSink`] receives pre-encoded binary frames (the framed
 //!   protocol's unit of output).
 //!
+//! Every answer but a group's `OK`s is a [`Response`] handed to the
+//! connection's codec: a text connection sends it through
+//! [`ResponseSink::send`], a framed one encodes it
+//! ([`binary::encode_response`]) and sends it through
+//! [`FrameSink::send_frame`].
+//!
 //! An `ADD`/`SUM`/`PROG` does not register a callback: its reply is an
-//! address — the sink plus the request's `seq` — and the lane worker that
-//! runs its issue group hands each sink **all** of that group's answers
-//! addressed to it in one [`OkBatch`], in lane order
+//! address — the connection plus the request's `seq` — and the lane
+//! worker that runs its issue group hands each sink **all** of that
+//! group's answers addressed to it in one [`OkBatch`], in lane order
 //! ([`ResponseSink::send_oks`], [`FrameSink::send_ok_frames`]). The
 //! provided methods deliver a batch one reply at a time through `send` /
 //! `send_frame`; the TCP server overrides them to encode the whole batch
@@ -37,17 +43,14 @@ use vlcsa::exec::WideOutcome;
 use vlcsa::route::AUTO_ENGINE;
 
 use crate::binary::{
-    self, BinRequest, FrameReadError, ENGINE_ID_AUTO, HEADER_LEN, HELLO_LINE, MAX_FRAME_BODY,
-    PROTOCOL_VERSION,
+    self, FrameReadError, HEADER_LEN, HELLO_LINE, MAX_FRAME_BODY, PROTOCOL_VERSION,
 };
-use crate::protocol::{
-    self, format_response, parse_request, ErrorCode, Request, RequestError, Response, SloAction,
-};
-use crate::service::{Conn, Job, Lane, Operands, ReplyTo, Service, SubmitError};
+use crate::protocol::{self, parse_request, ErrorCode, Request, RequestError, Response, SloAction};
+use crate::service::{Job, Lane, Operands, ReplyTo, Service, SubmitError};
 
-/// Where parsed text-protocol responses go. Implementations must
-/// tolerate concurrent calls from worker threads and serialize their own
-/// output (the TCP server locks the socket; a test sink locks a `Vec`).
+/// Where text-protocol responses go. Implementations must tolerate
+/// concurrent calls from worker threads and serialize their own output
+/// (the TCP server locks the socket; a test sink locks a `Vec`).
 pub trait ResponseSink: Send + Sync + 'static {
     /// Delivers one response. Errors are the sink's problem: a dispatch
     /// has nobody to tell that the client hung up.
@@ -154,10 +157,49 @@ impl<'a> OkBatch<'a> {
     }
 }
 
+/// A connection's reply side, in the framing it speaks — the one place a
+/// [`Response`] meets a codec.
+#[derive(Clone)]
+pub(crate) enum Conn {
+    /// Answers are text lines.
+    Text(Arc<dyn ResponseSink>),
+    /// Answers are frames.
+    Frame(Arc<dyn FrameSink>),
+}
+
+impl Conn {
+    /// Answers with one response other than a group's `OK`s: a text
+    /// connection sends it through [`ResponseSink::send`], a framed one
+    /// encodes its frame and sends it through [`FrameSink::send_frame`].
+    fn answer(&self, response: &Response) {
+        match self {
+            Conn::Text(sink) => sink.send(response),
+            Conn::Frame(sink) => sink.send_frame(&binary::encode_response(response)),
+        }
+    }
+
+    /// Identifies the connection: its sink's address plus its framing.
+    pub(crate) fn key(&self) -> (usize, bool) {
+        match self {
+            Conn::Text(sink) => (Arc::as_ptr(sink).cast::<()>() as usize, false),
+            Conn::Frame(sink) => (Arc::as_ptr(sink).cast::<()>() as usize, true),
+        }
+    }
+
+    /// Hands the connection its answers from one issue group.
+    pub(crate) fn send_oks(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
+        buf.clear();
+        match self {
+            Conn::Text(sink) => sink.send_oks(oks, buf),
+            Conn::Frame(sink) => sink.send_ok_frames(oks, buf),
+        }
+    }
+}
+
 /// Maps a [`SubmitError`] onto the wire error-code space, echoing the
-/// request's sequence number. One mapping for both protocols (and the C
-/// ABI, which reuses the same codes).
-pub fn submit_error(seq: u64, err: SubmitError) -> RequestError {
+/// request's sequence number: one mapping for both framings. (The C ABI
+/// maps the same errors onto its own codes.)
+fn submit_error(seq: u64, err: SubmitError) -> RequestError {
     let code = match err {
         SubmitError::UnknownEngine(_) => ErrorCode::UnknownEngine,
         SubmitError::WidthMismatch(..) => ErrorCode::BadRequest,
@@ -166,159 +208,71 @@ pub fn submit_error(seq: u64, err: SubmitError) -> RequestError {
         SubmitError::BadLimbs(_) => ErrorCode::BadOperand,
         SubmitError::Stopped => ErrorCode::Shutdown,
     };
-    RequestError {
-        seq,
-        code,
-        message: err.to_string(),
-    }
+    RequestError::new(seq, code, err.to_string())
 }
 
-/// Dispatches one text-protocol line: parse, validate, stage on
-/// `staging`; answer errors inline through the sink. `ADD`/`SUM`/`PROG`
-/// replies arrive later, from a lane worker, once the request's issue
-/// group has run — the sink is retained (via `Arc`) until every in-flight
-/// reply has fired. A command flushes what is staged first, so it sees
-/// every request before it on its connection.
-fn text_request<S: ResponseSink>(
-    line: &str,
+/// Dispatches one decoded request — from a text line or a frame — on
+/// `conn`: errors are answered inline, a command flushes what is staged
+/// (so it sees every request before it on its connection) and is
+/// answered at once, and a valid `ADD`/`SUM`/`PROG` is staged for its
+/// lane. Its reply arrives later, from a lane worker, once the request's
+/// issue group has run; the reply address keeps the sink alive until
+/// then.
+fn dispatch(
+    request: Result<Request<'_>, RequestError>,
     service: &Service,
-    sink: &Arc<S>,
+    conn: &Conn,
     staging: &mut Staging,
 ) {
-    let (seq, engine, operands) = match parse_request(line) {
-        Ok(Request::Add {
-            seq, engine, a, b, ..
-        }) => (seq, engine, Operands::add(a, b)),
+    let (seq, engine, operands) = match request {
+        Ok(Request::Add { seq, engine, a, b }) => (seq, engine, Operands::add(a, b)),
         Ok(Request::Sum {
             seq,
             engine,
             operands,
-            ..
         }) => (seq, engine, Operands::sum(&operands)),
         Ok(Request::Program {
             seq,
             engine,
             program,
             inputs,
-            ..
         }) => (seq, engine, Operands::program(&program, &inputs)),
         Ok(Request::Engines) => {
             staging.flush();
             // Engine names are width-independent; any registry lists
-            // them. 64 is as good a cache key as any. `auto` rides
-            // along so clients discover the pseudo-engine too.
+            // them. `auto` rides along last, so clients discover the
+            // pseudo-engine too.
             let names = service.registries().at(64).names();
             let names = names
                 .into_iter()
+                .chain(std::iter::once(AUTO_ENGINE))
                 .map(str::to_string)
-                .chain(std::iter::once(AUTO_ENGINE.to_string()))
                 .collect();
-            return sink.send(&Response::Engines(names));
+            return conn.answer(&Response::Engines(names));
         }
         Ok(Request::Stats) => {
             staging.flush();
-            return sink.send(&Response::Stats(service.stats()));
+            return conn.answer(&Response::Stats(service.stats()));
         }
         Ok(Request::Slo(action)) => {
             staging.flush();
-            apply_slo(service, action);
-            // Always echo the budget now in force, so a set doubles
-            // as a readback and a query is just the degenerate case.
-            return sink.send(&Response::Slo(service.slo()));
+            match action {
+                SloAction::Query => {}
+                SloAction::Set(micros) => service.set_slo(Some(micros)),
+                SloAction::Clear => service.set_slo(None),
+            }
+            // Always echo the budget now in force, so a set doubles as a
+            // readback and a query is just the degenerate case.
+            return conn.answer(&Response::Slo(service.slo()));
         }
-        Err(err) => return sink.send(&Response::Err(err)),
+        Err(err) => return conn.answer(&Response::Err(err)),
     };
     let reply = ReplyTo::Wire {
-        conn: Conn::Text(Arc::clone(sink) as Arc<dyn ResponseSink>),
+        conn: conn.clone(),
         seq,
     };
-    let submitted = operands.and_then(|ops| staging.stage(service, &engine, ops, reply));
-    if let Err(err) = submitted {
-        sink.send(&Response::Err(submit_error(seq, err)));
-    }
-}
-
-/// Dispatches one binary frame (already read and length-delimited):
-/// decode, validate, stage on `staging`; answer errors as `ERR` frames
-/// through the sink. `names` is the width-independent engine listing
-/// frame ids index into — computed once per connection, not per frame.
-/// Body-level malformation is answered and absorbed here; header-level
-/// poison (bad version, oversized length) is the session's to see, and
-/// closes the stream. A command flushes what is staged first, as in
-/// [`text_request`].
-fn frame_request<S: FrameSink>(
-    opcode: u8,
-    body: &[u8],
-    names: &[&'static str],
-    service: &Service,
-    sink: &Arc<S>,
-    staging: &mut Staging,
-) {
-    let (seq, engine, operands) = match binary::decode_request(opcode, body, names) {
-        // The limbs are copied from the frame into the lane's group
-        // buffer, never parsed; the reply's limbs are the group's
-        // untransposed sums.
-        Ok(BinRequest::Add {
-            seq,
-            engine,
-            width,
-            a,
-            b,
-        }) => (seq, engine, Operands::limbs(width, a, b)),
-        Ok(BinRequest::Sum {
-            seq,
-            engine,
-            operands,
-            ..
-        }) => (seq, engine, Operands::sum(&operands)),
-        Ok(BinRequest::Prog {
-            seq,
-            engine,
-            program,
-            inputs,
-            ..
-        }) => (seq, engine, Operands::program(&program, &inputs)),
-        Ok(BinRequest::Engines) => {
-            staging.flush();
-            let entries: Vec<(u8, &str)> = names
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (i as u8, *n))
-                .chain(std::iter::once((ENGINE_ID_AUTO, AUTO_ENGINE)))
-                .collect();
-            return sink.send_frame(&binary::encode_engines(&entries));
-        }
-        Ok(BinRequest::Stats) => {
-            staging.flush();
-            // The counters snapshot rides as its text line — one
-            // format, one parser, whatever the transport.
-            let line = format_response(&Response::Stats(service.stats()));
-            return sink.send_frame(&binary::encode_stats(&line));
-        }
-        Ok(BinRequest::Slo(action)) => {
-            staging.flush();
-            apply_slo(service, action);
-            return sink.send_frame(&binary::encode_slo(service.slo()));
-        }
-        Err(err) => return sink.send_frame(&binary::encode_err(&err)),
-    };
-    let reply = ReplyTo::Wire {
-        conn: Conn::Frame(Arc::clone(sink) as Arc<dyn FrameSink>),
-        seq,
-    };
-    let submitted = operands.and_then(|ops| staging.stage(service, engine, ops, reply));
-    if let Err(err) = submitted {
-        sink.send_frame(&binary::encode_err(&submit_error(seq, err)));
-    }
-}
-
-/// Applies an `SLO` command's action; both protocols then echo the
-/// budget in force.
-fn apply_slo(service: &Service, action: SloAction) {
-    match action {
-        SloAction::Query => {}
-        SloAction::Set(micros) => service.set_slo(Some(micros)),
-        SloAction::Clear => service.set_slo(None),
+    if let Err(err) = operands.and_then(|ops| staging.stage(service, engine, ops, reply)) {
+        conn.answer(&Response::Err(submit_error(seq, err)));
     }
 }
 
@@ -364,11 +318,7 @@ impl Staging {
             }
             for job in jobs {
                 if let ReplyTo::Wire { conn, seq } = job.reply {
-                    let err = submit_error(seq, SubmitError::Stopped);
-                    match conn {
-                        Conn::Text(sink) => sink.send(&Response::Err(err)),
-                        Conn::Frame(sink) => sink.send_frame(&binary::encode_err(&err)),
-                    }
+                    conn.answer(&Response::Err(submit_error(seq, SubmitError::Stopped)));
                 }
             }
         }
@@ -404,6 +354,10 @@ pub enum FeedOutcome {
 ///   does a line still unfinished after [`MAX_LINE`](protocol::MAX_LINE)
 ///   bytes, once answered `ERR 0 bad-request`.
 ///
+/// Either framing's requests decode to one [`Request`] and go through one
+/// dispatcher; the session's one reply side — text until the upgrade,
+/// frames after it — is the only part that knows the framing.
+///
 /// **Flush before block.** Requests are parsed in place; only an
 /// incomplete tail is kept for the next call. Errors are answered inline,
 /// but every valid `ADD`/`SUM`/`PROG` is staged, per lane, and each lane
@@ -419,29 +373,28 @@ pub enum FeedOutcome {
 /// threads, through the same sink.
 pub struct ByteSession<S> {
     sink: Arc<S>,
+    /// Where every answer leaves: text until the upgrade, frames after.
+    conn: Conn,
+    /// The engine listing frame ids index into, fetched at the upgrade.
+    names: Vec<&'static str>,
     /// The incomplete tail of the bytes fed so far.
     buf: Vec<u8>,
     /// How many leading bytes of `buf` are known to hold no newline, so
     /// a long text line is searched once, not again on every feed.
     scanned: usize,
-    mode: SessionMode,
     first: bool,
     staging: Staging,
-}
-
-enum SessionMode {
-    Text,
-    Binary { names: Vec<&'static str> },
 }
 
 impl<S: ResponseSink + FrameSink> ByteSession<S> {
     /// A fresh session in text mode, answering through `sink`.
     pub fn new(sink: Arc<S>) -> Self {
         Self {
+            conn: Conn::Text(Arc::clone(&sink) as Arc<dyn ResponseSink>),
             sink,
+            names: Vec::new(),
             buf: Vec::new(),
             scanned: 0,
-            mode: SessionMode::Text,
             first: true,
             staging: Staging::default(),
         }
@@ -464,20 +417,21 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
         };
         // A healthy text stream keeps only what follows its last newline,
         // and no more of it than the longest request line.
-        let outcome = match (&self.mode, outcome) {
-            (SessionMode::Text, FeedOutcome::Continue) if tail.len() > protocol::MAX_LINE => {
+        let text = matches!(self.conn, Conn::Text(_));
+        let outcome = match outcome {
+            FeedOutcome::Continue if text && tail.len() > protocol::MAX_LINE => {
                 service.note_text_request();
-                self.sink.send(&Response::Err(RequestError {
-                    seq: 0,
-                    code: ErrorCode::BadRequest,
-                    message: format!("line exceeds {} bytes", protocol::MAX_LINE),
-                }));
+                self.conn.answer(&Response::Err(RequestError::new(
+                    0,
+                    ErrorCode::BadRequest,
+                    format!("line exceeds {} bytes", protocol::MAX_LINE),
+                )));
                 FeedOutcome::Close
             }
-            (_, outcome) => outcome,
+            outcome => outcome,
         };
-        self.scanned = match (&self.mode, outcome) {
-            (SessionMode::Text, FeedOutcome::Continue) => tail.len(),
+        self.scanned = match outcome {
+            FeedOutcome::Continue if text => tail.len(),
             _ => 0,
         };
         self.buf = tail;
@@ -494,72 +448,62 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
         let mut scanned = std::mem::take(&mut self.scanned);
         loop {
             let rest = &bytes[used..];
-            match &self.mode {
-                SessionMode::Text => {
-                    let Some(nl) = rest[scanned..].iter().position(|&b| b == b'\n') else {
-                        return (used, FeedOutcome::Continue);
-                    };
-                    let line = &rest[..=std::mem::take(&mut scanned) + nl];
-                    used += line.len();
-                    let Ok(line) = std::str::from_utf8(line) else {
-                        return (used, FeedOutcome::Close);
-                    };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    if self.first && line.trim_end_matches(['\r', '\n']) == HELLO_LINE {
-                        // The ack is the upgrade line itself; it rides the
-                        // frame sink because it is raw bytes, not a
-                        // `Response`. The exchange counts as neither
-                        // protocol's traffic.
-                        self.sink.send_frame(format!("{HELLO_LINE}\n").as_bytes());
-                        self.mode = SessionMode::Binary {
-                            names: service.registries().at(64).names(),
-                        };
-                        continue;
-                    }
-                    self.first = false;
-                    service.note_text_request();
-                    text_request(line, service, &self.sink, &mut self.staging);
+            if let Conn::Text(_) = self.conn {
+                let Some(nl) = rest[scanned..].iter().position(|&b| b == b'\n') else {
+                    return (used, FeedOutcome::Continue);
+                };
+                let line = &rest[..=std::mem::take(&mut scanned) + nl];
+                used += line.len();
+                let Ok(line) = std::str::from_utf8(line) else {
+                    return (used, FeedOutcome::Close);
+                };
+                if line.trim().is_empty() {
+                    continue;
                 }
-                SessionMode::Binary { names } => {
-                    if rest.len() < HEADER_LEN {
-                        return (used, FeedOutcome::Continue);
-                    }
-                    let version = rest[0];
-                    let len =
-                        u32::from_le_bytes(rest[2..6].try_into().expect("4 header bytes")) as usize;
-                    let poison = if version != PROTOCOL_VERSION {
-                        Some(FrameReadError::BadVersion(version))
-                    } else if len > MAX_FRAME_BODY {
-                        Some(FrameReadError::Oversized(len))
-                    } else {
-                        None
-                    };
-                    if let Some(poison) = poison {
-                        service.note_binary_request();
-                        self.sink.send_frame(&binary::encode_err(&RequestError {
-                            seq: 0,
-                            code: ErrorCode::BadRequest,
-                            message: poison.to_string(),
-                        }));
-                        return (used, FeedOutcome::Close);
-                    }
-                    if rest.len() < HEADER_LEN + len {
-                        return (used, FeedOutcome::Continue);
-                    }
-                    used += HEADER_LEN + len;
-                    service.note_binary_request();
-                    frame_request(
-                        rest[1],
-                        &rest[HEADER_LEN..HEADER_LEN + len],
-                        names,
-                        service,
-                        &self.sink,
-                        &mut self.staging,
-                    );
+                if self.first && line.trim_end_matches(['\r', '\n']) == HELLO_LINE {
+                    // The ack is the upgrade line itself; it rides the
+                    // frame sink because it is raw bytes, not a
+                    // `Response`. The exchange counts as neither
+                    // protocol's traffic.
+                    self.sink.send_frame(format!("{HELLO_LINE}\n").as_bytes());
+                    self.conn = Conn::Frame(Arc::clone(&self.sink) as Arc<dyn FrameSink>);
+                    self.names = service.registries().at(64).names();
+                    continue;
                 }
+                self.first = false;
+                service.note_text_request();
+                dispatch(parse_request(line), service, &self.conn, &mut self.staging);
+                continue;
             }
+            if rest.len() < HEADER_LEN {
+                return (used, FeedOutcome::Continue);
+            }
+            let version = rest[0];
+            let len = u32::from_le_bytes(rest[2..6].try_into().expect("4 header bytes")) as usize;
+            let poison = if version != PROTOCOL_VERSION {
+                Some(FrameReadError::BadVersion(version))
+            } else if len > MAX_FRAME_BODY {
+                Some(FrameReadError::Oversized(len))
+            } else {
+                None
+            };
+            if let Some(poison) = poison {
+                service.note_binary_request();
+                self.conn.answer(&Response::Err(RequestError::new(
+                    0,
+                    ErrorCode::BadRequest,
+                    poison.to_string(),
+                )));
+                return (used, FeedOutcome::Close);
+            }
+            if rest.len() < HEADER_LEN + len {
+                return (used, FeedOutcome::Continue);
+            }
+            used += HEADER_LEN + len;
+            service.note_binary_request();
+            let request =
+                binary::decode_request(rest[1], &rest[HEADER_LEN..HEADER_LEN + len], &self.names);
+            dispatch(request, service, &self.conn, &mut self.staging);
         }
     }
 }
@@ -574,6 +518,7 @@ mod tests {
     use vlcsa::program::{Operand, Program, MAX_PROGRAM_INPUTS, MAX_PROGRAM_STEPS};
 
     use super::*;
+    use crate::protocol::format_response;
     use crate::service::ServeConfig;
 
     /// A sink that collects formatted response lines — the whole point of
@@ -1085,7 +1030,7 @@ mod tests {
             for seq in [2, 4] {
                 let refused = submit_error(seq, SubmitError::Stopped);
                 let want = if framed {
-                    binary::encode_err(&refused)
+                    binary::encode_response(&Response::Err(refused))
                 } else {
                     format!("{}\n", format_response(&Response::Err(refused))).into_bytes()
                 };

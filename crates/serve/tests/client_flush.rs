@@ -10,7 +10,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use bitnum::UBig;
-use vlcsa_serve::binary::{self, ENGINE_ID_AUTO, HELLO_LINE};
+use vlcsa_serve::binary::{self, HELLO_LINE};
 use vlcsa_serve::protocol::{format_add, format_response};
 use vlcsa_serve::{Client, Response};
 
@@ -87,10 +87,10 @@ impl Peer {
             assert_eq!(hello, format!("{HELLO_LINE}\n"));
             peer.write(format!("{HELLO_LINE}\n").as_bytes());
             peer.expect(&binary::encode_engines_request());
-            peer.write(&binary::encode_engines(&[
-                (0, ENGINE),
-                (ENGINE_ID_AUTO, "auto"),
-            ]));
+            peer.write(&binary::encode_response(&Response::Engines(vec![
+                ENGINE.into(),
+                "auto".into(),
+            ])));
         }
         peer
     }

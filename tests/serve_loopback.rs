@@ -853,8 +853,8 @@ fn binary_bad_engine_id_gets_structured_err_frame() {
         .write_all(&binary::encode_add(7, 200, 64, &[5], &[6]))
         .unwrap();
     let (opcode, body) = binary::read_frame(&mut reader).unwrap().unwrap();
-    match binary::decode_response(opcode, &body).unwrap() {
-        vlcsa_serve::binary::BinResponse::Err(err) => {
+    match binary::decode_response(opcode, &body, 64).unwrap() {
+        vlcsa_serve::Response::Err(err) => {
             assert_eq!(err.seq, 7);
             assert_eq!(err.code, ErrorCode::UnknownEngine);
             for (i, name) in Registry::for_width(64).names().iter().enumerate() {
@@ -873,9 +873,9 @@ fn binary_bad_engine_id_gets_structured_err_frame() {
         .write_all(&binary::encode_add(8, 0, 64, &[40], &[2]))
         .unwrap();
     let (opcode, body) = binary::read_frame(&mut reader).unwrap().unwrap();
-    match binary::decode_response(opcode, &body).unwrap() {
-        vlcsa_serve::binary::BinResponse::Ok { seq, sum_limbs, .. } => {
-            assert_eq!((seq, sum_limbs.as_slice()), (8, &[42u64][..]));
+    match binary::decode_response(opcode, &body, 64).unwrap() {
+        vlcsa_serve::Response::Ok { seq, sum, .. } => {
+            assert_eq!((seq, sum.limbs()), (8, &[42u64][..]));
         }
         other => panic!("expected OK frame, got {other:?}"),
     }
@@ -901,8 +901,8 @@ fn binary_garbage_answers_or_closes_cleanly_never_desyncs() {
     };
     let expect_err = |reader: &mut BufReader<TcpStream>, seq: u64, code: ErrorCode| {
         let (opcode, body) = binary::read_frame(reader).unwrap().unwrap();
-        match binary::decode_response(opcode, &body).unwrap() {
-            vlcsa_serve::binary::BinResponse::Err(err) => {
+        match binary::decode_response(opcode, &body, 64).unwrap() {
+            vlcsa_serve::Response::Err(err) => {
                 assert_eq!((err.seq, err.code), (seq, code), "{}", err.message);
             }
             other => panic!("expected ERR, got {other:?}"),
@@ -948,9 +948,9 @@ fn binary_garbage_answers_or_closes_cleanly_never_desyncs() {
             .write_all(&binary::encode_add(25, 0, 64, &[20], &[22]))
             .unwrap();
         let (opcode, body) = binary::read_frame(&mut reader).unwrap().unwrap();
-        match binary::decode_response(opcode, &body).unwrap() {
-            vlcsa_serve::binary::BinResponse::Ok { seq, sum_limbs, .. } => {
-                assert_eq!((seq, sum_limbs.as_slice()), (25, &[42u64][..]));
+        match binary::decode_response(opcode, &body, 64).unwrap() {
+            vlcsa_serve::Response::Ok { seq, sum, .. } => {
+                assert_eq!((seq, sum.limbs()), (25, &[42u64][..]));
             }
             other => panic!("expected OK, got {other:?}"),
         }
