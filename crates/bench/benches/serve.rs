@@ -36,8 +36,9 @@
 //!
 //! The fifth dimension is head-of-line isolation — the claim the
 //! per-lane runtime exists for. A second server carries the production
-//! registry plus a synthetic `sleepy` engine whose `add_batch` holds its
-//! lane's worker for [`STALL_MS`] per batch; a background client keeps
+//! registry plus a synthetic `sleepy` engine whose `add_batch` holds the
+//! thread running its group — the driving connection's reader — for
+//! [`STALL_MS`] per batch; a background client keeps
 //! the sleepy lane saturated while every static engine is re-measured
 //! under identical traffic. Per engine the run records unstalled vs
 //! stalled req/s and p99 and their `retained` ratio, with a ≥80%
@@ -76,8 +77,8 @@ const IN_FLIGHT: usize = 64;
 /// Operand count of the reduction dimension (the acceptance shape).
 const SUM_N: usize = 8;
 
-/// How long the synthetic stalled engine parks its lane's worker inside
-/// every `add_batch`, server-side.
+/// How long the synthetic stalled engine parks the thread running its
+/// group inside every `add_batch`, server-side.
 const STALL_MS: u64 = 2;
 /// Registry name of the synthetic stalled engine.
 const STALLED: &str = "sleepy";
@@ -222,7 +223,7 @@ impl IsolationRow {
 }
 
 /// Keeps the sleepy lane saturated (a few pipelined requests, each
-/// holding the lane's worker for [`STALL_MS`]) until `stop`, verifying
+/// holding the thread that runs its group for [`STALL_MS`]) until `stop`, verifying
 /// every response. Returns how many stalled requests were served.
 fn drive_stalled_lane(addr: SocketAddr, stop: &AtomicBool) -> usize {
     let mut client = Client::connect(addr).expect("stall driver connect");

@@ -109,10 +109,22 @@ impl UBig {
     /// Creates a value from little-endian limbs, truncating to `width` bits.
     ///
     /// Missing limbs are treated as zero; excess limbs are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero or exceeds [`MAX_WIDTH`].
     pub fn from_limbs(limbs: &[u64], width: usize) -> Self {
-        let mut v = Self::zero(width);
-        let n = v.limbs.len().min(limbs.len());
-        v.limbs[..n].copy_from_slice(&limbs[..n]);
+        assert!(
+            (1..=MAX_WIDTH).contains(&width),
+            "unsupported width {width}"
+        );
+        // Copy the given limbs and zero only the missing ones: no zeroed
+        // allocation that the copy then overwrites.
+        let n = limbs_for(width);
+        let mut own = Vec::with_capacity(n);
+        own.extend_from_slice(&limbs[..n.min(limbs.len())]);
+        own.resize(n, 0);
+        let mut v = Self { width, limbs: own };
         v.mask_top();
         v
     }
@@ -643,6 +655,29 @@ mod tests {
         let o = UBig::ones(100);
         assert_eq!(o.count_ones(), 100);
         assert_eq!(o.highest_set_bit(), Some(99));
+    }
+
+    #[test]
+    fn from_limbs_pads_truncates_and_masks() {
+        // Shorter: the missing limbs are zero.
+        let v = UBig::from_limbs(&[7], 130);
+        assert_eq!(v.limbs(), [7, 0, 0]);
+        assert_eq!(v.width(), 130);
+        // Longer: the excess limbs are ignored.
+        let v = UBig::from_limbs(&[1, 2, 3, 4], 128);
+        assert_eq!(v.limbs(), [1, 2]);
+        // Stray bits at or above the width are masked off the top limb,
+        // whole or partial.
+        let v = UBig::from_limbs(&[u64::MAX, u64::MAX], 70);
+        assert_eq!(v.limbs(), [u64::MAX, 0x3f]);
+        assert_eq!(v.count_ones(), 70);
+        let v = UBig::from_limbs(&[u64::MAX], 1);
+        assert_eq!(v.to_u128(), Some(1));
+        // Exactly the width: the value round-trips.
+        let v = UBig::from_limbs(&[5, u64::MAX], 128);
+        assert_eq!(v.to_u128(), Some(u128::MAX << 64 | 5));
+        // No limbs at all is zero.
+        assert!(UBig::from_limbs(&[], 64).is_zero());
     }
 
     #[test]

@@ -6,18 +6,20 @@
 //! requests flows through the unit and the stalls are absorbed by
 //! queueing. This crate is that serving-shaped workload for the
 //! reproduction. Clients submit additions over TCP, each naming any engine
-//! of [`vlcsa::engine::Registry`]; each `(engine, width)` pair gets a
-//! bounded queue and its own workers, which take everything queued (up to
-//! `max_lanes`) as one [`WideSlab`](bitnum::batch::WideSlab) issue group
-//! whenever they are free, so groups grow with the load; the workers run
-//! the groups through the sharded [`Executor`](vlcsa::exec::Executor); and
-//! every response carries the lane's exact sum, carry-out and cycle count,
-//! so VLCSA stall accounting is visible end to end.
+//! of [`vlcsa::engine::Registry`]; each connection's reader builds every
+//! read's requests into one [`WideSlab`](bitnum::batch::WideSlab) issue
+//! group per `(engine, width)` lane (up to `max_lanes` each), runs the
+//! groups through the sharded [`Executor`](vlcsa::exec::Executor) on its
+//! own thread and answers the whole read with one write; in-process
+//! submits queue for each lane's workers, which take everything queued as
+//! one group whenever they are free. Every response carries the lane's
+//! exact sum, carry-out and cycle count, so VLCSA stall accounting is
+//! visible end to end.
 //!
 //! The layers, bottom up:
 //!
-//! * [`queue`] — the bounded MPMC queue with a batch take
-//!   (backpressure + clean shutdown);
+//! * [`queue`] — the bounded MPMC queue with a batch take that queued
+//!   in-process submits wait in (backpressure + clean shutdown);
 //! * [`protocol`] — the one request model ([`Request`], [`Response`])
 //!   and its newline-delimited text codec;
 //! * [`binary`] — the same model's binary codec, wire protocol v2:
@@ -25,14 +27,15 @@
 //!   negotiated per connection via a `HELLO` line
 //!   ([`Client::connect_binary`]);
 //! * [`service`] — the transport-independent core: validation and
-//!   routing, then per-`(engine, width)` worker lanes, each owning an
-//!   ingress queue and its own workers, which build their issue groups
-//!   with [`vlcsa::group::LaneBuilder`] — a stalling engine
-//!   head-of-line-blocks only its own lane;
+//!   routing to per-`(engine, width)` lanes, each of which runs its issue
+//!   groups, built with [`vlcsa::group::LaneBuilder`], for both paths,
+//!   and owns the ingress queue and workers of queued submits — a
+//!   stalling engine holds only the threads that run its groups;
 //! * [`session`] — the per-connection byte-stream state machine over
 //!   sink traits: framing, the `HELLO` upgrade, one dispatcher for both
-//!   framings' requests, and staging each read's requests per lane — no
-//!   socket required;
+//!   framings' requests, and running each read's requests to completion,
+//!   one issue group per lane and one reply batch per read — no socket
+//!   required;
 //! * [`server`] / [`client`] — the TCP front-end and the client library.
 //!
 //! Requests may also name the pseudo-engine `auto`: submitters resolve it
@@ -41,7 +44,7 @@
 //! family when the `SLO <micros>` p99 budget is breached — and the
 //! request then rides the chosen engine's lane. `STATS` reports the
 //! current route per width, the budget in force, and every lane's queue
-//! depth and window occupancy (requests taken but not yet run).
+//! depth and window occupancy (queued requests taken but not yet run).
 //!
 //! # Quick start
 //!

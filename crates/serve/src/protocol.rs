@@ -45,15 +45,16 @@
 //! [`MAX_PROGRAM_INPUTS`].
 //!
 //! `STATS` answers with a **single line** of `key=value` tokens — queue
-//! depth, window occupancy (requests lane workers have taken but not yet
-//! run, and the group bound `max_lanes`),
+//! depth, window occupancy (queued in-process requests lane workers have
+//! taken but not yet run; wire requests never queue), the group bound
+//! `max_lanes`,
 //! the slab word width, the SLO budget (`slo=<micros>` or `slo=off`),
 //! per-protocol request counters (`proto_text=<n> proto_bin=<n>`: lines
 //! and frames the connection handlers have answered, across the text
 //! protocol and the binary framing of [`crate::binary`]), the live lane
 //! count (`lanes_total=<n>`, with one
 //! `lane=<engine>:<width>:depth=<n>:occupancy=<n>` token per
-//! `(engine, width)` worker lane traffic has spun up — the global
+//! `(engine, width)` lane traffic has named — the global
 //! `queue_depth`/`window_lanes` are the sums of the per-lane gauges) —
 //! followed by one `engine=<name>:<lanes>:<stalls>:<groups>` token per engine that
 //! has served traffic, from which per-engine stall rates derive

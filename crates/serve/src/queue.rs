@@ -3,10 +3,9 @@
 //! `std::thread`.
 //!
 //! Producers block in [`Queue::push`] while the queue is full (that is the
-//! service's backpressure: a full lane queue blocks connection readers,
-//! which stop draining their sockets, which pushes back on clients).
-//! [`Queue::push_all`] hands over a whole run of items the same way, as
-//! many as fit per lock round.
+//! service's backpressure: a full lane queue blocks the in-process
+//! submitters feeding that lane, and only them; wire connections run
+//! their own groups and never queue).
 //! Consumers take items in batches: [`Queue::take`] blocks until at least
 //! one item is queued, then moves everything queued, up to a bound, in
 //! one critical section. A consumer that wants more can call it again
@@ -41,7 +40,7 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 struct State<T> {
@@ -83,62 +82,30 @@ impl<T> Queue<T> {
         }
     }
 
-    /// Locks the queue once it has room, blocking while it is full;
-    /// `None` when it is (or becomes, while blocked) closed.
-    fn lock_with_room(&self) -> Option<MutexGuard<'_, State<T>>> {
-        let mut state = self.state.lock().expect("queue lock");
-        while !state.closed && state.items.len() == self.capacity {
-            state.pushers += 1;
-            state = self.not_full.wait(state).expect("queue lock");
-            state.pushers -= 1;
-        }
-        (!state.closed).then_some(state)
-    }
-
-    /// Appends `items` to the locked queue, then signals a consumer if
-    /// they made it non-empty while one waits.
-    fn append(&self, mut state: MutexGuard<'_, State<T>>, items: impl IntoIterator<Item = T>) {
-        let wake = state.items.is_empty() && state.takers > 0;
-        state.items.extend(items);
-        drop(state);
-        if wake {
-            self.not_empty.notify_one();
-        }
-    }
-
-    /// Enqueues `item`, blocking while the queue is full.
+    /// Enqueues `item`, blocking while the queue is full, and signals a
+    /// consumer if it made the queue non-empty while one waits.
     ///
     /// # Errors
     ///
     /// Returns the item back if the queue is (or becomes, while blocked)
     /// closed.
     pub fn push(&self, item: T) -> Result<(), T> {
-        match self.lock_with_room() {
-            Some(state) => {
-                self.append(state, Some(item));
-                Ok(())
-            }
-            None => Err(item),
+        let mut state = self.state.lock().expect("queue lock");
+        while !state.closed && state.items.len() == self.capacity {
+            state.pushers += 1;
+            state = self.not_full.wait(state).expect("queue lock");
+            state.pushers -= 1;
         }
-    }
-
-    /// Enqueues every item of `items`, oldest first, and leaves it empty:
-    /// as many as fit per lock round, blocking while the queue is full, as
-    /// [`Queue::push`] does. A round signals a consumer only when it makes
-    /// the queue non-empty while one waits, so a whole run costs one lock
-    /// round and at most one wake-up when it fits.
-    ///
-    /// Returns `false` if the queue is (or becomes, while blocked) closed;
-    /// the items not queued are then left in `items`, in order.
-    pub fn push_all(&self, items: &mut Vec<T>) -> bool {
-        while !items.is_empty() {
-            let Some(state) = self.lock_with_room() else {
-                return false;
-            };
-            let n = (self.capacity - state.items.len()).min(items.len());
-            self.append(state, items.drain(..n));
+        if state.closed {
+            return Err(item);
         }
-        true
+        let wake = state.items.is_empty() && state.takers > 0;
+        state.items.push_back(item);
+        drop(state);
+        if wake {
+            self.not_empty.notify_one();
+        }
+        Ok(())
     }
 
     /// Moves queued items, oldest first, into `out` until it holds `max`
@@ -247,42 +214,6 @@ mod tests {
         producer.join().unwrap().unwrap();
         assert!(queue.take(&mut out, 3, None));
         assert_eq!(out, [1, 2, 3]);
-    }
-
-    #[test]
-    fn push_all_fills_in_rounds_and_returns_what_a_close_refused() {
-        let queue = Arc::new(Queue::new(4));
-        let mut run: Vec<u32> = (0..3).collect();
-        assert!(queue.push_all(&mut run));
-        assert!(run.is_empty());
-        // Six more do not fit: one fills the queue, the rest wait for
-        // room, and a take makes room for another round.
-        let producer = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || {
-                let mut run: Vec<u32> = (3..9).collect();
-                let all = queue.push_all(&mut run);
-                (all, run)
-            })
-        };
-        let mut out = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while queue.len() < 4 {
-            assert!(Instant::now() < deadline, "the first round never landed");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(queue.take(&mut out, 3, None));
-        while queue.len() < 4 {
-            assert!(Instant::now() < deadline, "the second round never landed");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        queue.close();
-        let (all, rest) = producer.join().unwrap();
-        assert!(!all, "a close ends the run");
-        assert_eq!(rest, [7, 8], "the refused tail comes back in order");
-        while queue.take(&mut out, 16, None) {}
-        assert_eq!(out, [0, 1, 2, 3, 4, 5, 6]);
-        assert!(!queue.push_all(&mut vec![9]));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The TCP front-end: a listener, one reader thread per connection, and
-//! response writing from the worker threads.
+//! The TCP front-end: a listener and one reader thread per connection,
+//! which runs its connection's requests and writes their replies.
 //!
 //! Each accepted connection gets a reader thread that feeds whatever each
 //! `read` delivers to the connection's [`crate::session::ByteSession`], the
@@ -10,38 +10,34 @@
 //! directions speak frames from then on; every other connection is text
 //! forever.
 //!
-//! **Flush before block.** The session answers malformed requests inline
-//! and stages every valid `ADD`/`SUM`/`PROG` of a read per lane; before the
-//! reader blocks on its socket again, each lane gets its run with one
-//! [`Queue::push_all`](crate::queue::Queue::push_all) — one lock round and
-//! at most one worker wake-up per read, not per request. A pipelining
-//! [`Client`](crate::Client) does the same on its side, so a burst of
-//! requests crosses the wire in one write and reaches its lane in one
-//! push.
+//! **Run to completion.** The session answers malformed requests inline
+//! and stages every valid `ADD`/`SUM`/`PROG` of a read in its lane's issue
+//! group; before the reader blocks on its socket again, the session runs
+//! those groups on the reader thread and writes every `OK` the read earned
+//! with one `write_all`: no lane queue, no worker wake-up, one reply write
+//! per read. A pipelining [`Client`](crate::Client) batches on its side,
+//! so a burst of requests crosses the wire in one write and comes back in
+//! one. The reader's buffer starts at 8 KiB and doubles, up to 64 KiB,
+//! whenever a read fills it, so a connection that sends large bursts gets
+//! each in one read while an idle one keeps 8 KiB.
 //!
-//! The write half of the socket is wrapped in an `Arc<Mutex<TcpStream>>`,
-//! the connection's sink; each `ADD`/`SUM`/`PROG` carries that sink plus
-//! its sequence number as its reply address. When an issue group
-//! completes, its worker gives each connection one chunk: every `OK` line
-//! (or `OK` frame) the group owes that connection, encoded back to back
-//! from the outcome's slab into the worker's reused buffer and written
-//! with one `write_all` under one lock acquisition — out of submission
-//! order when a connection's requests landed in different groups. Every
-//! other response (an `ERR` line, a listing, a frame) is one write too.
-//! Nothing short of a socket error, poisoned framing, a line that is not
-//! UTF-8 or one longer than [`MAX_LINE`](crate::protocol::MAX_LINE) drops
-//! a connection; on the last three the reader shuts the socket down.
-//! Because workers write to client sockets directly, a client that stops
-//! reading could otherwise pin a worker on its full send buffer and
-//! head-of-line-block every other connection — so each accepted socket
-//! carries [`Server::WRITE_TIMEOUT`], after which the write fails, the
-//! socket is shut down (that client loses the chunk and its connection,
-//! which was already broken) and the worker moves on.
+//! The write half of the socket is the connection's sink, and only its
+//! reader thread writes to it: the read's `OK` lines (or `OK` frames) are
+//! encoded back to back from the groups' sums into the session's reused
+//! buffer, and every other response (an `ERR` line, a listing, a frame)
+//! is one write too. Nothing short of a socket error, poisoned framing, a
+//! line that is not UTF-8 or one longer than
+//! [`MAX_LINE`](crate::protocol::MAX_LINE) drops a connection; on the
+//! last three the reader shuts the socket down. A client that stops
+//! reading holds only its own reader, once the socket buffers fill; each
+//! accepted socket carries [`Server::WRITE_TIMEOUT`], after which the
+//! write fails and the socket is shut down (that client loses the write
+//! and its connection, which was already broken).
 //!
 //! [`Server::shutdown`] is clean and bounded: stop accepting, shut the
-//! sockets down (unblocking the readers), answer everything already
-//! accepted (worker writes to a shut-down socket are ignored), and join
-//! every thread.
+//! sockets down (unblocking the readers, whose writes to a shut-down
+//! socket fail at once), join them, answer every queued in-process submit,
+//! and join every lane worker.
 //!
 //! # Example
 //!
@@ -71,25 +67,21 @@ use crate::protocol::Response;
 use crate::service::{ServeConfig, Service};
 use crate::session::{ByteSession, FeedOutcome, FrameSink, OkBatch, ResponseSink};
 
-/// Writes `bytes` — a line, a frame, or a whole chunk of answers — to a
-/// shared socket with one `write_all` under one lock acquisition, and
-/// reports whether it all went out. Write errors are swallowed: a worker
+/// Writes `bytes` — a line, a frame, or a whole read's answers — to the
+/// socket with one `write_all`. Write errors are swallowed: a session
 /// answering after the client hung up (or after shutdown) has nobody left
 /// to tell. A failed (or timed-out) write may have sent part of `bytes`,
 /// so the socket is shut down: a desynced stream is unrecoverable and
-/// killing it also unblocks the connection's reader.
-fn write_chunk(stream: &Mutex<TcpStream>, bytes: &[u8]) -> bool {
-    let mut stream = stream.lock().expect("connection write lock");
-    let written = stream.write_all(bytes).is_ok();
-    if !written {
+/// killing it also ends the connection's reader.
+fn write_chunk(mut stream: &TcpStream, bytes: &[u8]) {
+    if stream.write_all(bytes).is_err() {
         let _ = stream.shutdown(Shutdown::Both);
     }
-    written
 }
 
-/// The text sink over a shared socket: each response line with its
-/// newline is one write, and one issue group's `OK` lines are one write.
-impl ResponseSink for Mutex<TcpStream> {
+/// The text sink over the socket: each response line with its newline is
+/// one write, and one read's `OK` lines are one write.
+impl ResponseSink for TcpStream {
     fn send(&self, response: &Response) {
         let mut line = crate::protocol::format_response(response);
         line.push('\n');
@@ -102,9 +94,9 @@ impl ResponseSink for Mutex<TcpStream> {
     }
 }
 
-/// The frame sink over a shared socket: each frame is one write, and one
-/// issue group's `OK` frames are one write.
-impl FrameSink for Mutex<TcpStream> {
+/// The frame sink over the socket: each frame is one write, and one
+/// read's `OK` frames are one write.
+impl FrameSink for TcpStream {
     fn send_frame(&self, frame: &[u8]) {
         write_chunk(self, frame);
     }
@@ -115,21 +107,26 @@ impl FrameSink for Mutex<TcpStream> {
     }
 }
 
-/// Bytes one `read` may hand a connection's session — std's `BufReader`
-/// default. The buffer is zeroed per connection, so a larger one costs
-/// every connection setup time and memory, busy or not.
+/// Bytes a connection's first `read` may hand its session — std's
+/// `BufReader` default. The buffer is zeroed when it is made or grown, so
+/// every connection starts small.
 const READ_BUF: usize = 8 * 1024;
 
+/// The most a connection's read buffer grows to: a burst this size reaches
+/// its lanes in one read.
+const MAX_READ_BUF: usize = 64 * 1024;
+
 /// One connection's reader thread: feeds whatever each `read` delivers to
-/// the connection's [`ByteSession`], which answers errors inline and queues
-/// the read's requests before this loop blocks on the socket again.
-/// Returns when the client disconnects, the socket is shut down, or the
-/// session closes the stream — then it shuts the socket down.
+/// the connection's [`ByteSession`], which runs the read's requests and
+/// writes their answers before this loop blocks on the socket again. A
+/// read that fills the buffer doubles it, up to [`MAX_READ_BUF`]. Returns
+/// when the client disconnects, the socket is shut down, or the session
+/// closes the stream — then it shuts the socket down.
 fn serve_connection(stream: TcpStream, service: &Service) {
     let Ok(writer) = stream.try_clone() else {
         return;
     };
-    let mut session = ByteSession::new(Arc::new(Mutex::new(writer)));
+    let mut session = ByteSession::new(Arc::new(writer));
     let mut buf = vec![0u8; READ_BUF];
     loop {
         let n = match (&stream).read(&mut buf) {
@@ -141,6 +138,9 @@ fn serve_connection(stream: TcpStream, service: &Service) {
         if session.feed(&buf[..n], service) == FeedOutcome::Close {
             let _ = stream.shutdown(Shutdown::Both);
             return;
+        }
+        if n == buf.len() && n < MAX_READ_BUF {
+            buf.resize(2 * n, 0);
         }
     }
 }
@@ -156,11 +156,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// How long a worker will wait on one client's full send buffer
-    /// before abandoning the write. The socket is then shut down: a client
-    /// that stops reading loses the chunk (its share of one issue group's
-    /// answers) and its connection after this bound, instead of wedging
-    /// its lane's workers (head-of-line blocking across connections).
+    /// How long a connection's reader will wait on its client's full send
+    /// buffer before abandoning a write. The socket is then shut down: a
+    /// client that stops reading loses the write (one read's answers) and
+    /// its connection after this bound, instead of holding its reader
+    /// thread and socket for as long as it does not read.
     pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
     /// Binds `addr` (use port 0 for an OS-assigned port), starts the
@@ -204,7 +204,7 @@ impl Server {
                     // Responses are single short lines; without NODELAY,
                     // Nagle + delayed ACK quantizes every round trip to
                     // tens of milliseconds. The write timeout bounds how
-                    // long a worker can be held by one stalled client.
+                    // long a reader can be held by its stalled client.
                     stream.set_nodelay(true).ok();
                     stream.set_write_timeout(Some(Self::WRITE_TIMEOUT)).ok();
                     let conn_id = next_conn_id;
@@ -297,10 +297,11 @@ impl Server {
         for handle in readers {
             let _ = handle.join();
         }
-        // The readers are gone, so nothing submits anymore; this drains
-        // and answers what was accepted (writes to dead sockets no-op).
-        // The joined readers dropped their `Arc` clones, so `into_inner`
-        // succeeds; if it ever did not, `Service::drop` closes and joins.
+        // The readers are gone, so no connection runs anything anymore;
+        // this drains and answers the queued in-process submits and joins
+        // the lane workers. The joined readers dropped their `Arc` clones,
+        // so `into_inner` succeeds; if it ever did not, `Service::drop`
+        // closes and joins.
         if let Some(service) = self.service.take().and_then(Arc::into_inner) {
             service.shutdown();
         }

@@ -1,47 +1,46 @@
-//! The transport-independent service core: per-`(engine, width)` worker
-//! lanes, each owning a bounded ingress queue and its own workers, which
-//! form their issue groups themselves and run them over the sharded
-//! executor.
+//! The transport-independent service core: one lane per `(engine, width)`
+//! pair, which runs that pair's issue groups over the sharded executor.
+//! A wire connection's session runs its own groups on its lanes; in-process
+//! submits are queued for the lane's workers.
 //!
-//! Requests flow through two stages, the second private to a lane:
+//! Every request is validated first: width in range, operands the same
+//! width, engine resolved against the width's [`Registry`], `auto`
+//! resolved to a concrete engine by the [`Router`]. A bad request fails
+//! alone, with a structured error, and every accepted one already knows
+//! which lane runs it. A lane registers on first use. Then a request
+//! reaches its lane one of two ways:
 //!
-//! 1. **Submitters** (connection sessions, or [`Service::add_blocking`]
-//!    callers) validate a request — width in range, operands same width,
-//!    engine resolved against the width's [`Registry`], `auto` resolved to
-//!    a concrete engine by the [`Router`] — and push a job into the
-//!    matching lane's bounded ingress queue, spinning the lane up on first
-//!    use. Validation and routing happen *before* queueing so a bad
-//!    request fails alone, with a structured error, and every queued job
-//!    already knows which lane runs it. In-process submits queue at once;
-//!    a connection's [`ByteSession`](crate::session::ByteSession) stages
-//!    a whole read's requests per lane and hands each lane its run with
-//!    one push.
-//! 2. **The lane's workers** block until the ingress holds a job, take
-//!    everything queued — up to `max_lanes` — under one lock, build it
-//!    into one [`IssueGroup`](vlcsa::group::IssueGroup) with a
-//!    [`LaneBuilder`], run it through [`Executor::run`], and deliver each
-//!    lane's sum, carry-out and cycle count to the request's reply — the
-//!    lane→request mapping is the group's `tags` vector. An in-process
-//!    caller's reply is a closure, called per lane. A wire request's
-//!    reply is an address, its connection's sink plus its `seq`: the
-//!    worker groups the group's lanes by connection and hands each sink
-//!    one [`OkBatch`], which the TCP server writes with one syscall. Then
-//!    the worker takes again.
+//! 1. **A wire request** is staged by its connection's
+//!    [`ByteSession`](crate::session::ByteSession) in its lane's issue
+//!    group, and when the read is consumed the session runs the read's
+//!    groups itself (`Lane::run`) and writes their replies: no queue, no
+//!    hand-off, no worker.
+//! 2. **An in-process submit** ([`Service::submit`] and the rest, the C
+//!    ABI's path) is pushed into the lane's bounded ingress queue; the
+//!    lane's workers, started on its first queued submit, block until the
+//!    ingress holds a job, take everything queued — up to `max_lanes` —
+//!    under one lock, build it into one
+//!    [`IssueGroup`](vlcsa::group::IssueGroup) with a [`LaneBuilder`], run
+//!    it with the same `Lane::run`, and call each request's reply
+//!    closure with its lane's sum, carry-out and cycle count — the
+//!    lane→request mapping is the group's `tags` vector. Then the worker
+//!    takes again.
 //!
-//! No request waits for a window to close. While every worker of a lane
-//! is busy, requests pile up in its ingress, so groups grow with the load
-//! and shrink to one request on an idle lane. A push wakes a worker only
-//! when it makes the queue non-empty while a worker waits. The opt-in
+//! No queued request waits for a window to close. While every worker of a
+//! lane is busy, requests pile up in its ingress, so groups grow with the
+//! load and shrink to one request on an idle lane. A push wakes a worker
+//! only when it makes the queue non-empty while a worker waits. The opt-in
 //! linger ([`ServeConfig::max_wait`]) trades latency for larger groups: a
 //! worker that took fewer than `max_lanes` keeps taking until it has
 //! `max_lanes` or `max_wait` has passed since its first job, and a lane
 //! has at most one open linger window at a time.
 //!
-//! Because every lane owns its queue and threads end to end, a stalling
-//! or slow engine head-of-line-blocks only its own traffic: other lanes'
-//! workers never wait on it. That is the paper's isolation argument
-//! carried into the serving layer — variable-latency wins are only real
-//! if a rare slow completion cannot delay the fast ones.
+//! A stalling or slow engine holds only the threads that run its groups:
+//! its own lane's workers, and the connections whose reads named it.
+//! Other lanes' workers and other connections never wait on it. That is
+//! the paper's isolation argument carried into the serving layer —
+//! variable-latency wins are only real if a rare slow completion cannot
+//! delay the fast ones.
 //!
 //! [`Service::shutdown`] closes every lane's ingress, lets the workers
 //! drain everything already accepted — an open linger ends at once — and
@@ -71,7 +70,7 @@ use std::time::{Duration, Instant};
 
 use bitnum::batch::{DefaultWord, Word};
 use bitnum::UBig;
-use vlcsa::engine::{Engine, EngineLookupError, Registry};
+use vlcsa::engine::{EngineLookupError, Registry};
 use vlcsa::exec::{Executor, WideOutcome};
 use vlcsa::group::LaneBuilder;
 use vlcsa::program::Program;
@@ -79,23 +78,27 @@ use vlcsa::route::{RouteConfig, Router, AUTO_ENGINE};
 
 use crate::protocol::{EngineStats, LaneStats, StatsReport, OPERAND_RANGE, WIDTH_RANGE};
 use crate::queue::Queue;
-use crate::session::{Conn, OkBatch};
 
 /// Tuning knobs of the service core. Each knob applies **per lane** (a
-/// lane is one `(engine, width)` pair traffic has spun up): lanes are
-/// fully independent, so their queues and worker pools are too.
+/// lane is one `(engine, width)` pair traffic has named): lanes are fully
+/// independent, so their queues and worker pools are too. `queue_depth`,
+/// `max_wait` and `workers` govern queued in-process submits only; a wire
+/// connection runs its reads' groups itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Bound of each lane's ingress queue (backpressure depth).
+    /// Bound of each lane's ingress queue (backpressure depth), which
+    /// holds queued in-process submits.
     pub queue_depth: usize,
-    /// Most requests one issue group carries.
+    /// Most requests one issue group carries, on both paths.
     pub max_lanes: usize,
-    /// Opt-in linger cap, zero by default: a worker that took fewer than
-    /// `max_lanes` requests keeps taking until it has `max_lanes` or this
-    /// long has passed since its first one. At zero a worker runs
-    /// whatever was queued when it looked.
+    /// Opt-in linger cap for queued submits, zero by default: a worker
+    /// that took fewer than `max_lanes` requests keeps taking until it has
+    /// `max_lanes` or this long has passed since its first one. At zero a
+    /// worker runs whatever was queued when it looked. Wire requests never
+    /// linger.
     pub max_wait: Duration,
-    /// Worker threads forming and running each lane's issue groups.
+    /// Worker threads forming and running each lane's issue groups from
+    /// queued submits, started on the lane's first queued submit.
     pub workers: usize,
     /// Threads of the per-group [`Executor`].
     pub exec_threads: usize,
@@ -190,98 +193,16 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// The reply callback a request carries through the pipeline: called
-/// exactly once, from a worker thread, with the lane's result.
+/// The reply callback a queued request carries through the pipeline:
+/// called exactly once, from a worker thread, with the lane's result.
 pub type Reply = Box<dyn FnOnce(AddResult) + Send>;
-
-/// Where a job's answer goes.
-pub(crate) enum ReplyTo {
-    /// An in-process caller's closure, called once with the lane's result.
-    Call(Reply),
-    /// A wire request's address: its connection plus its `seq`. The lane
-    /// worker hands each connection all of its answers from one issue
-    /// group at once.
-    Wire {
-        /// The connection the answer is written to.
-        conn: Conn,
-        /// The request's sequence number, echoed in the answer.
-        seq: u64,
-    },
-}
-
-/// A lane worker's reply state, reused from group to group: the group's
-/// sums out of the slab layout, its wire answers sorted into
-/// per-connection runs, and the buffer a run is encoded into before its
-/// one write.
-#[derive(Default)]
-struct Delivery {
-    /// The group's sums, lane-major: lane `l` is
-    /// `sums[l * nl..(l + 1) * nl]`, `nl` limbs per sum.
-    sums: Vec<u64>,
-    /// `(connection, seq, lane)` of each wire answer of the group.
-    wire: Vec<(Conn, u64, usize)>,
-    /// Each connection's run of `wire` as `(first lane, start, end)`.
-    runs: Vec<(usize, usize, usize)>,
-    /// One connection's `(seq, lane)` pairs, in lane order.
-    run: Vec<(u64, usize)>,
-    /// The encode buffer.
-    buf: Vec<u8>,
-}
-
-impl Delivery {
-    /// Answers every lane of one issue group: closures one by one, wire
-    /// answers as one [`OkBatch`] per connection, in lane order. The sums
-    /// leave the slab layout once, for the whole group
-    /// ([`WideSlab::lane_limbs_into`](bitnum::batch::WideSlab::lane_limbs_into)),
-    /// and every reply reads its sum from there. The connections are
-    /// answered in the order of their first lane in the group, so which
-    /// one goes first follows the traffic, not where the sinks happen to
-    /// sit in memory.
-    fn deliver(&mut self, out: &WideOutcome, tags: Vec<ReplyTo>) {
-        let Self {
-            sums,
-            wire,
-            runs,
-            run,
-            buf,
-        } = self;
-        out.sum.lane_limbs_into(sums);
-        let (width, nl) = (out.sum.width(), out.sum.width().div_ceil(64));
-        for (lane, reply) in tags.into_iter().enumerate() {
-            match reply {
-                ReplyTo::Call(reply) => reply(AddResult {
-                    sum: UBig::from_limbs(&sums[lane * nl..(lane + 1) * nl], width),
-                    cout: out.cout(lane),
-                    cycles: out.cycles(lane),
-                }),
-                ReplyTo::Wire { conn, seq } => wire.push((conn, seq, lane)),
-            }
-        }
-        // Lanes are unique, so this order is total: connection, then lane.
-        wire.sort_unstable_by_key(|(conn, _, lane)| (conn.key(), *lane));
-        let mut start = 0;
-        for answers in wire.chunk_by(|x, y| x.0.key() == y.0.key()) {
-            runs.push((answers[0].2, start, start + answers.len()));
-            start += answers.len();
-        }
-        runs.sort_unstable();
-        for &(_, start, end) in runs.iter() {
-            run.clear();
-            run.extend(wire[start..end].iter().map(|&(_, seq, lane)| (seq, lane)));
-            wire[start].0.send_oks(&OkBatch::new(out, sums, run), buf);
-        }
-        runs.clear();
-        // Releases the group's connection handles.
-        wire.clear();
-    }
-}
 
 /// A validated request body in the one form every request reaches its
 /// lane in: the two operands of one addition — a reduction's once it is
-/// lowered to its carry-save pair — which the lane worker pushes into its
-/// group with [`LaneBuilder::push`]. The constructors are the validation
-/// every submit path shares; a wire request's decoder has already made
-/// the same checks, so on that path they cannot fail.
+/// lowered to its carry-save pair — which join their issue group with
+/// [`Operands::push_into`]. The constructors are the validation every
+/// submit path shares; a wire request's decoder has already made the same
+/// checks, so on that path they cannot fail.
 pub(crate) struct Operands {
     a: UBig,
     b: UBig,
@@ -345,16 +266,20 @@ impl Operands {
     pub(crate) fn width(&self) -> usize {
         self.a.width()
     }
+
+    /// Appends the operands to `group` as its next lane, tagged `tag`.
+    pub(crate) fn push_into<T>(self, group: &mut LaneBuilder<T>, tag: T) {
+        group.push(self.a, self.b, tag);
+    }
 }
 
-/// A validated request in flight between a submitter and its lane's
+/// A queued request in flight between a submitter and its lane's
 /// workers. The engine and width are the lane's — resolved before
 /// queueing — so the job carries only the operands, the reply and its
 /// submit time on the router's clock.
-pub(crate) struct Job {
+struct Job {
     operands: Operands,
-    /// Where the answer goes.
-    pub(crate) reply: ReplyTo,
+    reply: Reply,
     submitted: u64,
 }
 
@@ -406,9 +331,8 @@ impl Default for RegistryCache {
 }
 
 /// Live service counters behind the in-band `STATS` command. Queue depth
-/// and window occupancy are per-lane gauges (see [`Lane`]); workers add
-/// each completed group's lane and stall counts under the group's engine
-/// name here.
+/// and window occupancy are per-lane gauges (see [`Lane`]); every group
+/// run adds its lane and stall counts under the group's engine name here.
 struct Metrics {
     /// Text-protocol requests answered (every non-empty line).
     proto_text: AtomicU64,
@@ -441,15 +365,22 @@ impl Metrics {
     }
 }
 
-/// One `(engine, width)` worker lane: the submit-facing half. Its workers
-/// are spawned at creation and owned by the [`LaneSet`]'s join list;
-/// submitters only see the ingress queue and the window gauge.
+/// One `(engine, width)` lane: the engine that runs its issue groups,
+/// what a run records into, and the ingress queue of its queued submits.
+/// Its workers are started on its first queued submit and owned by the
+/// [`LaneSet`]'s join list.
 pub(crate) struct Lane {
     /// The registry name of the lane's engine.
-    pub(crate) engine: &'static str,
+    engine: &'static str,
     width: usize,
+    /// The width's registry, which holds the lane's engine at `index`.
+    registry: Arc<Registry>,
+    index: usize,
+    config: ServeConfig,
+    metrics: Arc<Metrics>,
+    router: Arc<Router>,
     /// The bounded queue the lane's workers take their groups from.
-    pub(crate) ingress: Queue<Job>,
+    ingress: Queue<Job>,
     /// Requests workers have taken from `ingress` but not yet run,
     /// including those inside an open linger window.
     window_lanes: AtomicUsize,
@@ -459,13 +390,61 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
+    /// An empty issue group of this lane.
+    pub(crate) fn group<T>(&self) -> LaneBuilder<T> {
+        LaneBuilder::new(self.engine, self.width)
+    }
+
+    /// Most requests one of the lane's issue groups carries.
+    pub(crate) fn max_lanes(&self) -> usize {
+        self.config.max_lanes
+    }
+
+    /// Runs one issue group — the requests pushed into `group` — on the
+    /// lane's engine, empties `group` for the next one, and adds the
+    /// group's lanes and stalls to its engine's `STATS` totals before any
+    /// of its replies can leave. Returns the outcome and the lanes' tags,
+    /// in lane order. Lane workers and connection sessions run every
+    /// group here; once the group's replies are out, the caller reports
+    /// them with [`Lane::answered`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is empty.
+    pub(crate) fn run<T>(&self, group: &mut LaneBuilder<T>) -> (WideOutcome, Vec<T>) {
+        let group = group.drain().expect("an issue group has at least one lane");
+        let engine = &*self.registry.engines()[self.index];
+        let out = Executor::new(self.config.exec_threads).run(engine, &group.a, &group.b);
+        self.metrics
+            .record_group(self.engine, out.lanes() as u64, out.stalls());
+        (out, group.tags)
+    }
+
+    /// Feeds the router one group whose replies have all been handed to
+    /// their sinks or callbacks. The latency sample runs from `oldest`,
+    /// the group's oldest request's stamp on the router's clock, until
+    /// now, so the SLO p99s cover what the group's slowest client saw:
+    /// any ingress queue and linger, the run and the reply writes. Every
+    /// group feeds the router — named traffic too — so `auto` estimates
+    /// warm up from whatever runs.
+    pub(crate) fn answered(&self, out: &WideOutcome, oldest: u64) {
+        self.router.record(
+            self.engine,
+            self.width,
+            out.lanes() as u64,
+            out.stalls(),
+            self.router.now_micros().saturating_sub(oldest),
+        );
+    }
+
     /// Takes the jobs of the lane's next issue group into `jobs`: blocks
     /// for the first, takes everything queued up to `max_lanes`, and with
-    /// a non-zero `linger` keeps taking until it has `max_lanes` or
-    /// `linger` has passed since the first take. Closing the ingress ends
-    /// a linger at once. Returns `false` when the ingress is closed and
-    /// drained.
-    fn take_group(&self, jobs: &mut Vec<Job>, max_lanes: usize, linger: Duration) -> bool {
+    /// a non-zero `max_wait` keeps taking until it has `max_lanes` or
+    /// `max_wait` has passed since the first take. Closing the ingress
+    /// ends a linger at once. Returns `false` when the ingress is closed
+    /// and drained.
+    fn take_group(&self, jobs: &mut Vec<Job>) -> bool {
+        let (max_lanes, linger) = (self.config.max_lanes, self.config.max_wait);
         let _window = (!linger.is_zero()).then(|| self.window.lock().expect("window lock"));
         if !self.ingress.take(jobs, max_lanes, None) {
             return false;
@@ -485,58 +464,47 @@ impl Lane {
         true
     }
 
-    /// One worker's life: form an issue group, run it on `engine`, deliver
-    /// its replies, record it, repeat until the ingress is closed and
-    /// drained.
-    ///
-    /// The router's latency sample for a group runs from its oldest job's
-    /// submit stamp until every reply has been handed to its sink, so the
-    /// SLO p99s cover what the group's slowest client saw: the ingress
-    /// queue, any linger, the run and the reply writes.
-    fn work(
-        &self,
-        engine: &dyn Engine<DefaultWord>,
-        config: ServeConfig,
-        metrics: &Metrics,
-        router: &Router,
-    ) {
-        let executor = Executor::new(config.exec_threads);
-        let mut jobs = Vec::with_capacity(config.max_lanes);
-        let mut builder: LaneBuilder<ReplyTo> = LaneBuilder::new(self.engine, self.width);
-        let mut delivery = Delivery::default();
-        while self.take_group(&mut jobs, config.max_lanes, config.max_wait) {
-            let taken = jobs.len();
+    /// One worker's life: form an issue group from the ingress, run it,
+    /// call its replies, report it to the router, repeat until the
+    /// ingress is closed and drained. The group's sums leave the slab
+    /// layout once, into a buffer the worker reuses
+    /// ([`WideSlab::lane_limbs_into`](bitnum::batch::WideSlab::lane_limbs_into)),
+    /// and every reply's sum is read from there.
+    fn work(&self) {
+        let mut jobs = Vec::with_capacity(self.config.max_lanes);
+        let mut group: LaneBuilder<Reply> = self.group();
+        let mut sums = Vec::new();
+        let nl = self.width.div_ceil(64);
+        while self.take_group(&mut jobs) {
+            self.window_lanes.fetch_sub(jobs.len(), Ordering::Relaxed);
             let oldest = jobs
                 .drain(..)
                 .map(|job| {
-                    builder.push(job.operands.a, job.operands.b, job.reply);
+                    job.operands.push_into(&mut group, job.reply);
                     job.submitted
                 })
                 .min()
                 .expect("a take moves at least one job");
-            let group = builder.drain().expect("a taken job is a lane");
-            self.window_lanes.fetch_sub(taken, Ordering::Relaxed);
-            let out = executor.run(engine, &group.a, &group.b);
-            metrics.record_group(self.engine, out.lanes() as u64, out.stalls());
-            delivery.deliver(&out, group.tags);
-            // Every group feeds the router — named traffic too — so `auto`
-            // estimates warm up from whatever runs.
-            router.record(
-                self.engine,
-                self.width,
-                out.lanes() as u64,
-                out.stalls(),
-                router.now_micros().saturating_sub(oldest),
-            );
+            let (out, replies) = self.run(&mut group);
+            out.sum.lane_limbs_into(&mut sums);
+            for (lane, (reply, sum)) in replies.into_iter().zip(sums.chunks(nl)).enumerate() {
+                reply(AddResult {
+                    sum: UBig::from_limbs(sum, self.width),
+                    cout: out.cout(lane),
+                    cycles: out.cycles(lane),
+                });
+            }
+            self.answered(&out, oldest);
         }
     }
 }
 
-/// Every live lane plus the join handles of their threads, behind one
-/// lock. The lock is held only to look up / create a lane (rare) and to
-/// snapshot stats — never across a queue operation.
+/// Every registered lane, whether its workers have started, and the join
+/// handles of those threads, behind one lock. The lock is held only to
+/// look up / create a lane, to start its workers (once) and to snapshot
+/// stats — never across a queue operation.
 struct LaneSet {
-    lanes: Vec<Arc<Lane>>,
+    lanes: Vec<(Arc<Lane>, bool)>,
     threads: Vec<JoinHandle<()>>,
     closed: bool,
 }
@@ -553,8 +521,9 @@ pub struct Service {
 impl Service {
     /// Starts the service with a production router (wall-clock time,
     /// registry candidates, `config.route` as its tuning, including the
-    /// initial SLO budget). Lanes (and their threads) spin up on demand as
-    /// traffic names `(engine, width)` pairs.
+    /// initial SLO budget). Lanes register on demand as traffic names
+    /// `(engine, width)` pairs, and start their workers on their first
+    /// queued submit.
     ///
     /// # Panics
     ///
@@ -604,56 +573,90 @@ impl Service {
         }
     }
 
-    /// The lane serving `(engine, width)`, spun up on first use: its
-    /// `config.workers` workers are spawned here and their handles parked
-    /// in the [`LaneSet`] for shutdown to join.
-    fn lane_for(&self, engine: &'static str, width: usize) -> Result<Arc<Lane>, SubmitError> {
+    /// The lane that runs `engine` (a registry name, or `auto`) at
+    /// `width`, registered on first use. `auto` asks the [`Router`] per
+    /// request, with the current estimates, so consecutive `auto` requests
+    /// can land on different lanes as estimates move; anything else must
+    /// be a registry name at the width. With `queued` (an in-process
+    /// submit), the lane's `config.workers` workers are started if they
+    /// have not been, and their handles parked in the [`LaneSet`] for
+    /// shutdown to join; a wire connection's session runs its groups
+    /// itself and passes `false`.
+    pub(crate) fn lane(
+        &self,
+        engine: &str,
+        width: usize,
+        queued: bool,
+    ) -> Result<Arc<Lane>, SubmitError> {
+        let registry = self.registries.at(width);
+        let found = if engine == AUTO_ENGINE {
+            let route = self
+                .router
+                .route(width)
+                .expect("the registry lists engines at every valid width");
+            registry.lookup(&route.engine)
+        } else {
+            registry.lookup(engine)
+        };
+        let engine = found.map_err(SubmitError::UnknownEngine)?.name();
         let mut set = self.lanes.lock().expect("lane set lock");
         if set.closed {
             return Err(SubmitError::Stopped);
         }
-        if let Some(lane) = set
-            .lanes
+        let LaneSet { lanes, threads, .. } = &mut *set;
+        let i = match lanes
             .iter()
-            .find(|l| l.width == width && l.engine == engine)
+            .position(|(l, _)| l.width == width && l.engine == engine)
         {
-            return Ok(Arc::clone(lane));
+            Some(i) => i,
+            None => {
+                let index = registry
+                    .engines()
+                    .iter()
+                    .position(|e| e.name() == engine)
+                    .expect("the engine was found by name");
+                let lane = Lane {
+                    engine,
+                    width,
+                    registry,
+                    index,
+                    config: self.config,
+                    metrics: Arc::clone(&self.metrics),
+                    router: Arc::clone(&self.router),
+                    ingress: Queue::new(self.config.queue_depth),
+                    window_lanes: AtomicUsize::new(0),
+                    window: Mutex::new(()),
+                };
+                lanes.push((Arc::new(lane), false));
+                lanes.len() - 1
+            }
+        };
+        let (lane, started) = &mut lanes[i];
+        if queued && !*started {
+            *started = true;
+            for _ in 0..self.config.workers {
+                let lane = Arc::clone(lane);
+                threads.push(std::thread::spawn(move || lane.work()));
+            }
         }
-        let lane = Arc::new(Lane {
-            engine,
-            width,
-            ingress: Queue::new(self.config.queue_depth),
-            window_lanes: AtomicUsize::new(0),
-            window: Mutex::new(()),
-        });
-        for _ in 0..self.config.workers {
-            let lane = Arc::clone(&lane);
-            let registries = Arc::clone(&self.registries);
-            let metrics = Arc::clone(&self.metrics);
-            let router = Arc::clone(&self.router);
-            let config = self.config;
-            set.threads.push(std::thread::spawn(move || {
-                let registry = registries.at(lane.width);
-                let engine = registry
-                    .lookup(lane.engine)
-                    .expect("engine validated at submit time or routed");
-                lane.work(engine, config, &metrics, &router);
-            }));
-        }
-        set.lanes.push(Arc::clone(&lane));
-        Ok(lane)
+        Ok(Arc::clone(lane))
+    }
+
+    /// Whether the service has stopped accepting requests.
+    pub(crate) fn stopped(&self) -> bool {
+        self.lanes.lock().expect("lane set lock").closed
     }
 
     /// Snapshots the live counters the in-band `STATS` command reports:
-    /// per-lane queue depth and window occupancy — requests a worker has
-    /// taken but not yet run — (and their sums, the global
+    /// per-lane queue depth and window occupancy — queued requests a
+    /// worker has taken but not yet run — (and their sums, the global
     /// `queue_depth`/`window_lanes`), the slab word width, and per-engine
     /// served-lane/stall totals.
     ///
     /// The snapshot is advisory, not transactional: the queue depths and
     /// window occupancies move while it is taken. Engine totals are exact —
-    /// a group's lanes and stalls are recorded by the worker that ran it,
-    /// before its replies fire.
+    /// a group's lanes and stalls are recorded by the thread that ran it,
+    /// before its replies leave.
     pub fn stats(&self) -> StatsReport {
         let engines = self
             .metrics
@@ -674,7 +677,7 @@ impl Service {
             .expect("lane set lock")
             .lanes
             .iter()
-            .map(|lane| LaneStats {
+            .map(|(lane, _)| LaneStats {
                 engine: lane.engine.to_string(),
                 width: lane.width,
                 depth: lane.ingress.len(),
@@ -729,57 +732,17 @@ impl Service {
         self.router.set_slo(micros);
     }
 
-    /// Resolves a submitted engine name to the registry name of the
-    /// engine whose lane runs it: `auto` asks the [`Router`] (per request,
-    /// with the current estimates — so consecutive `auto` requests can
-    /// land on different lanes as estimates move) and looks its pick up
-    /// in the width's registry; anything else must be a registry name at
-    /// the width.
-    fn canonical_engine(&self, engine: &str, width: usize) -> Result<&'static str, SubmitError> {
-        let registry = self.registries.at(width);
-        let found = if engine == AUTO_ENGINE {
-            let route = self
-                .router
-                .route(width)
-                .expect("the registry lists engines at every valid width");
-            registry.lookup(&route.engine)
-        } else {
-            registry.lookup(engine)
-        };
-        Ok(found.map_err(SubmitError::UnknownEngine)?.name())
-    }
-
-    /// The lane that runs `engine` (a registry name, or `auto`) at
-    /// `width`, spun up on first use.
-    pub(crate) fn lane(&self, engine: &str, width: usize) -> Result<Arc<Lane>, SubmitError> {
-        self.lane_for(self.canonical_engine(engine, width)?, width)
-    }
-
-    /// A validated request as its lane's job, stamped with the router's
-    /// clock.
-    pub(crate) fn job(&self, operands: Operands, reply: ReplyTo) -> Job {
-        Job {
+    /// Routes one validated request to its `(engine, width)` lane —
+    /// registering it and starting its workers on first use — stamps it
+    /// and queues it: the shared tail of every in-process submit path.
+    fn submit_to(&self, engine: &str, operands: Operands, reply: Reply) -> Result<(), SubmitError> {
+        let lane = self.lane(engine, operands.width(), true)?;
+        let job = Job {
             operands,
             reply,
             submitted: self.router.now_micros(),
-        }
-    }
-
-    /// Routes one validated request to its `(engine, width)` lane —
-    /// spinning the lane up on first use — stamps it and queues it at
-    /// once, as a batch of one: the shared tail of every in-process
-    /// submit path. (A connection's session stages a read's requests per
-    /// lane instead, and queues each lane's run with one push.)
-    pub(crate) fn submit_to(
-        &self,
-        engine: &str,
-        operands: Operands,
-        reply: ReplyTo,
-    ) -> Result<(), SubmitError> {
-        let lane = self.lane(engine, operands.width())?;
-        lane.ingress
-            .push(self.job(operands, reply))
-            .map_err(|_| SubmitError::Stopped)
+        };
+        lane.ingress.push(job).map_err(|_| SubmitError::Stopped)
     }
 
     /// Validates and queues one addition; `reply` fires from a worker once
@@ -794,7 +757,7 @@ impl Service {
     /// operand widths, or a stopped service — the reply callback is
     /// dropped unfired in those cases, so transports answer errors inline.
     pub fn submit(&self, engine: &str, a: UBig, b: UBig, reply: Reply) -> Result<(), SubmitError> {
-        self.submit_to(engine, Operands::add(a, b)?, ReplyTo::Call(reply))
+        self.submit_to(engine, Operands::add(a, b)?, reply)
     }
 
     /// Validates and queues one addition whose operands are raw
@@ -856,11 +819,7 @@ impl Service {
         inputs: &[UBig],
         reply: Reply,
     ) -> Result<(), SubmitError> {
-        self.submit_to(
-            engine,
-            Operands::program(program, inputs)?,
-            ReplyTo::Call(reply),
-        )
+        self.submit_to(engine, Operands::program(program, inputs)?, reply)
     }
 
     /// Validates and queues one n-operand sum — [`Service::submit_program`]
@@ -877,7 +836,7 @@ impl Service {
         operands: &[UBig],
         reply: Reply,
     ) -> Result<(), SubmitError> {
-        self.submit_to(engine, Operands::sum(operands)?, ReplyTo::Call(reply))
+        self.submit_to(engine, Operands::sum(operands)?, reply)
     }
 
     /// Submits one n-operand sum and blocks until its group has run — the
@@ -927,7 +886,7 @@ impl Service {
         let threads = {
             let mut set = self.lanes.lock().expect("lane set lock");
             set.closed = true;
-            for lane in &set.lanes {
+            for (lane, _) in &set.lanes {
                 lane.ingress.close();
             }
             std::mem::take(&mut set.threads)

@@ -5,62 +5,65 @@
 //! feed each connection's bytes to a [`ByteSession`], the one way a wire
 //! request enters the runtime. The session owns framing and the `HELLO`
 //! upgrade. Past the codec, a request is one [`Request`] whichever
-//! framing carried it, and one dispatcher validates it, stages each
-//! read's requests per lane until the caller would block, and answers
-//! it. Responses leave through a caller-supplied sink:
+//! framing carried it, and one dispatcher validates it, stages it in its
+//! lane's issue group and answers it. Responses leave through a
+//! caller-supplied sink:
 //!
 //! * [`ResponseSink`] receives [`Response`] values (the text protocol's
 //!   unit of output);
 //! * [`FrameSink`] receives pre-encoded binary frames (the framed
 //!   protocol's unit of output).
 //!
-//! Every answer but a group's `OK`s is a [`Response`] handed to the
+//! Every answer but the `OK`s is a [`Response`] handed to the
 //! connection's codec: a text connection sends it through
 //! [`ResponseSink::send`], a framed one encodes it
 //! ([`binary::encode_response`]) and sends it through
 //! [`FrameSink::send_frame`].
 //!
-//! An `ADD`/`SUM`/`PROG` does not register a callback: its reply is an
-//! address — the connection plus the request's `seq` — and the lane
-//! worker that runs its issue group hands each sink **all** of that
-//! group's answers addressed to it in one [`OkBatch`], in lane order
-//! ([`ResponseSink::send_oks`], [`FrameSink::send_ok_frames`]). The
-//! provided methods deliver a batch one reply at a time through `send` /
-//! `send_frame`; the TCP server overrides them to encode the whole batch
-//! into the worker's reused buffer and write it with one syscall.
+//! **A read runs to completion on the thread that feeds it.** When
+//! [`ByteSession::feed`] has consumed a read, the session runs the read's
+//! issue groups on their lanes' engines itself and hands its sink **all**
+//! of their `OK`s in one [`OkBatch`], group by group
+//! ([`ResponseSink::send_oks`], [`FrameSink::send_ok_frames`]); only then
+//! does `feed` return. No lane queue, worker thread or wake-up is
+//! involved. The provided methods deliver a batch one reply at a time
+//! through `send` / `send_frame`; the TCP server overrides them to encode
+//! the whole batch into the session's reused buffer and write it with one
+//! syscall.
 //!
-//! The TCP server implements both sinks on `Mutex<TcpStream>`; in-process
-//! tests implement them on plain collectors. Either way, worker threads
-//! call the sink directly when an issue group completes — possibly out of
-//! submission order, possibly concurrently — so sinks must be
-//! `Send + Sync` and serialize their own output. (The C ABI, `vlcsa-ffi`,
-//! has no byte stream: it calls [`Service`]'s submit methods directly.)
+//! The TCP server implements both sinks on the connection's socket;
+//! in-process tests implement them on plain collectors. Every call comes
+//! from the thread feeding the session, so a sink that blocks — a client
+//! that stops reading — holds that connection alone. (The C ABI,
+//! `vlcsa-ffi`, has no byte stream: it calls [`Service`]'s submit methods
+//! directly, and its requests are queued for the lanes' workers.)
 
 use std::sync::Arc;
 
 use bitnum::UBig;
 use vlcsa::exec::WideOutcome;
+use vlcsa::group::LaneBuilder;
 use vlcsa::route::AUTO_ENGINE;
 
 use crate::binary::{
     self, FrameReadError, HEADER_LEN, HELLO_LINE, MAX_FRAME_BODY, PROTOCOL_VERSION,
 };
 use crate::protocol::{self, parse_request, ErrorCode, Request, RequestError, Response, SloAction};
-use crate::service::{Job, Lane, Operands, ReplyTo, Service, SubmitError};
+use crate::service::{Lane, Operands, Service, SubmitError};
 
-/// Where text-protocol responses go. Implementations must tolerate
-/// concurrent calls from worker threads and serialize their own output
-/// (the TCP server locks the socket; a test sink locks a `Vec`).
+/// Where text-protocol responses go. Calls come from the thread feeding
+/// the session; implementations serialize their own output (the TCP
+/// server writes the socket; a test sink locks a `Vec`).
 pub trait ResponseSink: Send + Sync + 'static {
     /// Delivers one response. Errors are the sink's problem: a dispatch
     /// has nobody to tell that the client hung up.
     fn send(&self, response: &Response);
 
-    /// Delivers one issue group's `OK` answers for this sink, in lane
-    /// order. `buf` is the delivering worker's reused scratch buffer,
-    /// empty on entry. The default sends each answer through
-    /// [`ResponseSink::send`]; a transport overrides it to encode the
-    /// batch into `buf` ([`OkBatch::encode_lines`]) and write it once.
+    /// Delivers one read's `OK` answers for this sink, group by group.
+    /// `buf` is the session's reused scratch buffer, empty on entry. The
+    /// default sends each answer through [`ResponseSink::send`]; a
+    /// transport overrides it to encode the batch into `buf`
+    /// ([`OkBatch::encode_lines`]) and write it once.
     fn send_oks(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
         let _ = buf;
         for response in oks.responses() {
@@ -69,17 +72,17 @@ pub trait ResponseSink: Send + Sync + 'static {
     }
 }
 
-/// Where pre-encoded binary frames go; same concurrency contract as
+/// Where pre-encoded binary frames go; same contract as
 /// [`ResponseSink`].
 pub trait FrameSink: Send + Sync + 'static {
     /// Delivers one complete, already-encoded frame.
     fn send_frame(&self, frame: &[u8]);
 
-    /// Delivers one issue group's `OK` frames for this sink, in lane
-    /// order; `buf` as in [`ResponseSink::send_oks`]. The default encodes
-    /// each frame into `buf` and sends it through
-    /// [`FrameSink::send_frame`]; a transport overrides it to encode the
-    /// batch ([`OkBatch::encode_frames`]) and write it once.
+    /// Delivers one read's `OK` frames for this sink, group by group;
+    /// `buf` as in [`ResponseSink::send_oks`]. The default encodes each
+    /// frame into `buf` and sends it through [`FrameSink::send_frame`]; a
+    /// transport overrides it to encode the batch
+    /// ([`OkBatch::encode_frames`]) and write it once.
     fn send_ok_frames(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
         oks.for_each(|seq, cout, cycles, sum| {
             buf.clear();
@@ -89,23 +92,29 @@ pub trait FrameSink: Send + Sync + 'static {
     }
 }
 
-/// One issue group's `OK` answers bound for one sink: lanes of the
-/// group's outcome, each with the `seq` of the request it answers, in
-/// lane order. The encoders read every sum straight from the group's
+/// `OK` answers bound for one sink: lanes of one or more issue groups'
+/// outcomes, each with the `seq` of the request it answers, group by
+/// group. The encoders read every sum straight from the groups'
 /// untransposed sums — no [`UBig`] per answer.
 pub struct OkBatch<'a> {
-    out: &'a WideOutcome,
+    /// The outcomes of the groups answered, in order.
+    outs: &'a [WideOutcome],
+    /// The groups' sums out of the slab layout, lane-major, one group
+    /// after another.
     sums: &'a [u64],
+    /// `(seq, lane)` per answer, group by group.
     lanes: &'a [(u64, usize)],
+    /// Where each group's answers end in `lanes`, for every group but the
+    /// last, whose answers run to the end.
+    ends: &'a [usize],
 }
 
 impl<'a> OkBatch<'a> {
     /// The answers of `lanes` — `(seq, lane)` pairs, in delivery order —
-    /// of the group whose outcome is `out`. `sums` is `out.sum` out of the
-    /// slab layout, lane-major, as
+    /// of the one group whose outcome is `out`. `sums` is `out.sum` out of
+    /// the slab layout, lane-major, as
     /// [`WideSlab::lane_limbs_into`](bitnum::batch::WideSlab::lane_limbs_into)
-    /// writes it; the lane worker untransposes each group once and shares
-    /// the buffer across the group's batches.
+    /// writes it.
     ///
     /// # Panics
     ///
@@ -116,23 +125,45 @@ impl<'a> OkBatch<'a> {
             out.lanes() * out.sum.width().div_ceil(64),
             "sums must hold every lane of the outcome"
         );
-        Self { out, sums, lanes }
+        Self {
+            outs: std::slice::from_ref(out),
+            sums,
+            lanes,
+            ends: &[],
+        }
     }
 
-    /// Lane `l`'s sum limbs.
-    fn sum(&self, l: usize) -> &'a [u64] {
-        let nl = self.out.sum.width().div_ceil(64);
-        &self.sums[l * nl..(l + 1) * nl]
+    /// Each group's outcome, sums and answers, in order.
+    fn parts(&self) -> impl Iterator<Item = (&'a WideOutcome, &'a [u64], &'a [(u64, usize)])> {
+        let Self {
+            outs,
+            mut sums,
+            lanes,
+            ends,
+        } = *self;
+        let mut start = 0;
+        outs.iter().enumerate().map(move |(g, out)| {
+            let (group, rest) = sums.split_at(out.lanes() * out.sum.width().div_ceil(64));
+            sums = rest;
+            let end = ends.get(g).copied().unwrap_or(lanes.len());
+            let answers = &lanes[start..end];
+            start = end;
+            (out, group, answers)
+        })
     }
 
     /// The answers as [`Response::Ok`] values, one sum each — the
     /// one-reply-at-a-time form.
     fn responses(&self) -> impl Iterator<Item = Response> + '_ {
-        self.lanes.iter().map(|&(seq, l)| Response::Ok {
-            seq,
-            sum: UBig::from_limbs(self.sum(l), self.out.sum.width()),
-            cout: self.out.cout(l),
-            cycles: self.out.cycles(l),
+        self.parts().flat_map(|(out, sums, lanes)| {
+            let width = out.sum.width();
+            let nl = width.div_ceil(64);
+            lanes.iter().map(move |&(seq, l)| Response::Ok {
+                seq,
+                sum: UBig::from_limbs(&sums[l * nl..(l + 1) * nl], width),
+                cout: out.cout(l),
+                cycles: out.cycles(l),
+            })
         })
     }
 
@@ -151,16 +182,18 @@ impl<'a> OkBatch<'a> {
 
     /// Calls `f(seq, cout, cycles, sum_limbs)` per answer, in order.
     fn for_each(&self, mut f: impl FnMut(u64, bool, u8, &[u64])) {
-        for &(seq, l) in self.lanes {
-            f(seq, self.out.cout(l), self.out.cycles(l), self.sum(l));
+        for (out, sums, lanes) in self.parts() {
+            let nl = out.sum.width().div_ceil(64);
+            for &(seq, l) in lanes {
+                f(seq, out.cout(l), out.cycles(l), &sums[l * nl..(l + 1) * nl]);
+            }
         }
     }
 }
 
 /// A connection's reply side, in the framing it speaks — the one place a
 /// [`Response`] meets a codec.
-#[derive(Clone)]
-pub(crate) enum Conn {
+enum Conn {
     /// Answers are text lines.
     Text(Arc<dyn ResponseSink>),
     /// Answers are frames.
@@ -168,9 +201,9 @@ pub(crate) enum Conn {
 }
 
 impl Conn {
-    /// Answers with one response other than a group's `OK`s: a text
-    /// connection sends it through [`ResponseSink::send`], a framed one
-    /// encodes its frame and sends it through [`FrameSink::send_frame`].
+    /// Answers with one response other than an `OK`: a text connection
+    /// sends it through [`ResponseSink::send`], a framed one encodes its
+    /// frame and sends it through [`FrameSink::send_frame`].
     fn answer(&self, response: &Response) {
         match self {
             Conn::Text(sink) => sink.send(response),
@@ -178,16 +211,8 @@ impl Conn {
         }
     }
 
-    /// Identifies the connection: its sink's address plus its framing.
-    pub(crate) fn key(&self) -> (usize, bool) {
-        match self {
-            Conn::Text(sink) => (Arc::as_ptr(sink).cast::<()>() as usize, false),
-            Conn::Frame(sink) => (Arc::as_ptr(sink).cast::<()>() as usize, true),
-        }
-    }
-
-    /// Hands the connection its answers from one issue group.
-    pub(crate) fn send_oks(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
+    /// Hands the connection one read's `OK`s.
+    fn send_oks(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
         buf.clear();
         match self {
             Conn::Text(sink) => sink.send_oks(oks, buf),
@@ -212,12 +237,11 @@ fn submit_error(seq: u64, err: SubmitError) -> RequestError {
 }
 
 /// Dispatches one decoded request — from a text line or a frame — on
-/// `conn`: errors are answered inline, a command flushes what is staged
-/// (so it sees every request before it on its connection) and is
-/// answered at once, and a valid `ADD`/`SUM`/`PROG` is staged for its
-/// lane. Its reply arrives later, from a lane worker, once the request's
-/// issue group has run; the reply address keeps the sink alive until
-/// then.
+/// `conn`: errors are answered inline, a command first runs and answers
+/// what is staged (so it sees every request before it on its connection)
+/// and is answered at once, and a valid `ADD`/`SUM`/`PROG` is staged in
+/// its lane's issue group, to run and be answered when the read is
+/// consumed.
 fn dispatch(
     request: Result<Request<'_>, RequestError>,
     service: &Service,
@@ -238,7 +262,7 @@ fn dispatch(
             inputs,
         }) => (seq, engine, Operands::program(&program, &inputs)),
         Ok(Request::Engines) => {
-            staging.flush();
+            staging.flush(service, conn);
             // Engine names are width-independent; any registry lists
             // them. `auto` rides along last, so clients discover the
             // pseudo-engine too.
@@ -251,11 +275,11 @@ fn dispatch(
             return conn.answer(&Response::Engines(names));
         }
         Ok(Request::Stats) => {
-            staging.flush();
+            staging.flush(service, conn);
             return conn.answer(&Response::Stats(service.stats()));
         }
         Ok(Request::Slo(action)) => {
-            staging.flush();
+            staging.flush(service, conn);
             match action {
                 SloAction::Query => {}
                 SloAction::Set(micros) => service.set_slo(Some(micros)),
@@ -267,26 +291,37 @@ fn dispatch(
         }
         Err(err) => return conn.answer(&Response::Err(err)),
     };
-    let reply = ReplyTo::Wire {
-        conn: conn.clone(),
-        seq,
-    };
-    if let Err(err) = operands.and_then(|ops| staging.stage(service, engine, ops, reply)) {
+    if let Err(err) = operands.and_then(|ops| staging.stage(service, engine, ops, seq)) {
         conn.answer(&Response::Err(submit_error(seq, err)));
     }
 }
 
-/// One connection's staged ingress: the jobs decoded since it last
-/// flushed, one run per lane, in first-use order. It holds at most one
-/// read's requests.
+/// One connection's staged requests, at most one read's: the issue groups
+/// they fill, and the reused buffers their run and their one reply write
+/// go through. Nothing in it names a lane between reads.
 #[derive(Default)]
 struct Staging {
-    runs: Vec<(Arc<Lane>, Vec<Job>)>,
+    /// The groups being filled, in the order the read first named their
+    /// lanes: each with its lane, its first request's stamp on the
+    /// router's clock (which its latency sample runs from), and its
+    /// requests' operands tagged with their `seq`s. A lane's group holds
+    /// at most `max_lanes`; the lane's next request opens another.
+    open: Vec<(Arc<Lane>, u64, LaneBuilder<u64>)>,
+    /// Once they ran: their outcomes, sums, answers and answer ends, as
+    /// [`OkBatch`] reads them.
+    outs: Vec<WideOutcome>,
+    sums: Vec<u64>,
+    lanes: Vec<(u64, usize)>,
+    ends: Vec<usize>,
+    /// One group's sums out of the slab layout, before they join `sums`.
+    group_sums: Vec<u64>,
+    /// The encode buffer of the read's reply write.
+    buf: Vec<u8>,
 }
 
 impl Staging {
-    /// Resolves one validated request to its lane, stamps it and appends
-    /// it to that lane's run.
+    /// Resolves one validated request to its lane and appends it to the
+    /// lane's open issue group.
     ///
     /// # Errors
     ///
@@ -296,32 +331,64 @@ impl Staging {
         service: &Service,
         engine: &str,
         operands: Operands,
-        reply: ReplyTo,
+        seq: u64,
     ) -> Result<(), SubmitError> {
-        let lane = service.lane(engine, operands.width())?;
-        let job = service.job(operands, reply);
-        match self.runs.iter_mut().find(|(l, _)| Arc::ptr_eq(l, &lane)) {
-            Some((_, jobs)) => jobs.push(job),
-            None => self.runs.push((lane, vec![job])),
-        }
+        let lane = service.lane(engine, operands.width(), false)?;
+        let open = match self.open.iter().rposition(|(l, ..)| Arc::ptr_eq(l, &lane)) {
+            Some(i) if self.open[i].2.lanes() < lane.max_lanes() => i,
+            _ => {
+                let group = lane.group();
+                self.open.push((lane, service.router().now_micros(), group));
+                self.open.len() - 1
+            }
+        };
+        operands.push_into(&mut self.open[open].2, seq);
         Ok(())
     }
 
-    /// Hands every lane its staged run with one [`Queue::push_all`]
-    /// (`crate::queue::Queue`). A run refused because its lane closed —
-    /// the service stopped after the run was staged — is answered here,
-    /// `ERR <seq> shutdown` per request, as a refused submit is.
-    fn flush(&mut self) {
-        for (lane, mut jobs) in self.runs.drain(..) {
-            if lane.ingress.push_all(&mut jobs) {
-                continue;
-            }
-            for job in jobs {
-                if let ReplyTo::Wire { conn, seq } = job.reply {
+    /// Runs every staged group on its lane, hands `conn` all of their
+    /// `OK`s in one [`OkBatch`], and then reports each group to the
+    /// router. Staged requests that find the service stopped — it stopped
+    /// after they were staged — are answered `ERR <seq> shutdown` each
+    /// instead, as a refused submit is.
+    fn flush(&mut self, service: &Service, conn: &Conn) {
+        if self.open.is_empty() {
+            return;
+        }
+        if service.stopped() {
+            for (.., mut group) in self.open.drain(..) {
+                let group = group.drain().expect("an open group holds a request");
+                for seq in group.tags {
                     conn.answer(&Response::Err(submit_error(seq, SubmitError::Stopped)));
                 }
             }
+            return;
         }
+        for (lane, _, group) in &mut self.open {
+            let (out, seqs) = lane.run(group);
+            out.sum.lane_limbs_into(&mut self.group_sums);
+            self.sums.extend_from_slice(&self.group_sums);
+            if !self.outs.is_empty() {
+                self.ends.push(self.lanes.len());
+            }
+            self.lanes
+                .extend(seqs.into_iter().enumerate().map(|(l, seq)| (seq, l)));
+            self.outs.push(out);
+        }
+        let oks = OkBatch {
+            outs: &self.outs,
+            sums: &self.sums,
+            lanes: &self.lanes,
+            ends: &self.ends,
+        };
+        conn.send_oks(&oks, &mut self.buf);
+        for ((lane, stamp, _), out) in self.open.drain(..).zip(&self.outs) {
+            lane.answered(out, stamp);
+        }
+        self.outs.clear();
+        self.sums.clear();
+        self.lanes.clear();
+        self.ends.clear();
     }
 }
 
@@ -358,19 +425,20 @@ pub enum FeedOutcome {
 /// dispatcher; the session's one reply side — text until the upgrade,
 /// frames after it — is the only part that knows the framing.
 ///
-/// **Flush before block.** Requests are parsed in place; only an
+/// **Run to completion.** Requests are parsed in place; only an
 /// incomplete tail is kept for the next call. Errors are answered inline,
-/// but every valid `ADD`/`SUM`/`PROG` is staged, per lane, and each lane
-/// gets its run with one [`Queue::push_all`](crate::queue::Queue::push_all)
-/// when `feed` returns — the point where the caller is about to block on
-/// its socket again. So one read's burst reaches a lane in one lock round
-/// with at most one wake-up, and an idle lane takes it as one issue
-/// group. `ENGINES`, `STATS` and `SLO` flush first, so they see every
-/// request before them.
+/// but every valid `ADD`/`SUM`/`PROG` is staged in its lane's issue group
+/// (at most `max_lanes` each), and when the read is consumed — the point
+/// where the caller is about to block on its socket again — `feed` runs
+/// the read's groups on the calling thread and hands the sink every `OK`
+/// in one [`OkBatch`] before it returns. So one read's burst costs one
+/// group per lane and one reply write, and no other thread. `ENGINES`,
+/// `STATS` and `SLO` run and answer what is staged first, so they see
+/// every request before them; so does an error that closes the stream.
 ///
 /// One instance is one connection's state; callers serialize `feed` per
-/// connection. Replies to queued requests arrive later, from worker
-/// threads, through the same sink.
+/// connection. Between reads it keeps the unparsed tail and reused
+/// buffers, nothing per lane.
 pub struct ByteSession<S> {
     sink: Arc<S>,
     /// Where every answer leaves: text until the upgrade, frames after.
@@ -401,8 +469,8 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
     }
 
     /// Consumes `bytes` — any split, including an empty slice — and
-    /// dispatches every request they complete, then queues what it staged.
-    /// Incomplete trailing input is kept for the next call.
+    /// dispatches every request they complete, then runs and answers what
+    /// it staged. Incomplete trailing input is kept for the next call.
     pub fn feed(&mut self, bytes: &[u8], service: &Service) -> FeedOutcome {
         let mut tail = std::mem::take(&mut self.buf);
         let outcome = if tail.is_empty() {
@@ -421,6 +489,7 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
         let outcome = match outcome {
             FeedOutcome::Continue if text && tail.len() > protocol::MAX_LINE => {
                 service.note_text_request();
+                self.staging.flush(service, &self.conn);
                 self.conn.answer(&Response::Err(RequestError::new(
                     0,
                     ErrorCode::BadRequest,
@@ -435,7 +504,7 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
             _ => 0,
         };
         self.buf = tail;
-        self.staging.flush();
+        self.staging.flush(service, &self.conn);
         outcome
     }
 
@@ -489,6 +558,7 @@ impl<S: ResponseSink + FrameSink> ByteSession<S> {
             };
             if let Some(poison) = poison {
                 service.note_binary_request();
+                self.staging.flush(service, &self.conn);
                 self.conn.answer(&Response::Err(RequestError::new(
                     0,
                     ErrorCode::BadRequest,
@@ -778,103 +848,112 @@ mod tests {
             .collect()
     }
 
-    /// A service whose window flushes only by count, at `max_lanes`.
-    fn count_flushed(max_lanes: usize) -> Service {
-        Service::start(ServeConfig {
-            max_lanes,
-            max_wait: Duration::from_secs(30),
-            ..ServeConfig::default()
-        })
-    }
-
-    /// Feeds `adds[i]` as `seq = base + i` to `session`, one request per
-    /// feed so each is queued on its own, and returns the bytes of those
-    /// answers sent one by one.
-    fn submit_adds(
-        adds: &[(UBig, UBig, UBig, bool, u8)],
+    /// `n` random `ADD`s on `engine` at `width`, `seq = base + i`, each as
+    /// its request's bytes and its answer's bytes in either framing.
+    fn requests_and_answers(
+        seed: u64,
+        (engine, width): (&str, usize),
+        n: usize,
         base: u64,
-        binary_wire: bool,
-        service: &Service,
-        session: &mut ByteSession<Wire>,
-    ) -> Vec<u8> {
-        let mut separate = Vec::new();
-        for (i, add) in adds.iter().enumerate() {
-            let seq = base + i as u64;
-            session.feed(
-                &add_bytes(std::slice::from_ref(add), seq, binary_wire),
-                service,
-            );
-            let (_, _, sum, cout, cycles) = add;
-            if binary_wire {
-                separate.extend(binary::encode_ok(seq, *cout, *cycles, sum.limbs()));
-            } else {
-                let ok = Response::Ok {
-                    seq,
-                    sum: sum.clone(),
-                    cout: *cout,
-                    cycles: *cycles,
-                };
-                separate.extend(format_response(&ok).into_bytes());
-                separate.push(b'\n');
-            }
-        }
-        separate
+        framed: bool,
+    ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let registry = vlcsa::engine::Registry::for_width(width);
+        let id = registry
+            .names()
+            .iter()
+            .position(|e| *e == engine)
+            .expect("listed") as u8;
+        let adder = registry.get(engine).expect("registry family");
+        (base..base + n as u64)
+            .map(|seq| {
+                let (a, b) = (UBig::random(width, &mut rng), UBig::random(width, &mut rng));
+                let one = adder.add_one(&a, &b);
+                if framed {
+                    (
+                        binary::encode_add(seq, id, width, a.limbs(), b.limbs()),
+                        binary::encode_ok(seq, one.cout, one.cycles, one.sum.limbs()),
+                    )
+                } else {
+                    let ok = Response::Ok {
+                        seq,
+                        sum: one.sum,
+                        cout: one.cout,
+                        cycles: one.cycles,
+                    };
+                    (
+                        format!("{}\n", protocol::format_add(seq, engine, &a, &b)).into_bytes(),
+                        format!("{}\n", format_response(&ok)).into_bytes(),
+                    )
+                }
+            })
+            .collect()
     }
 
     #[test]
     fn one_issue_group_reaches_its_connection_as_one_write() {
         const N: usize = 24;
-        for binary_wire in [false, true] {
-            let service = count_flushed(N);
+        for framed in [false, true] {
+            let service = Service::start(ServeConfig::default());
             let sink = Arc::new(Wire(Mutex::new(Vec::new())));
-            let mut session = session(&sink, binary_wire, &service);
-            let adds = adds_with_answers(11, N);
-            let separate = submit_adds(&adds, 100, binary_wire, &service, &mut session);
-            drain_wire(&sink, 1);
-            // Joining the workers first makes "exactly one" exact.
-            service.shutdown();
+            let mut session = session(&sink, framed, &service);
+            // N requests on one lane in one read: one write, before `feed`
+            // returns, of exactly the answers sent one by one.
+            let one_lane = requests_and_answers(11, ("vlcsa1", 64), N, 100, framed);
+            let read: Vec<u8> = one_lane.iter().flat_map(|(r, _)| r.clone()).collect();
+            session.feed(&read, &service);
+            let want: Vec<u8> = one_lane.iter().flat_map(|(_, a)| a.clone()).collect();
+            let writes = std::mem::take(&mut *sink.0.lock().expect("test sink lock"));
+            assert_eq!(writes, vec![want], "framed: {framed}");
+            // A read that names three lanes, its requests interleaved:
+            // still one write, each lane's answers together in arrival
+            // order, lanes in the order the read first named them.
+            let lanes = [("vlcsa1", 64), ("ripple", 64), ("vlcsa1", 200)];
+            let runs: Vec<_> = (0..lanes.len())
+                .map(|k| {
+                    let base = 1000 * (k as u64 + 1);
+                    requests_and_answers(12 + k as u64, lanes[k], N, base, framed)
+                })
+                .collect();
+            let read: Vec<u8> = (0..N)
+                .flat_map(|i| runs.iter().map(move |run| run[i].0.clone()))
+                .flatten()
+                .collect();
+            session.feed(&read, &service);
+            let want: Vec<u8> = runs.iter().flatten().flat_map(|(_, a)| a.clone()).collect();
             let writes = sink.0.lock().expect("test sink lock").clone();
-            assert_eq!(writes, vec![separate], "binary: {binary_wire}");
+            assert_eq!(writes, vec![want], "framed: {framed}");
+            service.shutdown();
         }
     }
 
     #[test]
     fn interleaved_connections_each_get_one_write_per_group() {
         const N: usize = 16;
-        // One text and one binary connection share the vlcsa1 lane; their
-        // requests alternate into a single 2N-lane issue group.
-        let service = count_flushed(2 * N);
+        // A text and a binary connection on the vlcsa1 lane: each read is
+        // its own group and its own write, so a group never mixes
+        // connections.
+        let service = Service::start(ServeConfig::default());
         let text = Arc::new(Wire(Mutex::new(Vec::new())));
         let framed = Arc::new(Wire(Mutex::new(Vec::new())));
         let mut text_session = session(&text, false, &service);
         let mut framed_session = session(&framed, true, &service);
-        let adds = adds_with_answers(12, 2 * N);
-        let (mut text_bytes, mut framed_bytes) = (Vec::new(), Vec::new());
-        for (i, pair) in adds.chunks(2).enumerate() {
-            let seq = 2 * i as u64;
-            text_bytes.extend(submit_adds(
-                &pair[..1],
-                seq,
-                false,
-                &service,
-                &mut text_session,
-            ));
-            framed_bytes.extend(submit_adds(
-                &pair[1..],
-                seq + 1,
-                true,
-                &service,
-                &mut framed_session,
-            ));
+        let text_run = requests_and_answers(12, ("vlcsa1", 64), N, 0, false);
+        let framed_run = requests_and_answers(13, ("vlcsa1", 64), N, N as u64, true);
+        for (run, session) in [
+            (&text_run, &mut text_session),
+            (&framed_run, &mut framed_session),
+        ] {
+            let read: Vec<u8> = run.iter().flat_map(|(r, _)| r.clone()).collect();
+            session.feed(&read, &service);
         }
-        drain_wire(&text, 1);
-        drain_wire(&framed, 1);
+        for (run, sink) in [(&text_run, &text), (&framed_run, &framed)] {
+            let want: Vec<u8> = run.iter().flat_map(|(_, a)| a.clone()).collect();
+            assert_eq!(*sink.0.lock().expect("test sink lock"), vec![want]);
+        }
+        let vlcsa1 = service.stats().engine("vlcsa1").expect("served").clone();
+        assert_eq!((vlcsa1.groups, vlcsa1.lanes), (2, 2 * N as u64));
         service.shutdown();
-        assert_eq!(*text.0.lock().expect("test sink lock"), vec![text_bytes]);
-        assert_eq!(
-            *framed.0.lock().expect("test sink lock"),
-            vec![framed_bytes]
-        );
     }
 
     /// The requests `seqs` as `ADD`s on vlcsa1 at width 64, in either
@@ -1177,46 +1256,5 @@ mod tests {
             other => panic!("{other:?}"),
         }
         service.shutdown();
-    }
-
-    /// A text sink that logs its name, once per write, into a log shared
-    /// with other sinks: the order in which a worker wrote connections.
-    struct Named(&'static str, Arc<Mutex<Vec<&'static str>>>);
-
-    impl ResponseSink for Named {
-        fn send(&self, _: &Response) {
-            self.1.lock().expect("test log lock").push(self.0);
-        }
-
-        fn send_oks(&self, _: &OkBatch<'_>, _: &mut Vec<u8>) {
-            self.1.lock().expect("test log lock").push(self.0);
-        }
-    }
-
-    impl FrameSink for Named {
-        fn send_frame(&self, _: &[u8]) {
-            self.1.lock().expect("test log lock").push(self.0);
-        }
-    }
-
-    #[test]
-    fn connections_are_answered_in_the_order_of_their_first_lane() {
-        let service = count_flushed(2);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut sessions =
-            ["a", "b"].map(|name| ByteSession::new(Arc::new(Named(name, Arc::clone(&log)))));
-        // Each pair is one issue group. The connection holding lane 0 is
-        // written first, whichever of the two sinks that is.
-        for (i, (first, second)) in [(1, 0), (0, 1)].into_iter().enumerate() {
-            sessions[first].feed(format!("ADD {i} vlcsa1 64 1 2\n").as_bytes(), &service);
-            sessions[second].feed(format!("ADD {i} vlcsa1 64 3 4\n").as_bytes(), &service);
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while log.lock().expect("test log lock").len() < 2 * (i + 1) {
-                assert!(Instant::now() < deadline, "timed out waiting for replies");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        service.shutdown();
-        assert_eq!(*log.lock().expect("test log lock"), ["b", "a", "a", "b"]);
     }
 }

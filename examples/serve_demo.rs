@@ -6,8 +6,6 @@
 //! cargo run --release --example serve_demo
 //! ```
 
-use std::time::Duration;
-
 use bitnum::UBig;
 use vlcsa_serve::{Client, ServeConfig, Server};
 use workloads::dist::{Distribution, OperandSource};
@@ -17,7 +15,6 @@ fn main() {
         "127.0.0.1:0",
         ServeConfig {
             max_lanes: 128,
-            max_wait: Duration::from_micros(300),
             ..ServeConfig::default()
         },
     )
@@ -58,8 +55,11 @@ fn main() {
     }
 
     // The server-side view of the same accounting: one in-band STATS line
-    // with queue depth, window occupancy, the slab word width and
-    // per-engine stall totals.
+    // with the slab word width and per-engine lane, stall and issue-group
+    // totals. The connection's reader runs each read's requests as one
+    // group per lane, so `groups` counts reads, not requests. Queue depth
+    // and window occupancy count queued in-process submits only, so over
+    // the wire they read 0.
     let stats = client.stats().expect("STATS");
     println!(
         "\nSTATS: queue_depth={} window={}/{} word_bits={}",
@@ -67,10 +67,11 @@ fn main() {
     );
     for e in &stats.engines {
         println!(
-            "  {:<14} lanes={:<6} stalls={:<5} stall_rate={:.4}",
+            "  {:<14} lanes={:<6} stalls={:<5} groups={:<5} stall_rate={:.4}",
             e.name,
             e.lanes,
             e.stalls,
+            e.groups,
             e.stall_rate()
         );
     }

@@ -11,13 +11,19 @@
 //! stalled lane. With a shared worker pool and `workers: 1`, step two
 //! would hang forever; with per-lane workers it cannot.
 //!
+//! On the wire the isolation unit is the connection: a session runs its
+//! reads' groups on the thread that feeds it, and no lane worker writes to
+//! a client. The wire cases hold one session's thread — inside its `OK`
+//! write, or parked in the gated engine — and drive a second session's
+//! burst to completion meanwhile.
+//!
 //! The scenario runs at a one-limb and a multi-limb width, and the whole
 //! file compiles under both slab words (`DefaultWord` is `W256`, or `u64`
 //! under `--cfg vlcsa_word64`), so the isolation property is pinned for
 //! both word widths.
 
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bitnum::batch::{BitSlab, DefaultWord};
 use bitnum::UBig;
@@ -27,7 +33,7 @@ use vlcsa::route::{RouteConfig, Router};
 use vlcsa::AddOutcome;
 use vlcsa_serve::protocol::{format_response, parse_response};
 use vlcsa_serve::{
-    ByteSession, FrameSink, RegistryCache, Response, ResponseSink, ServeConfig, Service,
+    ByteSession, FrameSink, OkBatch, RegistryCache, Response, ResponseSink, ServeConfig, Service,
 };
 
 /// The rendezvous between the test and the stalled worker: the worker
@@ -382,51 +388,175 @@ impl FrameSink for Lines {
 }
 
 /// A command sees every request before it on its connection: a session
-/// stages a read's `ADD`s until the read is done, but a `STATS` in the
-/// same read queues them first, so it counts them while the lane's only
-/// worker is parked.
+/// stages a read's `ADD`s until the read is consumed, but a `STATS` in the
+/// same read runs and answers them first, so all their `OK`s precede its
+/// line and it counts every one of their lanes.
 #[test]
 fn a_stats_counts_the_adds_before_it_in_the_same_read() {
     const K: usize = 12;
-    let gate = Arc::new(Gate::new());
-    let service = Service::start_custom(
-        ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        },
-        Arc::new(Router::new(RouteConfig::default())),
-        Arc::new(gated_cache(&gate)),
-    );
+    let service = Service::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
     let sink = Arc::new(Lines(Mutex::new(Vec::new())));
     let mut session = ByteSession::new(Arc::clone(&sink));
-    session.feed(b"ADD 0 gated 64 1 2\n", &service);
-    gate.await_parked(1);
     let mut read = String::new();
     for i in 1..=K {
-        read.push_str(&format!("ADD {i} gated 64 {i:x} 1\n"));
+        read.push_str(&format!("ADD {i} vlcsa1 64 {i:x} 1\n"));
     }
     read.push_str("STATS\n");
     session.feed(read.as_bytes(), &service);
-    let line = sink
-        .0
-        .lock()
-        .expect("test sink lock")
-        .iter()
-        .find(|l| l.starts_with("STATS"))
-        .cloned()
-        .expect("STATS is answered inline");
-    let Ok(Response::Stats(stats)) = parse_response(&line, 1) else {
-        panic!("unparseable STATS line: {line}");
+    let lines = sink.0.lock().expect("test sink lock").clone();
+    assert_eq!(lines.len(), K + 1, "{lines:?}");
+    for (i, line) in lines[..K].iter().enumerate() {
+        let want = format!("OK {} {:x} 0 ", i + 1, i + 2);
+        assert!(line.starts_with(&want), "{line} should start {want}");
+    }
+    let Ok(Response::Stats(stats)) = parse_response(&lines[K], 1) else {
+        panic!("unparseable STATS line: {}", lines[K]);
     };
-    assert!(
-        stats.queue_depth + stats.window_lanes >= K,
-        "the STATS missed requests before it: {line}"
+    assert_eq!(
+        stats.engine("vlcsa1").map(|e| e.lanes),
+        Some(K as u64),
+        "the STATS missed requests before it: {}",
+        lines[K]
     );
-    gate.open();
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while sink.0.lock().expect("test sink lock").len() < K + 2 {
-        assert!(std::time::Instant::now() < deadline, "replies missing");
+    service.shutdown();
+}
+
+/// A text sink whose `OK` writes park on `gate` until the test opens it:
+/// a client that has stopped reading, as its connection's thread sees it.
+struct StalledWriter {
+    gate: Arc<Gate>,
+    lines: Lines,
+}
+
+impl ResponseSink for StalledWriter {
+    fn send(&self, response: &Response) {
+        self.lines.send(response);
+    }
+
+    fn send_oks(&self, oks: &OkBatch<'_>, buf: &mut Vec<u8>) {
+        self.gate.park();
+        self.lines.send_oks(oks, buf);
+    }
+}
+
+impl FrameSink for StalledWriter {
+    fn send_frame(&self, _: &[u8]) {
+        unreachable!("the connection stays text");
+    }
+}
+
+/// Waits, bounded, until `sink` holds `n` lines; returns how many it got.
+fn await_lines(sink: &Lines, n: usize, bound: Duration) -> usize {
+    let deadline = Instant::now() + bound;
+    loop {
+        let got = sink.0.lock().expect("test sink lock").len();
+        if got >= n || Instant::now() >= deadline {
+            return got;
+        }
         std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+/// Connection isolation on one lane: session A's thread is held inside
+/// its `OK` write, as a client that stops reading holds it, while session
+/// B's 64 `ADD`s on the same `(vlcsa1, 64)` lane are all answered — no
+/// lane worker writes to A's socket, so nothing B needs waits on A. Then A
+/// is released and answered exactly once. The wait for B is bounded, so a
+/// runtime whose lane workers write replies fails here instead of hanging.
+#[test]
+fn a_connection_held_in_its_write_does_not_delay_another_on_its_lane() {
+    const BURST: usize = 64;
+    let gate = Arc::new(Gate::new());
+    let service = Service::start(one_worker_config());
+    let held = Arc::new(StalledWriter {
+        gate: Arc::clone(&gate),
+        lines: Lines(Mutex::new(Vec::new())),
+    });
+    let other = Arc::new(Lines(Mutex::new(Vec::new())));
+    let answered = std::thread::scope(|scope| {
+        let a = scope.spawn(|| {
+            ByteSession::new(Arc::clone(&held)).feed(b"ADD 0 vlcsa1 64 29 1\n", &service);
+        });
+        gate.await_parked(1);
+        let mut b = ByteSession::new(Arc::clone(&other));
+        let read: String = (0..BURST)
+            .map(|i| format!("ADD {i} vlcsa1 64 {i:x} {:x}\n", 5 * i))
+            .collect();
+        b.feed(read.as_bytes(), &service);
+        let answered = await_lines(&other, BURST, Duration::from_secs(5));
+        gate.open();
+        a.join().expect("session A's thread");
+        answered
+    });
+    assert_eq!(answered, BURST, "B waited behind A's held write");
+    let lines = other.0.lock().expect("test sink lock").clone();
+    for (i, line) in lines.iter().enumerate() {
+        let want = format!("OK {i} {:x} 0 ", 6 * i);
+        assert!(line.starts_with(&want), "{line} should start {want}");
+    }
+    let held_lines = held.lines.0.lock().expect("test sink lock").clone();
+    assert_eq!(
+        held_lines.len(),
+        1,
+        "A answered exactly once: {held_lines:?}"
+    );
+    assert!(held_lines[0].starts_with("OK 0 2a 0 "), "{held_lines:?}");
+    service.shutdown();
+}
+
+/// Connection isolation across lanes: session A's read is parked inside
+/// the gated engine, on A's own thread, while session B's burst through
+/// two other lanes completes. Then A is released and answered exactly
+/// once, with the exact sum.
+#[test]
+fn a_read_parked_in_a_stalled_engine_does_not_delay_another_connection() {
+    const BURST: usize = 64;
+    let gate = Arc::new(Gate::new());
+    let service = Service::start_custom(
+        one_worker_config(),
+        Arc::new(Router::new(RouteConfig::default())),
+        Arc::new(gated_cache(&gate)),
+    );
+    let held = Arc::new(Lines(Mutex::new(Vec::new())));
+    let other = Arc::new(Lines(Mutex::new(Vec::new())));
+    let (answered, stats) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| {
+            ByteSession::new(Arc::clone(&held)).feed(b"ADD 0 gated 64 29 1\n", &service);
+        });
+        gate.await_parked(1);
+        let mut b = ByteSession::new(Arc::clone(&other));
+        let read: String = (0..BURST)
+            .map(|i| {
+                let engine = if i % 2 == 0 { "vlcsa1" } else { "carry-select" };
+                format!("ADD {i} {engine} 64 {i:x} {:x}\n", 5 * i)
+            })
+            .collect();
+        b.feed(read.as_bytes(), &service);
+        let answered = await_lines(&other, BURST, Duration::from_secs(5));
+        let stats = service.stats();
+        gate.open();
+        a.join().expect("session A's thread");
+        (answered, stats)
+    });
+    assert_eq!(answered, BURST, "B waited behind A's stalled engine");
+    assert!(
+        stats.engine("gated").is_none(),
+        "the gated group completed early: {:?}",
+        stats.engines
+    );
+    let mut lines = other.0.lock().expect("test sink lock").clone();
+    lines.sort_by_key(|l| l.split(' ').nth(1).and_then(|s| s.parse::<usize>().ok()));
+    for (i, line) in lines.iter().enumerate() {
+        let want = format!("OK {i} {:x} 0 ", 6 * i);
+        assert!(line.starts_with(&want), "{line} should start {want}");
+    }
+    assert_eq!(
+        *held.0.lock().expect("test sink lock"),
+        ["OK 0 2a 0 1"],
+        "A answered exactly once"
+    );
     service.shutdown();
 }

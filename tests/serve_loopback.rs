@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use bitnum::batch::{WideSlab, Word};
@@ -13,7 +14,7 @@ use bitnum::UBig;
 use vlcsa::engine::Registry;
 use vlcsa::exec::Executor;
 use vlcsa::program::Program;
-use vlcsa_serve::{Client, ErrorCode, ServeConfig, Server};
+use vlcsa_serve::{AddResult, Client, ErrorCode, ServeConfig, Server, Service};
 use workloads::dist::{Distribution, OperandSource};
 
 fn test_config() -> ServeConfig {
@@ -224,32 +225,34 @@ fn stats_command_reports_queue_window_and_stall_rates() {
 
 #[test]
 fn stats_window_occupancy_is_visible_mid_window() {
-    // With a long batching window and a max_lanes bound that is not yet
-    // reached, submitted requests sit in the open window — STATS must show
+    // With a long linger and a max_lanes bound that is not yet reached,
+    // queued in-process submits sit in the open window — STATS must show
     // them as window occupancy (or, transiently, queue depth) while they
-    // wait for the flush.
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServeConfig {
-            max_wait: Duration::from_secs(5),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let mut submitter = Client::connect(server.local_addr()).unwrap();
-    let mut prober = Client::connect(server.local_addr()).unwrap();
+    // wait for the flush. (Wire requests never linger: a connection runs
+    // its reads' groups itself.)
+    let service = Service::start(ServeConfig {
+        max_wait: Duration::from_secs(5),
+        ..ServeConfig::default()
+    });
     let a = UBig::from_u128(1, 64);
     let b = UBig::from_u128(2, 64);
     let pending = 5usize;
+    let (tx, rx) = mpsc::channel();
     for _ in 0..pending {
-        submitter.submit("vlcsa2", &a, &b).unwrap();
+        let tx = tx.clone();
+        let reply = Box::new(move |result| {
+            let _ = tx.send(result);
+        });
+        service
+            .submit("vlcsa2", a.clone(), b.clone(), reply)
+            .unwrap();
     }
-    // Wait (bounded) for the batcher to absorb the submissions into the
-    // open window, then snapshot through a second connection.
+    // Wait (bounded) for a worker to take the submissions into the open
+    // window, then snapshot.
     let deadline = Instant::now() + Duration::from_secs(3);
     let mut seen = 0;
     while Instant::now() < deadline {
-        let stats = prober.stats().unwrap();
+        let stats = service.stats();
         seen = stats.window_lanes + stats.queue_depth;
         if stats.window_lanes == pending {
             assert!((stats.window_occupancy() - pending as f64 / 256.0).abs() < 1e-9);
@@ -259,10 +262,63 @@ fn stats_window_occupancy_is_visible_mid_window() {
     }
     assert_eq!(seen, pending, "pending requests visible through STATS");
     for _ in 0..pending {
-        submitter.recv().unwrap().1.unwrap();
+        let result: AddResult = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(result.sum.to_u128(), Some(3));
     }
-    prober.close();
-    submitter.close();
+    service.shutdown();
+}
+
+#[test]
+fn a_burst_after_a_large_one_arrives_in_one_read() {
+    // A connection's read buffer starts at 8 KiB and doubles whenever a
+    // read fills it. So once one burst has passed 8 KiB, the next burst
+    // of more than 8 KiB, written in one `write_all`, arrives in one read
+    // and runs as one issue group.
+    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut rng = Xoshiro256::seed_from_u64(0xB0B);
+    let mut burst = |base: u64, n: u64| -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for seq in base..base + n {
+            let (a, b) = (UBig::random(256, &mut rng), UBig::random(256, &mut rng));
+            bytes.extend(vlcsa_serve::protocol::format_add(seq, "vlcsa1", &a, &b).into_bytes());
+            bytes.push(b'\n');
+        }
+        bytes
+    };
+    let mut exchange = |bytes: &[u8], answers: u64| -> Vec<String> {
+        writer.write_all(bytes).unwrap();
+        (0..answers)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                line
+            })
+            .collect()
+    };
+    let groups = |lines: Vec<String>| match vlcsa_serve::protocol::parse_response(&lines[0], 1) {
+        Ok(vlcsa_serve::Response::Stats(stats)) => stats.engine("vlcsa1").map_or(0, |e| e.groups),
+        other => panic!("{other:?}"),
+    };
+    let first = burst(0, 240);
+    assert!(first.len() > 32 * 1024, "{}", first.len());
+    for line in exchange(&first, 240) {
+        assert!(line.starts_with("OK "), "{line}");
+    }
+    let before = groups(exchange(b"STATS\n", 1));
+    let second = burst(1000, 80);
+    assert!(second.len() > 8 * 1024, "{}", second.len());
+    for line in exchange(&second, 80) {
+        assert!(line.starts_with("OK "), "{line}");
+    }
+    let after = groups(exchange(b"STATS\n", 1));
+    assert_eq!(
+        after - before,
+        1,
+        "the second burst took more than one read"
+    );
     shutdown_within(server, Duration::from_secs(10));
 }
 
