@@ -42,8 +42,8 @@
 //! the sleepy lane saturated while every static engine is re-measured
 //! under identical traffic. Per engine the run records unstalled vs
 //! stalled req/s and p99 and their `retained` ratio, with a ≥80%
-//! retention floor on full runs — under the old shared worker pool the
-//! sleepy batches would serialize everyone behind [`STALL_MS`] naps.
+//! retention floor on full runs — a runtime that ran every group on one
+//! shared thread would serialize everyone behind [`STALL_MS`] naps.
 //!
 //! Every response is verified against exact addition while it is timed;
 //! a wrong sum aborts the bench. The full run writes `BENCH_serve.json`
@@ -148,8 +148,8 @@ impl Point {
 }
 
 /// The synthetic stalled engine of the isolation dimension: correct
-/// sums (it delegates to ripple), but every batch parks its lane's
-/// worker for [`STALL_MS`] first.
+/// sums (it delegates to ripple), but every batch parks the thread
+/// running its group for [`STALL_MS`] first.
 struct SleepyEngine {
     inner: Box<dyn Engine<DefaultWord>>,
 }
@@ -470,18 +470,7 @@ fn main() {
     let ops_per_client = if smoke { 256 } else { 8192 };
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
 
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServeConfig {
-            max_lanes: 256,
-            max_wait: Duration::from_micros(300),
-            workers: 2,
-            exec_threads: 1,
-            queue_depth: 1024,
-            route: Default::default(),
-        },
-    )
-    .expect("bind loopback");
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("bind loopback");
     let addr = server.local_addr();
 
     println!(
@@ -561,14 +550,7 @@ fn main() {
     // with the sleepy lane idle, then again while a background client
     // keeps it saturated with [`STALL_MS`]-per-batch requests.
     let iso_service = Service::start_custom(
-        ServeConfig {
-            max_lanes: 256,
-            max_wait: Duration::from_micros(300),
-            workers: 2,
-            exec_threads: 1,
-            queue_depth: 1024,
-            route: Default::default(),
-        },
+        ServeConfig::default(),
         Arc::new(Router::new(RouteConfig::default())),
         Arc::new(sleepy_cache()),
     );

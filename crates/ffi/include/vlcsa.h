@@ -24,6 +24,11 @@
  *    vlcsa_last_error(NULL) the calling thread's (for init and
  *    bad-handle failures). The pointer is owned by the library and
  *    valid until the next failing call on the same handle / thread.
+ *  - A handle starts no thread: every call runs its work on the
+ *    calling thread. Submitted tickets are staged in one batch per
+ *    handle, which runs, as one issue group per lane, when a poll asks
+ *    for one of its tickets, when it reaches max_lanes tickets, or when
+ *    vlcsa_add / vlcsa_sum joins it.
  */
 
 #ifndef VLCSA_H
@@ -69,16 +74,13 @@ typedef struct vlcsa_config {
     const char *engine;
     /* Operand width in bits, 1..=4096. Required (0 is invalid). */
     size_t width;
-    /* Worker threads forming and running issue groups; 0 = default. */
-    size_t threads;
-    /* Most requests one issue group carries; 0 = default. */
+    /* Most requests one issue group carries, and how many staged
+     * tickets make a batch run; 0 = default (256). */
     size_t max_lanes;
-    /* Linger cap in microseconds: a worker that took fewer than
-     * max_lanes requests keeps taking for up to this long; 0 = none,
-     * the default. */
-    uint64_t max_wait_micros;
     /* p99 latency budget (microseconds) for "auto" SLO degradation;
-     * 0 = no budget. */
+     * 0 = no budget. A ticket's latency sample runs from the first
+     * request staged in its batch until the poll that runs the batch,
+     * so tickets left unpolled count against the budget. */
     uint64_t slo_micros;
 } vlcsa_config_t;
 
@@ -88,25 +90,19 @@ typedef struct vlcsa_stats {
     uint64_t lanes;        /* lanes (requests) served               */
     uint64_t stalls;       /* lanes that took the 2-cycle recovery  */
     uint64_t groups;       /* issue groups (batches) run            */
-    uint64_t queue_depth;  /* requests queued ahead of the workers  */
-    uint64_t window_lanes; /* requests taken but not yet run        */
     uint64_t word_bits;    /* lanes per slab word (64 or 256)       */
 } vlcsa_stats_t;
 
 /* Engine-name capacity of vlcsa_lane_stats_t, including the NUL. */
 #define VLCSA_LANE_NAME_CAP 32
 
-/* One live (engine, width) lane of the scale-out runtime: each lane
- * owns its own ingress queue and workers, so these depths are per-lane
- * backlogs, not shares of a global queue. */
+/* One (engine, width) lane the handle's traffic has named. */
 typedef struct vlcsa_lane_stats {
     /* Concrete engine name running this lane (NUL-terminated,
      * truncated to fit). "auto" traffic appears under the engine the
      * router picked. */
     char engine[VLCSA_LANE_NAME_CAP];
-    size_t width;       /* operand width of this lane               */
-    uint64_t depth;     /* requests queued ahead of its workers     */
-    uint64_t occupancy; /* requests its workers took, not yet run   */
+    size_t width; /* operand width of this lane */
 } vlcsa_lane_stats_t;
 
 /* --- Lifecycle -------------------------------------------------------- */
@@ -114,9 +110,9 @@ typedef struct vlcsa_lane_stats {
 /* Creates an engine handle; writes it to *out on VLCSA_OK. */
 int vlcsa_init(const vlcsa_config_t *config, vlcsa_engine_t **out);
 
-/* Drains in-flight work, joins worker threads, frees the handle.
- * Unclaimed tickets are dropped. Double free returns
- * VLCSA_ERR_BAD_HANDLE without touching memory. */
+/* Frees the handle. Unclaimed tickets, staged or answered, are
+ * dropped. Double free returns VLCSA_ERR_BAD_HANDLE without touching
+ * memory. */
 int vlcsa_free(vlcsa_engine_t *engine);
 
 /* Limbs per operand (and per sum) at the handle's width:
@@ -128,9 +124,9 @@ size_t vlcsa_word_bits(void);
 
 /* --- Synchronous ------------------------------------------------------ */
 
-/* sum = a + b at the handle's width; blocks until a lane worker has
- * run it. cout (carry out of the top bit) and cycles (1, or 2 after a
- * recovery stall) may be NULL. */
+/* sum = a + b at the handle's width, run on the calling thread with
+ * any tickets staged before it. cout (carry out of the top bit) and
+ * cycles (1, or 2 after a recovery stall) may be NULL. */
 int vlcsa_add(vlcsa_engine_t *engine, const uint64_t *a, const uint64_t *b,
               uint64_t *sum, int *cout, uint32_t *cycles);
 
@@ -142,15 +138,17 @@ int vlcsa_sum(vlcsa_engine_t *engine, const uint64_t *ops, size_t n,
 
 /* --- Asynchronous ----------------------------------------------------- */
 
-/* Queues a + b on its lane and returns a ticket immediately; a burst
- * of submits coalesces into wide issue groups. Operand buffers are
- * copied before return. */
+/* Stages a + b in the handle's batch and returns a ticket; a burst of
+ * submits coalesces into wide issue groups. The submit that brings the
+ * batch to max_lanes tickets runs it. Operand buffers are copied before
+ * return. */
 int vlcsa_submit(vlcsa_engine_t *engine, const uint64_t *a, const uint64_t *b,
                  uint64_t *ticket);
 
-/* Claims a ticket's result without blocking: VLCSA_PENDING while in
- * flight; on VLCSA_OK the ticket is consumed (a second poll returns
- * VLCSA_ERR_BAD_TICKET). */
+/* Claims a ticket's result. A ticket still staged runs here, with the
+ * rest of its batch; VLCSA_PENDING means another thread is running the
+ * batch that holds it, and a later poll claims it. On VLCSA_OK the
+ * ticket is consumed (a second poll returns VLCSA_ERR_BAD_TICKET). */
 int vlcsa_poll(vlcsa_engine_t *engine, uint64_t ticket, uint64_t *sum,
                int *cout, uint32_t *cycles);
 

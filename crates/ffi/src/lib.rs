@@ -2,28 +2,39 @@
 //! poll, and stats with no socket anywhere.
 //!
 //! The TCP server and this crate are two transports over the same core:
-//! [`vlcsa_serve::Service`] validates, batches, routes (`auto` + SLO
-//! degradation) and runs issue groups; here the "wire" is a function
-//! call. A host process links `libvlcsa_ffi` (cdylib or staticlib),
-//! includes `include/vlcsa.h`, and drives the engines through an opaque
-//! handle:
+//! [`vlcsa_serve::Service`] validates and routes (`auto` + SLO
+//! degradation), and a [`Staging`] forms and runs issue groups; here the
+//! "wire" is a function call. A host process links `libvlcsa_ffi`
+//! (cdylib or staticlib), includes `include/vlcsa.h`, and drives the
+//! engines through an opaque handle:
 //!
 //! * [`vlcsa_init`] / [`vlcsa_free`] — start and stop one engine handle
-//!   (engine name incl. `"auto"`, width, worker threads, issue-group
-//!   bound, optional linger and SLO budget);
+//!   (engine name incl. `"auto"`, width, issue-group bound, optional SLO
+//!   budget);
 //! * [`vlcsa_add`] / [`vlcsa_sum`] — synchronous adds and n-operand
-//!   reductions over raw little-endian `u64` limb buffers — the same
-//!   zero-copy limb ingress as the binary wire protocol, no hex and no
-//!   bignum allocation on the caller's thread for `add`;
+//!   reductions over raw little-endian `u64` limb buffers — the same limb
+//!   ingress as the binary wire protocol, no hex;
 //! * [`vlcsa_submit`] / [`vlcsa_poll`] — the asynchronous ticket API:
-//!   submissions batch through the same lanes the TCP server uses, so
-//!   a burst of tickets coalesces into wide issue groups;
+//!   a handle stages its submitted tickets in one batch, which the first
+//!   poll of a ticket still in it runs, so a burst of tickets coalesces
+//!   into wide issue groups;
 //! * [`vlcsa_stats`] / [`vlcsa_lane_count`] / [`vlcsa_lanes`] /
 //!   [`vlcsa_last_error`] — aggregate counters (lanes, stalls, issue
-//!   groups, queue depth), per-`(engine, width)` lane snapshots (each
-//!   lane's own ingress backlog and the requests its workers hold — the
-//!   scale-out runtime's unit of isolation), and per-thread / per-handle
-//!   error text.
+//!   groups), the `(engine, width)` lanes traffic has named, and
+//!   per-thread / per-handle error text.
+//!
+//! # Who runs a batch
+//!
+//! Every call runs its work on the calling thread; a handle starts no
+//! thread. The batch of staged tickets runs when a [`vlcsa_poll`] asks
+//! for one of them, when it reaches the handle's `max_lanes`, or when a
+//! [`vlcsa_add`] or [`vlcsa_sum`] joins it (they run it with their own
+//! request). The runner takes the batch out under the handle's lock and
+//! runs it outside, so other threads stage the next batch meanwhile; a
+//! poll of a ticket in a batch another thread is running is answered
+//! [`VLCSA_PENDING`]. A ticket's latency sample for the `auto` router's
+//! SLO runs from its batch's first staged request until the run that
+//! answers it, so a ticket left unpolled counts as slow.
 //!
 //! # Boundary contract
 //!
@@ -47,15 +58,12 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::ffi::{c_char, c_int, CStr, CString};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use bitnum::UBig;
 use vlcsa::route::AUTO_ENGINE;
 use vlcsa_serve::protocol::{OPERAND_RANGE, WIDTH_RANGE};
-use vlcsa_serve::service::{AddResult, ServeConfig, Service, SubmitError};
+use vlcsa_serve::{AddResult, Operands, Reply, ServeConfig, Service, Staging, SubmitError};
 
 /// Success.
 pub const VLCSA_OK: c_int = 0;
@@ -88,15 +96,9 @@ pub struct VlcsaConfig {
     pub engine: *const c_char,
     /// Operand width in bits, `1..=4096`.
     pub width: usize,
-    /// Worker threads forming and running issue groups; 0 picks the
-    /// default.
-    pub threads: usize,
-    /// Most requests one issue group carries; 0 picks the default.
+    /// Most requests one issue group carries, and how many staged tickets
+    /// make a batch run; 0 picks the default.
     pub max_lanes: usize,
-    /// Linger cap in microseconds: a worker that took fewer than
-    /// `max_lanes` requests keeps taking for up to this long. 0 = none,
-    /// the default.
-    pub max_wait_micros: u64,
     /// p99 latency budget for `auto` SLO degradation; 0 = off.
     pub slo_micros: u64,
 }
@@ -113,10 +115,6 @@ pub struct VlcsaStats {
     pub stalls: u64,
     /// Issue groups (batches) run — non-zero once anything was served.
     pub groups: u64,
-    /// Requests currently queued ahead of the workers.
-    pub queue_depth: u64,
-    /// Requests workers have taken but not yet run.
-    pub window_lanes: u64,
     /// Lanes per slab word this build batches into (64 or 256).
     pub word_bits: u64,
 }
@@ -125,10 +123,8 @@ pub struct VlcsaStats {
 /// must match `VLCSA_LANE_NAME_CAP` in `include/vlcsa.h`.
 pub const VLCSA_LANE_NAME_CAP: usize = 32;
 
-/// One live `(engine, width)` lane's queue snapshot — must stay
-/// layout-identical to `vlcsa_lane_stats_t` in `include/vlcsa.h`. Each
-/// lane owns its own ingress queue and workers, so `depth`/`occupancy`
-/// are per-lane backlogs, not shares of a global queue.
+/// One `(engine, width)` lane the handle's traffic has named — must stay
+/// layout-identical to `vlcsa_lane_stats_t` in `include/vlcsa.h`.
 #[repr(C)]
 pub struct VlcsaLaneStats {
     /// Concrete engine name running this lane, NUL-terminated and
@@ -137,15 +133,26 @@ pub struct VlcsaLaneStats {
     pub engine: [c_char; VLCSA_LANE_NAME_CAP],
     /// Operand width of this lane.
     pub width: usize,
-    /// Requests queued ahead of this lane's workers.
-    pub depth: u64,
-    /// Requests this lane's workers have taken but not yet run.
-    pub occupancy: u64,
 }
 
-/// One ticket's parking slot: filled by the worker's reply callback,
-/// drained by [`vlcsa_poll`].
+/// One request's parking slot: filled by its reply when the batch holding
+/// it runs, drained by whoever waits on it.
 type Slot = Arc<Mutex<Option<AddResult>>>;
+
+/// A handle's tickets, and the batch of requests staged since its last
+/// run.
+#[derive(Default)]
+struct Tickets {
+    /// The last ticket issued.
+    last: u64,
+    /// Each unclaimed ticket's slot, and the number of the batch that
+    /// holds it.
+    slots: HashMap<u64, (u64, Slot)>,
+    /// The requests staged since the last run: the batch numbered `runs`.
+    batch: Staging<Reply>,
+    /// Batches taken to run so far.
+    runs: u64,
+}
 
 /// The opaque engine handle behind `vlcsa_engine_t`.
 pub struct VlcsaEngine {
@@ -153,9 +160,44 @@ pub struct VlcsaEngine {
     engine: String,
     width: usize,
     limbs: usize,
-    next_ticket: AtomicU64,
-    tickets: Mutex<HashMap<u64, Slot>>,
+    max_lanes: usize,
+    tickets: Mutex<Tickets>,
     last_error: Mutex<CString>,
+}
+
+impl VlcsaEngine {
+    /// Stages `operands` in the handle's batch; returns the slot its reply
+    /// fills once the batch runs.
+    fn stage(&self, tickets: &mut Tickets, operands: Operands) -> Result<Slot, SubmitError> {
+        let slot = Slot::default();
+        let fill = Arc::clone(&slot);
+        let reply: Reply = Box::new(move |result| {
+            *fill.lock().expect("ticket slot lock") = Some(result);
+        });
+        tickets
+            .batch
+            .stage(&self.service, &self.engine, operands, reply)?;
+        Ok(slot)
+    }
+
+    /// Stages one request, runs the batch with it, and returns its result.
+    fn run_one(&self, operands: Result<Operands, SubmitError>) -> Result<AddResult, SubmitError> {
+        let mut tickets = self.tickets.lock().expect("ticket table lock");
+        let slot = self.stage(&mut tickets, operands?)?;
+        run_batch(tickets);
+        let result = slot.lock().expect("ticket slot lock").take();
+        Ok(result.expect("a run answers every request it holds"))
+    }
+}
+
+/// Takes the staged batch out under the handle's lock and runs it on the
+/// calling thread once the lock is released, so that other threads stage
+/// the next batch meanwhile.
+fn run_batch(mut tickets: MutexGuard<'_, Tickets>) {
+    tickets.runs += 1;
+    let mut batch = std::mem::take(&mut tickets.batch);
+    drop(tickets);
+    batch.run();
 }
 
 /// Process-wide set of live handle addresses. Calls verify membership
@@ -307,7 +349,7 @@ pub unsafe extern "C" fn vlcsa_init(
             }
         };
         // Engine names are width-independent; validate against the
-        // registry before spawning any service threads.
+        // registry before building the handle.
         if engine != AUTO_ENGINE
             && !vlcsa::engine::Registry::for_width(64)
                 .names()
@@ -326,12 +368,6 @@ pub unsafe extern "C" fn vlcsa_init(
             } else {
                 config.max_lanes
             },
-            max_wait: Duration::from_micros(config.max_wait_micros),
-            workers: if config.threads == 0 {
-                defaults.workers
-            } else {
-                config.threads
-            },
             ..defaults
         }
         .with_slo((config.slo_micros != 0).then_some(config.slo_micros));
@@ -340,8 +376,8 @@ pub unsafe extern "C" fn vlcsa_init(
             engine,
             width: config.width,
             limbs: config.width.div_ceil(64),
-            next_ticket: AtomicU64::new(1),
-            tickets: Mutex::new(HashMap::new()),
+            max_lanes: serve.max_lanes,
+            tickets: Mutex::new(Tickets::default()),
             last_error: Mutex::new(CString::default()),
         });
         let raw = Box::into_raw(handle);
@@ -354,8 +390,8 @@ pub unsafe extern "C" fn vlcsa_init(
     })
 }
 
-/// Destroys an engine handle: drains in-flight work, joins the worker
-/// threads, and releases the handle. Unclaimed tickets are dropped.
+/// Destroys an engine handle and releases it. Unclaimed tickets, staged
+/// or answered, are dropped.
 /// A second free of the same pointer returns [`VLCSA_ERR_BAD_HANDLE`].
 ///
 /// # Safety
@@ -381,7 +417,6 @@ pub unsafe extern "C" fn vlcsa_free(engine: *mut VlcsaEngine) -> c_int {
                 "engine handle is not live (double free?)",
             );
         }
-        // Dropping the service closes the queue and joins every thread.
         drop(Box::from_raw(engine));
         VLCSA_OK
     })
@@ -415,9 +450,9 @@ pub extern "C" fn vlcsa_word_bits() -> usize {
     DefaultWord::LANES
 }
 
-/// Synchronous addition: `sum = a + b` at the handle's width, blocking
-/// until a lane worker has run it. Operands and
-/// sum are little-endian `u64` limb buffers of [`vlcsa_limbs`] limbs.
+/// Synchronous addition: `sum = a + b` at the handle's width, run on the
+/// calling thread together with any tickets staged before it. Operands
+/// and sum are little-endian `u64` limb buffers of [`vlcsa_limbs`] limbs.
 /// `cout` (carry out of the top bit) and `cycles` (1, or 2 after a
 /// recovery stall) may be null.
 ///
@@ -443,34 +478,21 @@ pub unsafe extern "C" fn vlcsa_add(
         if a.is_null() || b.is_null() || sum.is_null() {
             return fail(Some(e), VLCSA_ERR_NULL, "a, b and sum must be non-null");
         }
-        let a = std::slice::from_raw_parts(a, e.limbs).to_vec();
-        let b = std::slice::from_raw_parts(b, e.limbs).to_vec();
-        let (tx, rx) = mpsc::channel();
-        let submitted = e.service.submit_limbs(
-            &e.engine,
-            e.width,
-            a,
-            b,
-            Box::new(move |result| {
-                let _ = tx.send(result);
-            }),
-        );
-        if let Err(err) = submitted {
-            return fail(Some(e), submit_code(&err), &err.to_string());
-        }
-        match rx.recv() {
+        let a = std::slice::from_raw_parts(a, e.limbs);
+        let b = std::slice::from_raw_parts(b, e.limbs);
+        match e.run_one(Operands::limbs(e.width, a, b)) {
             Ok(result) => {
                 write_result(&result, e.limbs, sum, cout, cycles);
                 VLCSA_OK
             }
-            Err(_) => fail(Some(e), VLCSA_ERR_STOPPED, "service stopped mid-request"),
+            Err(err) => fail(Some(e), submit_code(&err), &err.to_string()),
         }
     })
 }
 
 /// Synchronous n-operand reduction: `sum = ops[0] + … + ops[n-1]` at
 /// the handle's width, compressed carry-save style so carries resolve
-/// exactly once. `ops` is `n` operands of [`vlcsa_limbs`] limbs each,
+/// exactly once, and run as [`vlcsa_add`] runs. `ops` is `n` operands of [`vlcsa_limbs`] limbs each,
 /// back to back; `n` must be in `1..=64`. `cout` is the carry out of
 /// the whole reduction's final resolve.
 ///
@@ -519,7 +541,7 @@ pub unsafe extern "C" fn vlcsa_sum(
             }
             operands.push(UBig::from_limbs(chunk, e.width));
         }
-        match e.service.sum_blocking(&e.engine, &operands) {
+        match e.run_one(Operands::sum(&operands)) {
             Ok(result) => {
                 write_result(&result, e.limbs, sum, cout, cycles);
                 VLCSA_OK
@@ -529,10 +551,12 @@ pub unsafe extern "C" fn vlcsa_sum(
     })
 }
 
-/// Asynchronous addition: queues `a + b` on its lane and returns a
-/// ticket immediately. Many submits from one burst coalesce
-/// into the same wide issue group — the point of the async API. Claim
-/// the result with [`vlcsa_poll`]; tickets are single-use.
+/// Asynchronous addition: stages `a + b` in the handle's batch and returns
+/// a ticket. Many submits from one burst coalesce into the same wide issue
+/// group — the point of the async API. The batch runs when it reaches the
+/// handle's `max_lanes` (on this call's thread), when a poll asks for one
+/// of its tickets, or when a synchronous call joins it. Claim the result
+/// with [`vlcsa_poll`]; tickets are single-use.
 ///
 /// # Safety
 ///
@@ -553,36 +577,29 @@ pub unsafe extern "C" fn vlcsa_submit(
         if a.is_null() || b.is_null() || ticket.is_null() {
             return fail(Some(e), VLCSA_ERR_NULL, "a, b and ticket must be non-null");
         }
-        let a = std::slice::from_raw_parts(a, e.limbs).to_vec();
-        let b = std::slice::from_raw_parts(b, e.limbs).to_vec();
-        let slot: Slot = Arc::new(Mutex::new(None));
-        let fill = Arc::clone(&slot);
-        let submitted = e.service.submit_limbs(
-            &e.engine,
-            e.width,
-            a,
-            b,
-            Box::new(move |result| {
-                *fill.lock().expect("ticket slot lock") = Some(result);
-            }),
-        );
-        if let Err(err) = submitted {
-            return fail(Some(e), submit_code(&err), &err.to_string());
-        }
-        let id = e.next_ticket.fetch_add(1, Ordering::Relaxed);
-        e.tickets
-            .lock()
-            .expect("ticket table lock")
-            .insert(id, slot);
+        let a = std::slice::from_raw_parts(a, e.limbs);
+        let b = std::slice::from_raw_parts(b, e.limbs);
+        let mut tickets = e.tickets.lock().expect("ticket table lock");
+        let staged = Operands::limbs(e.width, a, b).and_then(|ops| e.stage(&mut tickets, ops));
+        let slot = match staged {
+            Ok(slot) => slot,
+            Err(err) => return fail(Some(e), submit_code(&err), &err.to_string()),
+        };
+        tickets.last += 1;
+        let (id, batch) = (tickets.last, tickets.runs);
+        tickets.slots.insert(id, (batch, slot));
         *ticket = id;
+        if tickets.batch.len() >= e.max_lanes {
+            run_batch(tickets);
+        }
         VLCSA_OK
     })
 }
 
-/// Claims a ticket's result. Returns [`VLCSA_PENDING`] (without
-/// blocking) while the lane is still in flight; on [`VLCSA_OK`] the
-/// ticket is consumed and a second poll returns
-/// [`VLCSA_ERR_BAD_TICKET`].
+/// Claims a ticket's result. A ticket still staged runs here, with the
+/// rest of its batch; one whose batch another thread is running returns
+/// [`VLCSA_PENDING`] without waiting. On [`VLCSA_OK`] the ticket is
+/// consumed and a second poll returns [`VLCSA_ERR_BAD_TICKET`].
 ///
 /// # Safety
 ///
@@ -604,19 +621,28 @@ pub unsafe extern "C" fn vlcsa_poll(
         if sum.is_null() {
             return fail(Some(e), VLCSA_ERR_NULL, "sum must be non-null");
         }
-        let mut tickets = e.tickets.lock().expect("ticket table lock");
-        let Some(slot) = tickets.get(&ticket) else {
+        let tickets = e.tickets.lock().expect("ticket table lock");
+        let Some((batch, slot)) = tickets.slots.get(&ticket) else {
             return fail(
                 Some(e),
                 VLCSA_ERR_BAD_TICKET,
                 &format!("ticket {ticket} was never issued or is already claimed"),
             );
         };
+        let slot = Arc::clone(slot);
+        if *batch == tickets.runs {
+            run_batch(tickets);
+        } else {
+            drop(tickets);
+        }
         let ready = slot.lock().expect("ticket slot lock").take();
         match ready {
             Some(result) => {
-                tickets.remove(&ticket);
-                drop(tickets);
+                e.tickets
+                    .lock()
+                    .expect("ticket table lock")
+                    .slots
+                    .remove(&ticket);
                 write_result(&result, e.limbs, sum, cout, cycles);
                 VLCSA_OK
             }
@@ -647,8 +673,6 @@ pub unsafe extern "C" fn vlcsa_stats(engine: *mut VlcsaEngine, out: *mut VlcsaSt
             lanes: report.total_lanes(),
             stalls: report.total_stalls(),
             groups: report.total_groups(),
-            queue_depth: report.queue_depth as u64,
-            window_lanes: report.window_lanes as u64,
             word_bits: report.word_bits as u64,
         };
         VLCSA_OK
@@ -719,8 +743,6 @@ pub unsafe extern "C" fn vlcsa_lanes(
                 *slot = VlcsaLaneStats {
                     engine: name,
                     width: lane.width,
-                    depth: lane.depth as u64,
-                    occupancy: lane.occupancy as u64,
                 };
             }
         }

@@ -15,9 +15,7 @@ fn config(engine: *const std::ffi::c_char, width: usize) -> VlcsaConfig {
     VlcsaConfig {
         engine,
         width,
-        threads: 1,
         max_lanes: 0,
-        max_wait_micros: 100,
         slo_micros: 0,
     }
 }
@@ -87,8 +85,6 @@ fn calls_on_dead_or_garbage_handles_fail_closed() {
         lanes: 0,
         stalls: 0,
         groups: 0,
-        queue_depth: 0,
-        window_lanes: 0,
         word_bits: 0,
     };
     assert_eq!(

@@ -879,8 +879,6 @@ mod tests {
         // Each response leaves as a frame and comes back equal, and goes
         // through the text codec too: one model, two codecs.
         let stats = StatsReport {
-            queue_depth: 0,
-            window_lanes: 0,
             max_lanes: 256,
             word_bits: 256,
             slo_micros: None,

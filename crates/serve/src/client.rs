@@ -551,8 +551,8 @@ impl Client {
         }
     }
 
-    /// Asks the server for its live counters — queue depth, window
-    /// occupancy, slab word width and per-engine stall totals.
+    /// Asks the server for its live counters — the group bound, slab word
+    /// width, lanes and per-engine stall totals.
     ///
     /// # Errors
     ///

@@ -9,42 +9,39 @@
 //! of [`vlcsa::engine::Registry`]; each connection's reader builds every
 //! read's requests into one [`WideSlab`](bitnum::batch::WideSlab) issue
 //! group per `(engine, width)` lane (up to `max_lanes` each), runs the
-//! groups through the sharded [`Executor`](vlcsa::exec::Executor) on its
-//! own thread and answers the whole read with one write; in-process
-//! submits queue for each lane's workers, which take everything queued as
-//! one group whenever they are free. Every response carries the lane's
-//! exact sum, carry-out and cycle count, so VLCSA stall accounting is
-//! visible end to end.
+//! groups through the [`Executor`](vlcsa::exec::Executor) on its own
+//! thread and answers the whole read with one write. In-process submits
+//! and the C ABI form their groups with the same [`Staging`] and run them
+//! on the calling thread too, so the service starts no thread of its own.
+//! Every response carries the lane's exact sum, carry-out and cycle count,
+//! so VLCSA stall accounting is visible end to end.
 //!
 //! The layers, bottom up:
 //!
-//! * [`queue`] — the bounded MPMC queue with a batch take that queued
-//!   in-process submits wait in (backpressure + clean shutdown);
 //! * [`protocol`] — the one request model ([`Request`], [`Response`])
 //!   and its newline-delimited text codec;
 //! * [`binary`] — the same model's binary codec, wire protocol v2:
 //!   length-prefixed frames whose operands are raw little-endian limbs,
 //!   negotiated per connection via a `HELLO` line
 //!   ([`Client::connect_binary`]);
-//! * [`service`] — the transport-independent core: validation and
-//!   routing to per-`(engine, width)` lanes, each of which runs its issue
-//!   groups, built with [`vlcsa::group::LaneBuilder`], for both paths,
-//!   and owns the ingress queue and workers of queued submits — a
-//!   stalling engine holds only the threads that run its groups;
-//! * [`session`] — the per-connection byte-stream state machine over
-//!   sink traits: framing, the `HELLO` upgrade, one dispatcher for both
-//!   framings' requests, and running each read's requests to completion,
-//!   one issue group per lane and one reply batch per read — no socket
-//!   required;
+//! * [`service`] — the transport-independent core: validation
+//!   ([`Operands`]) and routing to per-`(engine, width)` lanes, each of
+//!   which runs its issue groups, built with
+//!   [`vlcsa::group::LaneBuilder`], on whichever thread staged them — a
+//!   stalling engine holds only the threads that named it;
+//! * [`session`] — the one group former, [`Staging`], and the
+//!   per-connection byte-stream state machine over sink traits: framing,
+//!   the `HELLO` upgrade, one dispatcher for both framings' requests, and
+//!   running each read's requests to completion, one issue group per lane
+//!   and one reply batch per read — no socket required;
 //! * [`server`] / [`client`] — the TCP front-end and the client library.
 //!
-//! Requests may also name the pseudo-engine `auto`: submitters resolve it
-//! per request through [`vlcsa::route::Router`] — EWMA cycles/op
-//! estimates fed by every completed group, degrading to a fixed-latency
-//! family when the `SLO <micros>` p99 budget is breached — and the
-//! request then rides the chosen engine's lane. `STATS` reports the
-//! current route per width, the budget in force, and every lane's queue
-//! depth and window occupancy (queued requests taken but not yet run).
+//! Requests may also name the pseudo-engine `auto`: it is resolved per
+//! request through [`vlcsa::route::Router`] — EWMA cycles/op estimates fed
+//! by every completed group, degrading to a fixed-latency family when the
+//! `SLO <micros>` p99 budget is breached — and the request then rides the
+//! chosen engine's lane. `STATS` reports the current route per width, the
+//! budget in force, and every lane traffic has named.
 //!
 //! # Quick start
 //!
@@ -81,7 +78,6 @@
 pub mod binary;
 pub mod client;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod service;
 pub mod session;
@@ -91,7 +87,7 @@ pub use protocol::{
     EngineStats, ErrorCode, LaneStats, Request, RequestError, Response, SloAction, StatsReport,
 };
 pub use server::Server;
-pub use service::{AddResult, RegistryCache, ServeConfig, Service, SubmitError};
-pub use session::{ByteSession, FeedOutcome, FrameSink, OkBatch, ResponseSink};
+pub use service::{AddResult, Operands, RegistryCache, Reply, ServeConfig, Service, SubmitError};
+pub use session::{ByteSession, FeedOutcome, FrameSink, OkBatch, ResponseSink, Staging};
 pub use vlcsa::program::Program;
 pub use vlcsa::route::{RouteStat, Router, AUTO_ENGINE};

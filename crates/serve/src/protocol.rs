@@ -44,19 +44,15 @@
 //! `n` is the operand count in both forms, capped at
 //! [`MAX_PROGRAM_INPUTS`].
 //!
-//! `STATS` answers with a **single line** of `key=value` tokens — queue
-//! depth, window occupancy (queued in-process requests lane workers have
-//! taken but not yet run; wire requests never queue), the group bound
-//! `max_lanes`,
-//! the slab word width, the SLO budget (`slo=<micros>` or `slo=off`),
-//! per-protocol request counters (`proto_text=<n> proto_bin=<n>`: lines
-//! and frames the connection handlers have answered, across the text
-//! protocol and the binary framing of [`crate::binary`]), the live lane
-//! count (`lanes_total=<n>`, with one
-//! `lane=<engine>:<width>:depth=<n>:occupancy=<n>` token per
-//! `(engine, width)` lane traffic has named — the global
-//! `queue_depth`/`window_lanes` are the sums of the per-lane gauges) —
-//! followed by one `engine=<name>:<lanes>:<stalls>:<groups>` token per engine that
+//! `STATS` answers with a **single line** of `key=value` tokens — the
+//! group bound `max_lanes`, the slab word width, the SLO budget
+//! (`slo=<micros>` or `slo=off`), per-protocol request counters
+//! (`proto_text=<n> proto_bin=<n>`: lines and frames the connection
+//! handlers have answered, across the text protocol and the binary
+//! framing of [`crate::binary`]), the lane count (`lanes_total=<n>`, with
+//! one `lane=<engine>:<width>` token per `(engine, width)` lane traffic
+//! has named) — followed by one
+//! `engine=<name>:<lanes>:<stalls>:<groups>` token per engine that
 //! has served traffic, from which per-engine stall rates derive
 //! (`stalls / lanes`), and one `route=<width>:<engine>:<ok|degraded>`
 //! token per width the `auto` router has decided for (the engine the last
@@ -541,13 +537,9 @@ impl EngineStats {
     }
 }
 
-/// One serve lane's live gauges: the `(engine, width)` pair it runs, its
-/// ingress queue depth and its window occupancy — the
-/// `lane=<engine>:<width>:depth=<n>:occupancy=<n>` token of `STATS`.
-///
-/// Lanes are created on demand by traffic, so an idle server reports
-/// none; the global `queue_depth`/`window_lanes` scalars are the sums of
-/// these per-lane gauges.
+/// One serve lane: the `(engine, width)` pair it runs — the
+/// `lane=<engine>:<width>` token of `STATS`. Lanes are created on demand
+/// by traffic, so an idle server reports none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneStats {
     /// The engine this lane runs (`auto` is resolved before lanes, so
@@ -555,23 +547,14 @@ pub struct LaneStats {
     pub engine: String,
     /// The operand width this lane batches.
     pub width: usize,
-    /// Requests queued in the lane's ingress, ahead of its workers.
-    pub depth: usize,
-    /// Requests the lane's workers have taken but not yet run, including
-    /// those in an open linger window.
-    pub occupancy: usize,
 }
 
-/// The `STATS` snapshot: queue depth, window occupancy, the slab
-/// word width, the SLO budget, per-lane gauges, per-engine stall counters
-/// and the `auto` router's current route per width — everything the
-/// single response line carries.
+/// The `STATS` snapshot: the group bound, the slab word width, the SLO
+/// budget, the lanes, per-engine stall counters and the `auto` router's
+/// current route per width — everything the single response line
+/// carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsReport {
-    /// Requests currently queued ahead of the lane workers.
-    pub queue_depth: usize,
-    /// Requests lane workers have taken but not yet run.
-    pub window_lanes: usize,
     /// The issue-group bound (`ServeConfig::max_lanes`).
     pub max_lanes: usize,
     /// Lane width of the slab word the engines run on (64 or 256).
@@ -584,9 +567,8 @@ pub struct StatsReport {
     /// Binary-protocol requests answered (every frame the server replied
     /// to; the `HELLO` upgrade line itself counts as neither).
     pub proto_bin: u64,
-    /// Per-lane live gauges, in lane-creation order — empty on an idle
-    /// server (lanes spin up on demand). `queue_depth` and `window_lanes`
-    /// are the sums of the per-lane `depth` and `occupancy`.
+    /// Every lane, in lane-creation order — empty on an idle server
+    /// (lanes spin up on demand).
     pub lanes: Vec<LaneStats>,
     /// Per-engine counters, in first-served order.
     pub engines: Vec<EngineStats>,
@@ -596,23 +578,12 @@ pub struct StatsReport {
 }
 
 impl StatsReport {
-    /// Window occupancy: taken-but-not-run requests over the group bound
-    /// (0 when the bound is unknown, rather than NaN).
-    pub fn window_occupancy(&self) -> f64 {
-        if self.max_lanes == 0 {
-            0.0
-        } else {
-            self.window_lanes as f64 / self.max_lanes as f64
-        }
-    }
-
     /// The counters of one engine, if it has served traffic.
     pub fn engine(&self, name: &str) -> Option<&EngineStats> {
         self.engines.iter().find(|e| e.name == name)
     }
 
-    /// The live gauges of one `(engine, width)` lane, if traffic has spun
-    /// it up.
+    /// One `(engine, width)` lane, if traffic has spun it up.
     pub fn lane(&self, engine: &str, width: usize) -> Option<&LaneStats> {
         self.lanes
             .iter()
@@ -728,10 +699,8 @@ pub fn format_response(response: &Response) -> String {
         }
         Response::Stats(stats) => {
             let mut line = format!(
-                "STATS queue_depth={} window_lanes={} max_lanes={} word_bits={} slo={} \
-                 proto_text={} proto_bin={} lanes_total={}",
-                stats.queue_depth,
-                stats.window_lanes,
+                "STATS max_lanes={} word_bits={} slo={} proto_text={} proto_bin={} \
+                 lanes_total={}",
                 stats.max_lanes,
                 stats.word_bits,
                 stats
@@ -742,10 +711,7 @@ pub fn format_response(response: &Response) -> String {
                 stats.lanes.len(),
             );
             for l in &stats.lanes {
-                line.push_str(&format!(
-                    " lane={}:{}:depth={}:occupancy={}",
-                    l.engine, l.width, l.depth, l.occupancy
-                ));
+                line.push_str(&format!(" lane={}:{}", l.engine, l.width));
             }
             for e in &stats.engines {
                 line.push_str(&format!(
@@ -817,8 +783,6 @@ pub fn parse_response(line: &str, width: usize) -> Result<Response, String> {
         Some("ENGINES") => Ok(Response::Engines(tokens.map(str::to_string).collect())),
         Some("STATS") => {
             let mut stats = StatsReport {
-                queue_depth: 0,
-                window_lanes: 0,
                 max_lanes: 0,
                 word_bits: 0,
                 slo_micros: None,
@@ -830,8 +794,7 @@ pub fn parse_response(line: &str, width: usize) -> Result<Response, String> {
             };
             // Every scalar key is mandatory: a truncated line must fail
             // loudly, not parse as an idle snapshot.
-            let (mut have_queue, mut have_window, mut have_max, mut have_word, mut have_slo) =
-                (false, false, false, false, false);
+            let (mut have_max, mut have_word, mut have_slo) = (false, false, false);
             let (mut have_ptext, mut have_pbin) = (false, false);
             let mut lanes_total: Option<usize> = None;
             for token in tokens {
@@ -840,14 +803,6 @@ pub fn parse_response(line: &str, width: usize) -> Result<Response, String> {
                     .ok_or_else(|| format!("STATS token `{token}` is not key=value"))?;
                 let number = |v: &str| v.parse::<usize>().map_err(|e| format!("STATS {key}: {e}"));
                 match key {
-                    "queue_depth" => {
-                        stats.queue_depth = number(value)?;
-                        have_queue = true;
-                    }
-                    "window_lanes" => {
-                        stats.window_lanes = number(value)?;
-                        have_window = true;
-                    }
                     "max_lanes" => {
                         stats.max_lanes = number(value)?;
                         have_max = true;
@@ -883,27 +838,16 @@ pub fn parse_response(line: &str, width: usize) -> Result<Response, String> {
                         lanes_total = Some(number(value)?);
                     }
                     "lane" => {
-                        let mut parts = value.splitn(4, ':');
-                        let engine = parts
-                            .next()
-                            .filter(|e| !e.is_empty())
-                            .ok_or_else(|| format!("STATS lane `{value}` has no engine"))?;
-                        let width = parts
-                            .next()
-                            .and_then(|w| w.parse::<usize>().ok())
-                            .ok_or_else(|| format!("STATS lane `{value}` has no width"))?;
-                        let gauge = |part: Option<&str>, name: &str| {
-                            part.and_then(|p| p.strip_prefix(&format!("{name}=")))
-                                .and_then(|p| p.parse::<usize>().ok())
-                                .ok_or_else(|| format!("STATS lane `{value}` is missing {name}="))
-                        };
-                        let depth = gauge(parts.next(), "depth")?;
-                        let occupancy = gauge(parts.next(), "occupancy")?;
+                        let (engine, width) = value
+                            .split_once(':')
+                            .and_then(|(e, w)| Some((e, w.parse::<usize>().ok()?)))
+                            .filter(|(e, _)| !e.is_empty())
+                            .ok_or_else(|| {
+                                format!("STATS lane `{value}` is not <engine>:<width>")
+                            })?;
                         stats.lanes.push(LaneStats {
                             engine: engine.to_string(),
                             width,
-                            depth,
-                            occupancy,
                         });
                     }
                     "route" => {
@@ -957,9 +901,7 @@ pub fn parse_response(line: &str, width: usize) -> Result<Response, String> {
                     other => return Err(format!("STATS has unknown key `{other}`")),
                 }
             }
-            if !(have_queue && have_window && have_max && have_word && have_slo)
-                || !(have_ptext && have_pbin)
-            {
+            if !(have_max && have_word && have_slo && have_ptext && have_pbin) {
                 return Err("STATS is missing a mandatory key".into());
             }
             match lanes_total {
@@ -1263,51 +1205,42 @@ pub(crate) mod tests {
         // all-zero report is indistinguishable from an idle server.
         for line in [
             "STATS",
-            "STATS queue_depth=0",
-            "STATS queue_depth=0 window_lanes=0 max_lanes=256",
-            "STATS queue_depth=0 window_lanes=0 word_bits=256 engine=ripple:1:0:1",
+            "STATS max_lanes=256",
+            "STATS word_bits=256 engine=ripple:1:0:1",
             // All the pre-SLO keys but no slo= — a v2-era line must fail.
-            "STATS queue_depth=0 window_lanes=0 max_lanes=256 word_bits=256",
+            "STATS max_lanes=256 word_bits=256",
             // All the pre-binary keys but no proto counters — a v3-era
             // line must fail.
-            "STATS queue_depth=0 window_lanes=0 max_lanes=256 word_bits=256 slo=off",
+            "STATS max_lanes=256 word_bits=256 slo=off",
             // All the pre-lane keys but no lanes_total= — a v4-era line
             // must fail.
-            "STATS queue_depth=0 window_lanes=0 max_lanes=256 word_bits=256 slo=off \
-             proto_text=0 proto_bin=0",
+            "STATS max_lanes=256 word_bits=256 slo=off proto_text=0 proto_bin=0",
         ] {
             let err = parse_response(line, 1).expect_err(line);
             assert!(err.contains("mandatory"), "{line}: {err}");
         }
         // A lane-token count that disagrees with lanes_total is truncation.
         let err = parse_response(
-            "STATS queue_depth=0 window_lanes=0 max_lanes=256 word_bits=256 slo=off \
-             proto_text=0 proto_bin=0 lanes_total=2 lane=ripple:64:depth=0:occupancy=0",
+            "STATS max_lanes=256 word_bits=256 slo=off proto_text=0 proto_bin=0 \
+             lanes_total=2 lane=ripple:64",
             1,
         )
         .expect_err("count mismatch");
         assert!(err.contains("lanes_total"), "{err}");
-        // And occupancy never divides by zero even on a hand-built report.
-        let zeroed = StatsReport {
-            queue_depth: 0,
-            window_lanes: 0,
-            max_lanes: 0,
-            word_bits: 0,
-            slo_micros: None,
-            proto_text: 0,
-            proto_bin: 0,
-            lanes: Vec::new(),
-            engines: Vec::new(),
-            routes: Vec::new(),
-        };
-        assert_eq!(zeroed.window_occupancy(), 0.0);
+        // A key the line does not define, such as a queue gauge, is
+        // refused rather than skipped.
+        let err = parse_response(
+            "STATS queue_depth=0 max_lanes=256 word_bits=256 slo=off proto_text=0 \
+             proto_bin=0 lanes_total=0",
+            1,
+        )
+        .expect_err("a removed gauge");
+        assert!(err.contains("unknown key"), "{err}");
     }
 
     #[test]
     fn stats_response_roundtrip_is_one_line() {
         let stats = StatsReport {
-            queue_depth: 3,
-            window_lanes: 17,
             max_lanes: 256,
             word_bits: 256,
             slo_micros: Some(750),
@@ -1317,14 +1250,10 @@ pub(crate) mod tests {
                 LaneStats {
                     engine: "vlcsa1".into(),
                     width: 64,
-                    depth: 2,
-                    occupancy: 13,
                 },
                 LaneStats {
                     engine: "ripple".into(),
                     width: 100,
-                    depth: 1,
-                    occupancy: 4,
                 },
             ],
             engines: vec![
@@ -1357,7 +1286,7 @@ pub(crate) mod tests {
         let line = format_response(&Response::Stats(stats.clone()));
         assert!(!line.contains('\n'), "STATS must be a single line: {line}");
         assert!(
-            line.starts_with("STATS queue_depth=3 window_lanes=17"),
+            line.starts_with("STATS max_lanes=256 word_bits=256"),
             "{line}"
         );
         assert!(line.contains("slo=750"), "{line}");
@@ -1365,14 +1294,7 @@ pub(crate) mod tests {
             line.contains("proto_text=420 proto_bin=69 lanes_total=2"),
             "{line}"
         );
-        assert!(
-            line.contains("lane=vlcsa1:64:depth=2:occupancy=13"),
-            "{line}"
-        );
-        assert!(
-            line.contains("lane=ripple:100:depth=1:occupancy=4"),
-            "{line}"
-        );
+        assert!(line.contains("lane=vlcsa1:64 lane=ripple:100 "), "{line}");
         assert!(line.contains("engine=vlcsa1:1000:251:37"), "{line}");
         assert!(line.contains("route=32:vlcsa2:ok"), "{line}");
         assert!(line.contains("route=64:ripple:degraded"), "{line}");
@@ -1380,12 +1302,10 @@ pub(crate) mod tests {
             Response::Stats(parsed) => {
                 assert_eq!(parsed, stats);
                 assert!((parsed.engine("vlcsa1").unwrap().stall_rate() - 0.251).abs() < 1e-12);
-                assert!((parsed.window_occupancy() - 17.0 / 256.0).abs() < 1e-12);
                 assert_eq!(parsed.total_lanes(), 1064);
                 assert_eq!(parsed.total_stalls(), 251);
                 assert_eq!(parsed.total_groups(), 39);
-                assert_eq!(parsed.lane("vlcsa1", 64).unwrap().depth, 2);
-                assert_eq!(parsed.lane("ripple", 100).unwrap().occupancy, 4);
+                assert!(parsed.lane("ripple", 100).is_some());
                 assert!(parsed.lane("vlcsa1", 100).is_none());
             }
             other => panic!("parsed {other:?}"),

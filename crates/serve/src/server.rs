@@ -36,8 +36,9 @@
 //!
 //! [`Server::shutdown`] is clean and bounded: stop accepting, shut the
 //! sockets down (unblocking the readers, whose writes to a shut-down
-//! socket fail at once), join them, answer every queued in-process submit,
-//! and join every lane worker.
+//! socket fail at once), and join them. The readers are the only threads
+//! that run groups, so once they are joined every accepted request has
+//! been answered.
 //!
 //! # Example
 //!
@@ -149,7 +150,6 @@ fn serve_connection(stream: TcpStream, service: &Service) {
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    service: Option<Arc<Service>>,
     accept_thread: Option<JoinHandle<()>>,
     connections: Arc<Mutex<HashMap<u64, TcpStream>>>,
     reader_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -179,8 +179,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the bind error. The service is dropped — and thereby
-    /// drained — on the error path.
+    /// Returns the bind error. The service is dropped on the error path.
     pub fn start_with_service(addr: impl ToSocketAddrs, service: Service) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -191,7 +190,6 @@ impl Server {
 
         let accept_thread = {
             let stop = Arc::clone(&stop);
-            let service = Arc::clone(&service);
             let connections = Arc::clone(&connections);
             let reader_threads = Arc::clone(&reader_threads);
             std::thread::spawn(move || {
@@ -245,7 +243,6 @@ impl Server {
         Ok(Self {
             addr,
             stop,
-            service: Some(service),
             accept_thread: Some(accept_thread),
             connections,
             reader_threads,
@@ -296,14 +293,6 @@ impl Server {
             .collect();
         for handle in readers {
             let _ = handle.join();
-        }
-        // The readers are gone, so no connection runs anything anymore;
-        // this drains and answers the queued in-process submits and joins
-        // the lane workers. The joined readers dropped their `Arc` clones,
-        // so `into_inner` succeeds; if it ever did not, `Service::drop`
-        // closes and joins.
-        if let Some(service) = self.service.take().and_then(Arc::into_inner) {
-            service.shutdown();
         }
     }
 }

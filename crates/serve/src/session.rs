@@ -34,9 +34,12 @@
 //! The TCP server implements both sinks on the connection's socket;
 //! in-process tests implement them on plain collectors. Every call comes
 //! from the thread feeding the session, so a sink that blocks — a client
-//! that stops reading — holds that connection alone. (The C ABI,
-//! `vlcsa-ffi`, has no byte stream: it calls [`Service`]'s submit methods
-//! directly, and its requests are queued for the lanes' workers.)
+//! that stops reading — holds that connection alone.
+//!
+//! A session forms its groups with [`Staging`], the one group former:
+//! [`Service::submit`] stages and runs one request the same way, and the
+//! C ABI (`vlcsa-ffi`), which has no byte stream, stages a handle's
+//! tickets in one.
 
 use std::sync::Arc;
 
@@ -49,7 +52,7 @@ use crate::binary::{
     self, FrameReadError, HEADER_LEN, HELLO_LINE, MAX_FRAME_BODY, PROTOCOL_VERSION,
 };
 use crate::protocol::{self, parse_request, ErrorCode, Request, RequestError, Response, SloAction};
-use crate::service::{Lane, Operands, Service, SubmitError};
+use crate::service::{AddResult, Lane, Operands, Reply, Service, SubmitError};
 
 /// Where text-protocol responses go. Calls come from the thread feeding
 /// the session; implementations serialize their own output (the TCP
@@ -246,7 +249,7 @@ fn dispatch(
     request: Result<Request<'_>, RequestError>,
     service: &Service,
     conn: &Conn,
-    staging: &mut Staging,
+    staging: &mut Staging<u64>,
 ) {
     let (seq, engine, operands) = match request {
         Ok(Request::Add { seq, engine, a, b }) => (seq, engine, Operands::add(a, b)),
@@ -296,44 +299,78 @@ fn dispatch(
     }
 }
 
-/// One connection's staged requests, at most one read's: the issue groups
-/// they fill, and the reused buffers their run and their one reply write
-/// go through. Nothing in it names a lane between reads.
-#[derive(Default)]
-struct Staging {
-    /// The groups being filled, in the order the read first named their
-    /// lanes: each with its lane, its first request's stamp on the
+/// Requests staged in their lanes' issue groups, and the reused buffers
+/// their run goes through: the one group former. Each request carries a
+/// tag — a wire request its `seq`, an in-process one its [`Reply`] — and
+/// joins its lane's open group, at most `max_lanes` to a group; a run
+/// takes every group staged so far, on the calling thread. A connection
+/// stages one read's requests, [`Service::submit`] one request, and a C
+/// ABI handle its tickets until a poll needs one. Nothing in it names a
+/// lane between runs.
+///
+/// ```
+/// use bitnum::UBig;
+/// use vlcsa_serve::{Operands, Reply, ServeConfig, Service, Staging};
+///
+/// let service = Service::start(ServeConfig::default());
+/// let mut staging: Staging<Reply> = Staging::default();
+/// for v in 1..=3 {
+///     let operands = Operands::add(UBig::from_u128(v, 64), UBig::from_u128(1, 64)).unwrap();
+///     let reply: Reply = Box::new(move |r| assert_eq!(r.sum.to_u128(), Some(v + 1)));
+///     staging.stage(&service, "vlcsa1", operands, reply).unwrap();
+/// }
+/// staging.run(); // one issue group of three lanes, answered here
+/// assert_eq!(service.stats().engine("vlcsa1").unwrap().groups, 1);
+/// ```
+pub struct Staging<T> {
+    /// The groups being filled, in the order their lanes were first
+    /// named: each with its lane, its first request's stamp on the
     /// router's clock (which its latency sample runs from), and its
-    /// requests' operands tagged with their `seq`s. A lane's group holds
-    /// at most `max_lanes`; the lane's next request opens another.
-    open: Vec<(Arc<Lane>, u64, LaneBuilder<u64>)>,
-    /// Once they ran: their outcomes, sums, answers and answer ends, as
-    /// [`OkBatch`] reads them.
+    /// requests' operands with their tags. A lane's group holds at most
+    /// `max_lanes`; the lane's next request opens another.
+    open: Vec<(Arc<Lane>, u64, LaneBuilder<T>)>,
+    /// Once they ran: their outcomes, sums, tagged lanes and answer ends,
+    /// as [`OkBatch`] reads them.
     outs: Vec<WideOutcome>,
     sums: Vec<u64>,
-    lanes: Vec<(u64, usize)>,
+    lanes: Vec<(T, usize)>,
     ends: Vec<usize>,
     /// One group's sums out of the slab layout, before they join `sums`.
     group_sums: Vec<u64>,
-    /// The encode buffer of the read's reply write.
+    /// The encode buffer of a read's reply write.
     buf: Vec<u8>,
 }
 
-impl Staging {
-    /// Resolves one validated request to its lane and appends it to the
-    /// lane's open issue group.
+impl<T> Default for Staging<T> {
+    fn default() -> Self {
+        Self {
+            open: Vec::new(),
+            outs: Vec::new(),
+            sums: Vec::new(),
+            lanes: Vec::new(),
+            ends: Vec::new(),
+            group_sums: Vec::new(),
+            buf: Vec::new(),
+        }
+    }
+}
+
+impl<T> Staging<T> {
+    /// Resolves one validated request to its lane and appends it, tagged
+    /// `tag`, to the lane's open issue group.
     ///
     /// # Errors
     ///
-    /// As [`Service::lane`]: an unknown engine, or a stopped service.
-    fn stage(
+    /// [`SubmitError::UnknownEngine`], or [`SubmitError::Stopped`] once
+    /// the service has stopped.
+    pub fn stage(
         &mut self,
         service: &Service,
         engine: &str,
         operands: Operands,
-        seq: u64,
+        tag: T,
     ) -> Result<(), SubmitError> {
-        let lane = service.lane(engine, operands.width(), false)?;
+        let lane = service.lane(engine, operands.width())?;
         let open = match self.open.iter().rposition(|(l, ..)| Arc::ptr_eq(l, &lane)) {
             Some(i) if self.open[i].2.lanes() < lane.max_lanes() => i,
             _ => {
@@ -342,15 +379,81 @@ impl Staging {
                 self.open.len() - 1
             }
         };
-        operands.push_into(&mut self.open[open].2, seq);
+        operands.push_into(&mut self.open[open].2, tag);
         Ok(())
     }
 
+    /// How many requests are staged.
+    pub fn len(&self) -> usize {
+        self.open.iter().map(|(.., group)| group.lanes()).sum()
+    }
+
+    /// Whether nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.open.is_empty()
+    }
+
+    /// Runs every staged group on its lane, into `outs`, `sums`, `lanes`
+    /// and `ends`.
+    fn run_groups(&mut self) {
+        for (lane, _, group) in &mut self.open {
+            let (out, tags) = lane.run(group);
+            out.sum.lane_limbs_into(&mut self.group_sums);
+            self.sums.extend_from_slice(&self.group_sums);
+            if !self.outs.is_empty() {
+                self.ends.push(self.lanes.len());
+            }
+            self.lanes
+                .extend(tags.into_iter().enumerate().map(|(l, tag)| (tag, l)));
+            self.outs.push(out);
+        }
+    }
+
+    /// Reports each group that ran to the router, once all their answers
+    /// are out, and empties the staging for the next run.
+    fn answered(&mut self) {
+        for ((lane, stamp, _), out) in self.open.drain(..).zip(&self.outs) {
+            lane.answered(out, stamp);
+        }
+        self.outs.clear();
+        self.sums.clear();
+        self.lanes.clear();
+        self.ends.clear();
+    }
+}
+
+impl Staging<Reply> {
+    /// Runs every staged group on the calling thread, calls each request's
+    /// reply with its lane's sum, carry-out and cycles, and then reports
+    /// each group to the router.
+    pub fn run(&mut self) {
+        self.run_groups();
+        let mut sums = &self.sums[..];
+        let mut replies = self.lanes.drain(..);
+        for out in &self.outs {
+            let width = out.sum.width();
+            let nl = width.div_ceil(64);
+            let (group, rest) = sums.split_at(out.lanes() * nl);
+            sums = rest;
+            for (reply, l) in replies.by_ref().take(out.lanes()) {
+                reply(AddResult {
+                    sum: UBig::from_limbs(&group[l * nl..(l + 1) * nl], width),
+                    cout: out.cout(l),
+                    cycles: out.cycles(l),
+                });
+            }
+        }
+        drop(replies);
+        self.answered();
+    }
+}
+
+impl Staging<u64> {
     /// Runs every staged group on its lane, hands `conn` all of their
     /// `OK`s in one [`OkBatch`], and then reports each group to the
     /// router. Staged requests that find the service stopped — it stopped
     /// after they were staged — are answered `ERR <seq> shutdown` each
-    /// instead, as a refused submit is.
+    /// instead, as a refused request is.
     fn flush(&mut self, service: &Service, conn: &Conn) {
         if self.open.is_empty() {
             return;
@@ -364,17 +467,7 @@ impl Staging {
             }
             return;
         }
-        for (lane, _, group) in &mut self.open {
-            let (out, seqs) = lane.run(group);
-            out.sum.lane_limbs_into(&mut self.group_sums);
-            self.sums.extend_from_slice(&self.group_sums);
-            if !self.outs.is_empty() {
-                self.ends.push(self.lanes.len());
-            }
-            self.lanes
-                .extend(seqs.into_iter().enumerate().map(|(l, seq)| (seq, l)));
-            self.outs.push(out);
-        }
+        self.run_groups();
         let oks = OkBatch {
             outs: &self.outs,
             sums: &self.sums,
@@ -382,13 +475,7 @@ impl Staging {
             ends: &self.ends,
         };
         conn.send_oks(&oks, &mut self.buf);
-        for ((lane, stamp, _), out) in self.open.drain(..).zip(&self.outs) {
-            lane.answered(out, stamp);
-        }
-        self.outs.clear();
-        self.sums.clear();
-        self.lanes.clear();
-        self.ends.clear();
+        self.answered();
     }
 }
 
@@ -451,7 +538,7 @@ pub struct ByteSession<S> {
     /// a long text line is searched once, not again on every feed.
     scanned: usize,
     first: bool,
-    staging: Staging,
+    staging: Staging<u64>,
 }
 
 impl<S: ResponseSink + FrameSink> ByteSession<S> {
@@ -631,10 +718,7 @@ mod tests {
 
     #[test]
     fn text_dispatch_needs_no_socket() {
-        let service = Service::start(ServeConfig {
-            max_wait: Duration::from_micros(200),
-            ..ServeConfig::default()
-        });
+        let service = Service::start(ServeConfig::default());
         let sink = Arc::new(Lines(Mutex::new(Vec::new())));
         let mut session = ByteSession::new(Arc::clone(&sink));
         for line in [
@@ -679,10 +763,7 @@ mod tests {
 
     #[test]
     fn binary_dispatch_needs_no_socket() {
-        let service = Service::start(ServeConfig {
-            max_wait: Duration::from_micros(200),
-            ..ServeConfig::default()
-        });
+        let service = Service::start(ServeConfig::default());
         let sink = Arc::new(Lines(Mutex::new(Vec::new())));
         let mut session = ByteSession::new(Arc::clone(&sink));
         session.feed(format!("{HELLO_LINE}\n").as_bytes(), &service);
@@ -750,10 +831,7 @@ mod tests {
 
     #[test]
     fn byte_session_reassembles_split_text_lines() {
-        let service = Service::start(ServeConfig {
-            max_wait: Duration::from_micros(200),
-            ..ServeConfig::default()
-        });
+        let service = Service::start(ServeConfig::default());
         let sink = Arc::new(Wire(Mutex::new(Vec::new())));
         let mut session = ByteSession::new(Arc::clone(&sink));
         // A request split mid-token across three feeds dispatches exactly
@@ -776,10 +854,7 @@ mod tests {
 
     #[test]
     fn byte_session_upgrades_and_frames_byte_at_a_time() {
-        let service = Service::start(ServeConfig {
-            max_wait: Duration::from_micros(200),
-            ..ServeConfig::default()
-        });
+        let service = Service::start(ServeConfig::default());
         let sink = Arc::new(Wire(Mutex::new(Vec::new())));
         let mut session = ByteSession::new(Arc::clone(&sink));
         // Blank lines (even CRLF) before the HELLO do not burn the
@@ -1019,8 +1094,7 @@ mod tests {
             let sink = Arc::new(Wire(Mutex::new(Vec::new())));
             let mut session = session(&sink, framed, &service);
             let adds = adds_with_answers(13, N + 1);
-            // One request spins the lane up; once it is answered, the
-            // lane's workers are idle.
+            // One request registers the lane and is answered.
             session.feed(&add_bytes(&adds[..1], 0, framed), &service);
             replies(&sink, framed, 1);
             let before = service.stats().engine("vlcsa1").expect("served").clone();
@@ -1043,7 +1117,7 @@ mod tests {
     impl StopOnError {
         fn answered_error(&self) {
             if let Some(service) = self.1.get() {
-                assert!(service.stop(), "a lane worker panicked");
+                service.stop();
             }
         }
     }
@@ -1092,7 +1166,7 @@ mod tests {
             sink.1.get_or_init(|| Arc::clone(&service));
             // Request 2 is staged; the malformed request 3 is answered
             // inline, and that answer stops the service before the feed
-            // flushes, so request 2's run reaches a closed lane. Request 4
+            // flushes, so request 2's run finds it stopped. Request 4
             // arrives after the stop.
             let bad = if framed {
                 let mut frame = binary::encode_add(3, 0, 64, &[1], &[2]);

@@ -4,7 +4,7 @@
 //!
 //! The service layer may split one client's stream across many issue
 //! groups, run many engines' lanes side by side, and complete groups on
-//! different workers in any order. None of that may change a single lane:
+//! different threads in any order. None of that may change a single lane:
 //! every per-request answer is a pure function of `(engine, a, b)`. The
 //! reference below buckets the same requests per `(engine, width)` — in
 //! submission order, as each lane's `LaneBuilder` receives them — and runs
@@ -27,8 +27,8 @@ use vlcsa::exec::{Executor, WideOutcome};
 use vlcsa::program::{Operand, Program};
 use vlcsa_serve::protocol::format_response;
 use vlcsa_serve::{
-    binary, AddResult, Client, FrameSink, OkBatch, Response, ResponseSink, ServeConfig, Server,
-    Service,
+    binary, AddResult, Client, FrameSink, OkBatch, Operands, Reply, Response, ResponseSink,
+    ServeConfig, Server, Service, Staging,
 };
 
 const ENGINES: [&str; 9] = [
@@ -68,8 +68,8 @@ fn random_requests(seed: u64, count: usize) -> Vec<Req> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random request streams, random batching-window sizes (down to
-    /// 1-lane windows, up to windows larger than a chunk): the service's
+    /// Random request streams staged together, random group bounds (down
+    /// to 1-lane groups, up to groups larger than a chunk): the service's
     /// per-request answers equal a direct per-bucket `Executor::run`.
     #[test]
     fn service_equals_direct_executor(
@@ -78,26 +78,21 @@ proptest! {
         let requests = random_requests(seed, count);
         let service = Service::start(ServeConfig {
             max_lanes,
-            max_wait: Duration::from_micros(200),
-            workers: 3,
-            exec_threads: 2,
-            queue_depth: 32,
             route: vlcsa::route::RouteConfig::default(),
         });
         let (tx, rx) = mpsc::channel::<(usize, AddResult)>();
+        let mut staging: Staging<Reply> = Staging::default();
         for (i, req) in requests.iter().enumerate() {
             let tx = tx.clone();
-            service
-                .submit(
-                    req.engine,
-                    req.a.clone(),
-                    req.b.clone(),
-                    Box::new(move |result| {
-                        let _ = tx.send((i, result));
-                    }),
-                )
+            let operands = Operands::add(req.a.clone(), req.b.clone()).expect("valid operands");
+            let reply: Reply = Box::new(move |result| {
+                let _ = tx.send((i, result));
+            });
+            staging
+                .stage(&service, req.engine, operands, reply)
                 .expect("valid request");
         }
+        staging.run();
         let mut answers: Vec<Option<AddResult>> = vec![None; requests.len()];
         for _ in 0..requests.len() {
             let (i, result) = rx
@@ -183,10 +178,6 @@ proptest! {
         }
         let service = Service::start(ServeConfig {
             max_lanes,
-            max_wait: Duration::from_micros(200),
-            workers: 3,
-            exec_threads: 2,
-            queue_depth: 32,
             route: vlcsa::route::RouteConfig::default(),
         });
         let (tx, rx) = mpsc::channel::<(usize, AddResult)>();
@@ -254,10 +245,6 @@ proptest! {
         let requests = random_requests(seed, count);
         let service = Service::start(ServeConfig {
             max_lanes,
-            max_wait: Duration::from_micros(200),
-            workers: 3,
-            exec_threads: 2,
-            queue_depth: 32,
             route: vlcsa::route::RouteConfig::default(),
         });
         let (tx, rx) = mpsc::channel::<(usize, AddResult)>();
@@ -326,10 +313,7 @@ proptest! {
     ) {
         let server = Server::start(
             "127.0.0.1:0",
-            ServeConfig {
-                max_wait: Duration::from_micros(200),
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         )
         .expect("bind loopback");
         let addr = server.local_addr();

@@ -1,7 +1,8 @@
-//! Wire traffic starts no threads. A connection's reader runs its reads'
-//! issue groups itself, so a lane that only wire requests name registers
-//! (it shows in `STATS`) but starts no workers: one client naming many
-//! `(engine, width)` pairs cannot make the server spawn threads.
+//! Requests start no threads. A connection's reader runs its reads' issue
+//! groups itself, and an in-process submit runs its group on the calling
+//! thread, so a lane registers (it shows in `STATS`) but starts no
+//! workers: one client naming many `(engine, width)` pairs, on the wire or
+//! in process, cannot make the service spawn threads.
 //!
 //! The test counts the process's threads, so it lives alone in this file:
 //! no other test's threads share the process while it counts.
@@ -10,7 +11,7 @@
 #[test]
 fn wire_requests_at_64_widths_start_no_threads() {
     use bitnum::UBig;
-    use vlcsa_serve::{Client, ServeConfig, Server};
+    use vlcsa_serve::{Client, ServeConfig, Server, Service};
 
     /// The `Threads:` line of `/proc/self/status`.
     fn threads() -> usize {
@@ -42,4 +43,18 @@ fn wire_requests_at_64_widths_start_no_threads() {
     assert_eq!(threads(), before, "wire requests started threads");
     client.close();
     server.shutdown();
+
+    // The same 64 widths through `Service::submit`, in process.
+    let service = Service::start(ServeConfig::default());
+    let before = threads();
+    for width in 1..=64 {
+        let (a, b) = (UBig::from_u128(1, width), UBig::from_u128(1, width));
+        let reply = Box::new(move |r: vlcsa_serve::AddResult| {
+            assert_eq!(r.sum.to_u128(), Some(2 % (1u128 << width)));
+        });
+        service.submit("vlcsa1", a, b, reply).expect("submit");
+    }
+    assert_eq!(service.stats().lanes.len(), 64);
+    assert_eq!(threads(), before, "in-process submits started threads");
+    service.shutdown();
 }

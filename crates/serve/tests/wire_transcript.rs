@@ -35,16 +35,9 @@ const ENGINES: [&str; 9] = [
 const KNOWN: &str = "known engines: ripple, cla4, carry-select, carry-skip, \
                      conditional-sum, kogge-stone, vlsa, vlcsa1, vlcsa2";
 
-/// A server with one worker per lane, so the script touches few threads.
+/// A server with the default configuration.
 fn server() -> Server {
-    Server::start(
-        "127.0.0.1:0",
-        ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind")
+    Server::start("127.0.0.1:0", ServeConfig::default()).expect("bind")
 }
 
 /// One connection to `server`, read with a bound.
@@ -132,12 +125,10 @@ fn expect_eof(reader: &mut BufReader<TcpStream>) {
 /// their four lanes and engines.
 fn text_stats(proto_text: u64, slo: &str, lanes: bool) -> String {
     let mut line = format!(
-        "STATS queue_depth=0 window_lanes=0 max_lanes=256 word_bits={WORD_BITS} slo={slo} \
-         proto_text={proto_text} proto_bin=0"
+        "STATS max_lanes=256 word_bits={WORD_BITS} slo={slo} proto_text={proto_text} proto_bin=0"
     );
     line.push_str(if lanes {
-        " lanes_total=4 lane=ripple:1:depth=0:occupancy=0 lane=cla4:64:depth=0:occupancy=0 \
-         lane=kogge-stone:65:depth=0:occupancy=0 lane=carry-select:256:depth=0:occupancy=0 \
+        " lanes_total=4 lane=ripple:1 lane=cla4:64 lane=kogge-stone:65 lane=carry-select:256 \
          engine=ripple:3:0:3 engine=cla4:3:0:3 engine=kogge-stone:3:0:3 \
          engine=carry-select:3:0:3"
     } else {

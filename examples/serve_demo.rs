@@ -55,15 +55,16 @@ fn main() {
     }
 
     // The server-side view of the same accounting: one in-band STATS line
-    // with the slab word width and per-engine lane, stall and issue-group
-    // totals. The connection's reader runs each read's requests as one
-    // group per lane, so `groups` counts reads, not requests. Queue depth
-    // and window occupancy count queued in-process submits only, so over
-    // the wire they read 0.
+    // with the group bound, the slab word width, the lanes traffic named,
+    // and per-engine lane, stall and issue-group totals. The connection's
+    // reader runs each read's requests as one group per lane, so `groups`
+    // counts reads, not requests.
     let stats = client.stats().expect("STATS");
     println!(
-        "\nSTATS: queue_depth={} window={}/{} word_bits={}",
-        stats.queue_depth, stats.window_lanes, stats.max_lanes, stats.word_bits
+        "\nSTATS: max_lanes={} word_bits={} lanes={}",
+        stats.max_lanes,
+        stats.word_bits,
+        stats.lanes.len()
     );
     for e in &stats.engines {
         println!(

@@ -1,21 +1,22 @@
 //! Head-of-line isolation across serve lanes: a stalled engine must not
 //! delay any other `(engine, width)` lane.
 //!
-//! This is the scale-out runtime's core claim — per-lane queues and
-//! workers mean a slow engine head-of-line-blocks only its own traffic —
-//! pinned deterministically, with no sleeps: a synthetic
-//! `gated` engine (registered through the [`RegistryCache::with_factory`]
-//! seam) parks its worker inside `add_batch` on a condvar handshake, the
+//! This is the runtime's core claim — every issue group runs on the thread
+//! that staged it, so a slow engine holds only the threads that named it —
+//! pinned deterministically, with no sleeps: a synthetic `gated` engine
+//! (registered through the [`RegistryCache::with_factory`] seam) parks the
+//! thread running its group inside `add_batch` on a condvar handshake, the
 //! test *observes* the park, drives a full burst through other lanes to
 //! completion while the gate is still closed, and only then releases the
-//! stalled lane. With a shared worker pool and `workers: 1`, step two
-//! would hang forever; with per-lane workers it cannot.
+//! stalled lane. A runtime that ran every group on one shared thread would
+//! hang in step two; here it cannot.
 //!
-//! On the wire the isolation unit is the connection: a session runs its
-//! reads' groups on the thread that feeds it, and no lane worker writes to
-//! a client. The wire cases hold one session's thread — inside its `OK`
-//! write, or parked in the gated engine — and drive a second session's
-//! burst to completion meanwhile.
+//! In process, the held thread is the gated request's submitter. On the
+//! wire the isolation unit is the connection: a session runs its reads'
+//! groups on the thread that feeds it and writes its own replies. The wire
+//! cases hold one session's thread — inside its `OK` write, or parked in
+//! the gated engine — and drive a second session's burst to completion
+//! meanwhile.
 //!
 //! The scenario runs at a one-limb and a multi-limb width, and the whole
 //! file compiles under both slab words (`DefaultWord` is `W256`, or `u64`
@@ -33,10 +34,11 @@ use vlcsa::route::{RouteConfig, Router};
 use vlcsa::AddOutcome;
 use vlcsa_serve::protocol::{format_response, parse_response};
 use vlcsa_serve::{
-    ByteSession, FrameSink, OkBatch, RegistryCache, Response, ResponseSink, ServeConfig, Service,
+    ByteSession, FrameSink, OkBatch, Operands, RegistryCache, Reply, Response, ResponseSink,
+    ServeConfig, Service, Staging,
 };
 
-/// The rendezvous between the test and the stalled worker: the worker
+/// The rendezvous between the test and the stalled thread: the thread
 /// reports how many `add_batch` calls are parked inside the gate, the
 /// test waits for that count to rise, then opens the gate.
 struct Gate {
@@ -60,8 +62,8 @@ impl Gate {
         }
     }
 
-    /// Called by the engine, from a lane worker: announce the park, then
-    /// block until the gate opens.
+    /// Called by the engine, from the thread running its group: announce
+    /// the park, then block until the gate opens.
     fn park(&self) {
         let mut state = self.state.lock().expect("gate lock");
         state.parked += 1;
@@ -71,7 +73,7 @@ impl Gate {
         }
     }
 
-    /// Called by the test: block until `n` workers are parked. Bounded so
+    /// Called by the test: block until `n` threads are parked. Bounded so
     /// a regression fails the test instead of wedging the suite.
     fn await_parked(&self, n: usize) {
         let deadline = Duration::from_secs(30);
@@ -82,7 +84,7 @@ impl Gate {
             .expect("gate lock");
         assert!(
             !timeout.timed_out(),
-            "no worker reached the gated engine: {} parked",
+            "no thread reached the gated engine: {} parked",
             state.parked
         );
     }
@@ -96,8 +98,8 @@ impl Gate {
 
 /// An always-stall engine: scalar path delegates untouched, batch path
 /// parks on the gate before delegating — so a request through its lane
-/// wedges that lane's worker, visibly and releasably, while computing the
-/// correct sum once released.
+/// wedges the thread running its group, visibly and releasably, while
+/// computing the correct sum once released.
 struct GatedEngine {
     inner: Box<dyn Engine<DefaultWord>>,
     gate: Arc<Gate>,
@@ -147,39 +149,43 @@ fn gated_cache(gate: &Arc<Gate>) -> RegistryCache {
     })
 }
 
-/// One worker per lane is the sharpest configuration: under the old
-/// shared pool this is exactly the shape where one stalled `add_batch`
-/// wedged the whole service.
-fn one_worker_config() -> ServeConfig {
-    ServeConfig {
-        max_wait: Duration::from_millis(1),
-        workers: 1,
-        exec_threads: 1,
-        ..ServeConfig::default()
-    }
+/// A service whose registry carries the `gated` engine.
+fn gated_service(gate: &Arc<Gate>) -> Service {
+    Service::start_custom(
+        ServeConfig::default(),
+        Arc::new(Router::new(RouteConfig::default())),
+        Arc::new(gated_cache(gate)),
+    )
 }
 
 fn stalled_lane_does_not_delay_others_at(width: usize) {
     let gate = Arc::new(Gate::new());
-    let service = Service::start_custom(
-        one_worker_config(),
-        Arc::new(Router::new(RouteConfig::default())),
-        Arc::new(gated_cache(&gate)),
-    );
+    let service = gated_service(&gate);
+    std::thread::scope(|scope| stalled_lane_with_a_gated_submitter(scope, &service, &gate, width));
+    service.shutdown();
+}
 
-    // One request down the gated lane; wait until its worker is provably
-    // parked inside `add_batch` — not merely queued.
+fn stalled_lane_with_a_gated_submitter<'s>(
+    scope: &'s std::thread::Scope<'s, '_>,
+    service: &'s Service,
+    gate: &Arc<Gate>,
+    width: usize,
+) {
+    // One request down the gated lane, submitted on its own thread; wait
+    // until that thread is provably parked inside `add_batch`.
     let (gated_tx, gated_rx) = mpsc::channel();
-    service
-        .submit(
-            "gated",
-            UBig::from_u128(41, width),
-            UBig::from_u128(1, width),
-            Box::new(move |result| {
-                let _ = gated_tx.send(result);
-            }),
-        )
-        .expect("gated submit");
+    let submitter = scope.spawn(move || {
+        service
+            .submit(
+                "gated",
+                UBig::from_u128(41, width),
+                UBig::from_u128(1, width),
+                Box::new(move |result| {
+                    let _ = gated_tx.send(result);
+                }),
+            )
+            .expect("gated submit");
+    });
     gate.await_parked(1);
 
     // With the gate still closed, a burst through two *other* lanes (the
@@ -215,10 +221,9 @@ fn stalled_lane_does_not_delay_others_at(width: usize) {
         "burst answered while the gated lane is stalled"
     );
 
-    // The stalled group really has not completed: workers record a
-    // group's stats only after `add_batch` returns, so `gated` must be
-    // absent from the engine counters while both its neighbours served
-    // the full burst.
+    // The stalled group really has not completed: a run records a group's
+    // stats only after `add_batch` returns, so `gated` must be absent from
+    // the engine counters while both its neighbours served the full burst.
     let stats = service.stats();
     assert!(
         stats.engine("gated").is_none(),
@@ -244,14 +249,11 @@ fn stalled_lane_does_not_delay_others_at(width: usize) {
     // Release the gate: the stalled request completes with the exact sum,
     // proving the lane was wedged, not dead.
     gate.open();
-    let released = gated_rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("gated reply after release");
+    submitter.join().expect("gated submitter");
+    let released = gated_rx.try_recv().expect("gated reply after release");
     assert_eq!(released.sum.to_u128(), Some(42));
     let stats = service.stats();
     assert_eq!(stats.engine("gated").expect("gated ran").lanes, 1);
-
-    service.shutdown();
 }
 
 #[test]
@@ -264,95 +266,48 @@ fn stalled_lane_does_not_delay_others_multi_limb() {
     stalled_lane_does_not_delay_others_at(100);
 }
 
-/// The converse guarantee: traffic on healthy lanes does not leak into a
-/// stalled lane's queue accounting — the gated lane's depth stays exactly
-/// its own backlog.
-#[test]
-fn stalled_lane_keeps_only_its_own_backlog() {
-    let gate = Arc::new(Gate::new());
-    let service = Service::start_custom(
-        one_worker_config(),
-        Arc::new(Router::new(RouteConfig::default())),
-        Arc::new(gated_cache(&gate)),
-    );
-    let (gated_tx, gated_rx) = mpsc::channel();
-    for _ in 0..3 {
-        let tx = gated_tx.clone();
-        service
-            .submit(
-                "gated",
-                UBig::from_u128(1, 64),
-                UBig::from_u128(2, 64),
-                Box::new(move |result| {
-                    let _ = tx.send(result);
-                }),
-            )
-            .expect("gated submit");
-    }
-    drop(gated_tx);
-    gate.await_parked(1);
-    // One group is wedged in the worker; serve the healthy lane fully.
-    let healthy = service
-        .add_blocking("vlcsa2", UBig::from_u128(20, 64), UBig::from_u128(22, 64))
-        .expect("healthy lane");
-    assert_eq!(healthy.sum.to_u128(), Some(42));
-    let stats = service.stats();
-    let healthy_lane = stats.lane("vlcsa2", 64).expect("vlcsa2 lane");
-    assert_eq!(
-        (healthy_lane.depth, healthy_lane.occupancy),
-        (0, 0),
-        "healthy lane drained: {:?}",
-        stats.lanes
-    );
-    gate.open();
-    let mut answered = 0;
-    while gated_rx.recv_timeout(Duration::from_secs(30)).is_ok() {
-        answered += 1;
-    }
-    assert_eq!(answered, 3, "every gated request answered after release");
-    service.shutdown();
-}
-
-/// Work conservation: while a lane's only worker is busy, its requests
-/// pile up, and the worker takes all of them as its next issue group. No
-/// window is involved (`max_wait` is zero by default), so the group's
-/// size is the backlog.
+/// Groups follow the load: requests staged while a group of their lane
+/// runs elsewhere are not held back by it, and the `N` staged before a run
+/// are that run's one issue group. A thread is parked inside a
+/// one-request gated group while this one stages `N` more on the same
+/// lane; once the gate opens, running them is one more group of `N`.
 #[test]
 fn groups_grow_while_the_worker_is_busy() {
     const N: u64 = 40;
     let gate = Arc::new(Gate::new());
-    let service = Service::start_custom(
-        ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        },
-        Arc::new(Router::new(RouteConfig::default())),
-        Arc::new(gated_cache(&gate)),
-    );
+    let service = gated_service(&gate);
     let (tx, rx) = mpsc::channel();
-    let submit = |i: u64| {
+    let stage = |staging: &mut Staging<Reply>, i: u64| {
         let tx = tx.clone();
-        service
-            .submit(
-                "gated",
-                UBig::from_u128(i as u128, 64),
-                UBig::from_u128(i as u128 * 3, 64),
-                Box::new(move |result| {
-                    let _ = tx.send((i, result));
-                }),
-            )
-            .expect("gated submit");
+        let operands = Operands::add(
+            UBig::from_u128(i as u128, 64),
+            UBig::from_u128(i as u128 * 3, 64),
+        )
+        .expect("valid operands");
+        let reply: Reply = Box::new(move |result| {
+            let _ = tx.send((i, result));
+        });
+        staging
+            .stage(&service, "gated", operands, reply)
+            .expect("gated request");
     };
-    // Park the worker inside a one-request group, then queue N behind it.
-    submit(0);
-    gate.await_parked(1);
-    for i in 1..=N {
-        submit(i);
-    }
-    gate.open();
+    std::thread::scope(|scope| {
+        let mut first = Staging::default();
+        stage(&mut first, 0);
+        let busy = scope.spawn(move || first.run());
+        gate.await_parked(1);
+        let mut backlog = Staging::default();
+        for i in 1..=N {
+            stage(&mut backlog, i);
+        }
+        assert_eq!(backlog.len(), N as usize);
+        gate.open();
+        busy.join().expect("the busy thread");
+        backlog.run();
+    });
     drop(tx);
     let mut answered = vec![false; N as usize + 1];
-    while let Ok((i, result)) = rx.recv_timeout(Duration::from_secs(30)) {
+    for (i, result) in rx.iter() {
         assert_eq!(result.sum.to_u128(), Some(i as u128 * 4), "request {i}");
         assert!(!answered[i as usize], "request {i} answered twice");
         answered[i as usize] = true;
@@ -394,10 +349,7 @@ impl FrameSink for Lines {
 #[test]
 fn a_stats_counts_the_adds_before_it_in_the_same_read() {
     const K: usize = 12;
-    let service = Service::start(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    });
+    let service = Service::start(ServeConfig::default());
     let sink = Arc::new(Lines(Mutex::new(Vec::new())));
     let mut session = ByteSession::new(Arc::clone(&sink));
     let mut read = String::new();
@@ -462,15 +414,16 @@ fn await_lines(sink: &Lines, n: usize, bound: Duration) -> usize {
 
 /// Connection isolation on one lane: session A's thread is held inside
 /// its `OK` write, as a client that stops reading holds it, while session
-/// B's 64 `ADD`s on the same `(vlcsa1, 64)` lane are all answered — no
-/// lane worker writes to A's socket, so nothing B needs waits on A. Then A
-/// is released and answered exactly once. The wait for B is bounded, so a
-/// runtime whose lane workers write replies fails here instead of hanging.
+/// B's 64 `ADD`s on the same `(vlcsa1, 64)` lane are all answered — each
+/// session writes only its own replies, so nothing B needs waits on A.
+/// Then A is released and answered exactly once. The wait for B is
+/// bounded, so a runtime whose replies to B waited behind A's write fails
+/// here instead of hanging.
 #[test]
 fn a_connection_held_in_its_write_does_not_delay_another_on_its_lane() {
     const BURST: usize = 64;
     let gate = Arc::new(Gate::new());
-    let service = Service::start(one_worker_config());
+    let service = Service::start(ServeConfig::default());
     let held = Arc::new(StalledWriter {
         gate: Arc::clone(&gate),
         lines: Lines(Mutex::new(Vec::new())),
@@ -515,11 +468,7 @@ fn a_connection_held_in_its_write_does_not_delay_another_on_its_lane() {
 fn a_read_parked_in_a_stalled_engine_does_not_delay_another_connection() {
     const BURST: usize = 64;
     let gate = Arc::new(Gate::new());
-    let service = Service::start_custom(
-        one_worker_config(),
-        Arc::new(Router::new(RouteConfig::default())),
-        Arc::new(gated_cache(&gate)),
-    );
+    let service = gated_service(&gate);
     let held = Arc::new(Lines(Mutex::new(Vec::new())));
     let other = Arc::new(Lines(Mutex::new(Vec::new())));
     let (answered, stats) = std::thread::scope(|scope| {

@@ -268,13 +268,7 @@ fn service_with_injected_router_resolves_auto_groups() {
         Arc::new(ManualClock::new()) as Arc<dyn Clock>,
         Arc::new(vlcsa::route::RegistryCandidates),
     ));
-    let service = Service::start_with_router(
-        ServeConfig {
-            max_wait: std::time::Duration::from_micros(300),
-            ..ServeConfig::default()
-        },
-        Arc::clone(&router),
-    );
+    let service = Service::start_with_router(ServeConfig::default(), Arc::clone(&router));
     for i in 0..20u128 {
         let out = service
             .add_blocking(
@@ -304,15 +298,13 @@ fn service_with_injected_router_resolves_auto_groups() {
 }
 
 /// The SLO p99 is what a client sees, timed from submit to reply: the
-/// router's latency sample for an issue group runs from its oldest job's
-/// submit stamp — on the router's own clock — until every reply of the
-/// group has been handed over. A request that sat 5000 scripted µs in
-/// the batching window is a 5000 µs sample, not the group's run time.
+/// router's latency sample for an issue group runs from its first staged
+/// request's stamp — on the router's own clock — until every reply of the
+/// group has been handed over. A request that sat 5000 scripted µs staged
+/// before its group ran is a 5000 µs sample, not the group's run time.
 #[test]
 fn router_p99_runs_from_the_oldest_submit_to_the_replies() {
-    use std::sync::mpsc;
-    use std::time::Duration;
-    use vlcsa_serve::{ServeConfig, Service};
+    use vlcsa_serve::{Operands, Reply, ServeConfig, Service, Staging};
 
     let clock = Arc::new(ManualClock::new());
     let router = Arc::new(Router::with_sources(
@@ -320,47 +312,36 @@ fn router_p99_runs_from_the_oldest_submit_to_the_replies() {
         Arc::clone(&clock) as Arc<dyn Clock>,
         Arc::new(vlcsa::route::RegistryCandidates),
     ));
-    // The window flushes by count only: at the second lane.
-    let service = Service::start_with_router(
-        ServeConfig {
-            max_lanes: 2,
-            max_wait: Duration::from_secs(30),
-            ..ServeConfig::default()
-        },
-        Arc::clone(&router),
-    );
-    let (tx, rx) = mpsc::channel();
-    let submit = |v: u128| {
-        let tx = tx.clone();
-        service
-            .submit(
-                "ripple",
-                UBig::from_u128(v, WIDTH),
-                UBig::from_u128(1, WIDTH),
-                Box::new(move |result| {
-                    let _ = tx.send(result);
-                }),
-            )
+    let service = Service::start_with_router(ServeConfig::default(), Arc::clone(&router));
+    let answered = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let mut staging: Staging<Reply> = Staging::default();
+    let mut stage = |v: u128| {
+        let operands = Operands::add(UBig::from_u128(v, WIDTH), UBig::from_u128(1, WIDTH))
+            .expect("valid operands");
+        let answered = Arc::clone(&answered);
+        let reply: Reply = Box::new(move |result| {
+            assert_eq!(result.sum.to_u128(), Some(v + 1));
+            answered.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        });
+        staging
+            .stage(&service, "ripple", operands, reply)
             .expect("valid request");
     };
-    submit(1);
+    stage(1);
     clock.advance(5000);
-    submit(2);
-    for _ in 0..2 {
-        rx.recv_timeout(Duration::from_secs(10))
-            .expect("both requests are answered");
-    }
-    // Joining the workers makes the group's sample visible.
-    service.shutdown();
+    stage(2);
+    staging.run();
+    assert_eq!(answered.load(std::sync::atomic::Ordering::SeqCst), 2);
     let estimate = router.estimate("ripple", WIDTH).expect("registry family");
-    assert_eq!(estimate.batches, 1);
+    assert_eq!(estimate.batches, 1, "the two requests ran as one group");
     assert_eq!(estimate.p99_micros, Some(5000));
+    service.shutdown();
 }
 
 /// Long-haul soak (ignored by default; CI runs it via `-- --ignored`):
 /// 50k scripted rounds with a stall storm rotating across an
 /// all-variable candidate set. Every candidate receives background
-/// (named) traffic each round — exactly what the serve workers feed the
+/// (named) traffic each round — exactly what served groups feed the
 /// router, and what keeps an abandoned family's estimate from going
 /// stale at its storm-time high forever. Pins that the router
 /// (1) always answers with a listed candidate, (2) abandons every storm

@@ -5,7 +5,6 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use bitnum::batch::{WideSlab, Word};
@@ -14,15 +13,8 @@ use bitnum::UBig;
 use vlcsa::engine::Registry;
 use vlcsa::exec::Executor;
 use vlcsa::program::Program;
-use vlcsa_serve::{AddResult, Client, ErrorCode, ServeConfig, Server, Service};
+use vlcsa_serve::{Client, ErrorCode, ServeConfig, Server};
 use workloads::dist::{Distribution, OperandSource};
-
-fn test_config() -> ServeConfig {
-    ServeConfig {
-        max_wait: Duration::from_micros(300),
-        ..ServeConfig::default()
-    }
-}
 
 /// Joins the server within a wall-clock bound — the clean-shutdown
 /// contract every test ends with.
@@ -39,7 +31,7 @@ fn shutdown_within(server: Server, bound: Duration) {
 
 #[test]
 fn concurrent_clients_mixed_engines_bit_identical() {
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let addr = server.local_addr();
     const CLIENTS: usize = 4;
     const REQUESTS: usize = 60;
@@ -91,7 +83,7 @@ fn vlcsa_cycle_totals_match_batch_accounting() {
     // Per-response cycle counts summed over a request stream must equal
     // the `BatchOutcome`/`WideOutcome` accounting of the same operands —
     // the eq. 5.2 average-latency bookkeeping, visible through the server.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     const LANES: usize = 200;
     for engine in ["vlcsa1", "vlcsa2"] {
@@ -129,7 +121,7 @@ fn vlcsa_cycle_totals_match_batch_accounting() {
 
 #[test]
 fn bad_engine_name_lists_known_engines_and_keeps_connection() {
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let a = UBig::from_u128(1, 32);
     let b = UBig::from_u128(2, 32);
@@ -154,7 +146,7 @@ fn bad_engine_name_lists_known_engines_and_keeps_connection() {
 
 #[test]
 fn engines_command_lists_the_registry_plus_auto() {
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let names = client.engines().unwrap();
     let expect: Vec<String> = Registry::for_width(64)
@@ -170,20 +162,19 @@ fn engines_command_lists_the_registry_plus_auto() {
 
 #[test]
 fn stats_command_reports_queue_window_and_stall_rates() {
-    // The in-band STATS snapshot: a fresh server reports an idle queue and
-    // window; after traffic, per-engine lane totals are exact, the
-    // variable-latency engine shows its Gaussian stall rate, and the
-    // fixed-latency engine shows none. The response is a single line.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    // The in-band STATS snapshot: a fresh server reports its group bound
+    // and slab word and no lanes or engines; after traffic, per-engine
+    // lane totals are exact, the variable-latency engine shows its
+    // Gaussian stall rate, and the fixed-latency engine shows none. The
+    // response is a single line.
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     let idle = client.stats().unwrap();
-    assert_eq!(idle.queue_depth, 0);
-    assert_eq!(idle.window_lanes, 0);
     assert_eq!(idle.max_lanes, ServeConfig::default().max_lanes);
     assert_eq!(idle.word_bits, bitnum::batch::DefaultWord::LANES);
+    assert!(idle.lanes.is_empty(), "no lane named yet: {idle:?}");
     assert!(idle.engines.is_empty(), "no traffic served yet: {idle:?}");
-    assert_eq!(idle.window_occupancy(), 0.0);
 
     const LANES: usize = 300;
     let mut src = OperandSource::new(Distribution::paper_gaussian(), 64, 77);
@@ -204,7 +195,7 @@ fn stats_command_reports_queue_window_and_stall_rates() {
     }
 
     let stats = client.stats().unwrap();
-    assert_eq!(stats.queue_depth, 0, "all requests answered: {stats:?}");
+    assert_eq!(stats.lanes.len(), 2, "one lane per engine: {stats:?}");
     let vlcsa1 = stats.engine("vlcsa1").expect("vlcsa1 served traffic");
     let ripple = stats.engine("ripple").expect("ripple served traffic");
     assert_eq!(vlcsa1.lanes, LANES as u64);
@@ -224,57 +215,12 @@ fn stats_command_reports_queue_window_and_stall_rates() {
 }
 
 #[test]
-fn stats_window_occupancy_is_visible_mid_window() {
-    // With a long linger and a max_lanes bound that is not yet reached,
-    // queued in-process submits sit in the open window — STATS must show
-    // them as window occupancy (or, transiently, queue depth) while they
-    // wait for the flush. (Wire requests never linger: a connection runs
-    // its reads' groups itself.)
-    let service = Service::start(ServeConfig {
-        max_wait: Duration::from_secs(5),
-        ..ServeConfig::default()
-    });
-    let a = UBig::from_u128(1, 64);
-    let b = UBig::from_u128(2, 64);
-    let pending = 5usize;
-    let (tx, rx) = mpsc::channel();
-    for _ in 0..pending {
-        let tx = tx.clone();
-        let reply = Box::new(move |result| {
-            let _ = tx.send(result);
-        });
-        service
-            .submit("vlcsa2", a.clone(), b.clone(), reply)
-            .unwrap();
-    }
-    // Wait (bounded) for a worker to take the submissions into the open
-    // window, then snapshot.
-    let deadline = Instant::now() + Duration::from_secs(3);
-    let mut seen = 0;
-    while Instant::now() < deadline {
-        let stats = service.stats();
-        seen = stats.window_lanes + stats.queue_depth;
-        if stats.window_lanes == pending {
-            assert!((stats.window_occupancy() - pending as f64 / 256.0).abs() < 1e-9);
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(seen, pending, "pending requests visible through STATS");
-    for _ in 0..pending {
-        let result: AddResult = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(result.sum.to_u128(), Some(3));
-    }
-    service.shutdown();
-}
-
-#[test]
 fn a_burst_after_a_large_one_arrives_in_one_read() {
     // A connection's read buffer starts at 8 KiB and doubles whenever a
     // read fills it. So once one burst has passed 8 KiB, the next burst
     // of more than 8 KiB, written in one `write_all`, arrives in one read
     // and runs as one issue group.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let stream = TcpStream::connect(server.local_addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
@@ -326,7 +272,7 @@ fn a_burst_after_a_large_one_arrives_in_one_read() {
 fn malformed_lines_are_answered_not_dropped() {
     // Raw-socket client: protocol garbage gets an ERR with seq 0 (or the
     // parsed seq), and the same connection still serves valid requests.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let stream = TcpStream::connect(server.local_addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
@@ -354,7 +300,7 @@ fn closed_connections_are_deregistered() {
     // A long-running server must not accumulate one open socket per dead
     // connection: each reader deregisters its stream on exit, so after a
     // churn of short-lived clients the registry drains back to zero.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let a = UBig::from_u128(20, 16);
     let b = UBig::from_u128(5, 16);
     for _ in 0..25 {
@@ -383,7 +329,7 @@ fn closed_connections_are_deregistered() {
 fn sums_and_programs_round_trip_with_mixed_add_traffic() {
     // Happy-path end to end: SUM and PROG requests interleave with plain
     // ADDs on one connection and answer the exact scalar-fold values.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let program = Program::from_spec("i0+i1,t0+t0,t1+i2", 3).unwrap();
     for (round, engine) in ["ripple", "carry-select", "vlcsa1", "vlcsa2"]
@@ -429,7 +375,7 @@ fn served_sum_of_8_resolves_carries_exactly_once() {
     // pair; (2) the served cycle total equals the executor's accounting
     // over those pairs batched as one slab — lanes + stalls, i.e. one
     // resolve per sum; (3) STATS counts one lane per sum, not eight.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     const SUMS: usize = 120;
     const N: usize = 8;
@@ -495,7 +441,7 @@ fn fuzzed_sum_and_prog_lines_never_kill_the_connection() {
     // Every non-empty line gets exactly one response; malformed lines get
     // ERR with the right code and sequence; valid requests still answer
     // exactly; and STATS still parses afterwards.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let stream = TcpStream::connect(server.local_addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
@@ -644,8 +590,8 @@ fn fuzzed_sum_and_prog_lines_never_kill_the_connection() {
         writer.write_all(b"\n").unwrap();
     }
 
-    // One response per line, in any order (ERRs answer inline, OKs from
-    // workers). Classify by seq.
+    // One response per line, in any order (ERRs answer inline, OKs once
+    // their read is consumed). Classify by seq.
     let mut errors: Vec<(u64, ErrorCode)> = Vec::new();
     let mut oks: std::collections::HashMap<u64, String> = std::collections::HashMap::new();
     for _ in 0..lines.len() {
@@ -723,7 +669,7 @@ fn slo_round_trips_and_stats_reports_routes() {
     // in force and the router's current per-width decision once `auto`
     // traffic has flowed. Garbage SLO lines are seqless bad-requests that
     // leave the connection (and the budget) untouched.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     assert_eq!(client.slo().unwrap(), None, "no budget configured at start");
@@ -799,7 +745,7 @@ fn step_less_program_is_a_structured_client_error() {
     // empty spec, which the wire format cannot carry — `run_program` must
     // answer with a structured error instead of panicking in the
     // formatter, and the connection must stay usable afterwards.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let step_less = Program::sum(1).unwrap();
     assert!(step_less.steps().is_empty(), "sum(1) needs no additions");
@@ -829,7 +775,7 @@ fn binary_clients_round_trip_and_proto_counters_pin() {
     // through `auto`), while proto_text/proto_bin count every answered
     // request on the right side — the STATS request itself included, the
     // HELLO upgrade line excluded.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let addr = server.local_addr();
 
     let mut text = Client::connect(addr).unwrap();
@@ -895,7 +841,7 @@ fn binary_bad_engine_id_gets_structured_err_frame() {
     // id ↔ name mapping, and the same connection keeps serving.
     use vlcsa_serve::binary;
 
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let stream = TcpStream::connect(server.local_addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
@@ -947,7 +893,7 @@ fn binary_garbage_answers_or_closes_cleanly_never_desyncs() {
     // survives all of it.
     use vlcsa_serve::binary;
 
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let addr = server.local_addr();
     let hello = |stream: &mut TcpStream, reader: &mut BufReader<TcpStream>| {
         stream.write_all(b"HELLO BIN 1\n").unwrap();
@@ -1072,7 +1018,7 @@ fn hello_after_the_first_line_is_just_an_unknown_command() {
     // Negotiation is first-line-only: a connection that has spoken text
     // once can never upgrade, so a later HELLO is answered as a normal
     // unknown command and the connection stays text.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let stream = TcpStream::connect(server.local_addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
@@ -1098,7 +1044,7 @@ fn hello_after_the_first_line_is_just_an_unknown_command() {
 fn idle_windows_then_burst() {
     // An idle server (batching windows with zero requests) must neither
     // busy-spin nor wedge: after a quiet period, a burst is served intact.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     let mut client = Client::connect(server.local_addr()).unwrap();
     let mut seqs = Vec::new();
@@ -1120,7 +1066,7 @@ fn idle_connections_hold_neither_traffic_nor_shutdown() {
     // Every connection has its own reader thread. 64 sockets that never
     // send a byte must not slow a busy client, and shutdown must close
     // them too.
-    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
     let addr = server.local_addr();
     let idle: Vec<TcpStream> = (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
     let mut rng = Xoshiro256::seed_from_u64(0x1D1E);
